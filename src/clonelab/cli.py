@@ -505,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_indep)
 
     p = sub.add_parser("suite", help="run a named battery")
-    p.add_argument("name", choices=["acceptance", "fast", "full"])
+    p.add_argument("name", choices=["acceptance", "fast"])
     p.set_defaults(handler=cmd_suite)
 
     return parser

@@ -11,7 +11,9 @@ above the requested cap is ever materialized.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -237,139 +239,36 @@ def pol(relation: RelationTable, arity_cap: int, *, max_candidates: int = 1 << 2
 # ---------------------------------------------------------------------------
 # Bounded clone closure.
 #
-# Slice generation works on numpy value tables.  Tables of arity n are rows
-# of length k^n; applying a generator g of arity m to m rows is one fancy
-# indexing pass.  Generators are introduced one at a time and skipped when
-# they are already members of the clone generated so far (a generator that
-# is already a term function adds nothing).
+# One engine computes every slice.  An n-ary table is a row of k^n digits,
+# cut into at least two near-equal limbs of at most c digits, where
+# k^(2c) <= 2^16: a limb fits in a byte, and a unary or binary generator acts
+# limb by limb through a lookup table of at most 2^16 entries.  Generators of
+# arity >= 3 act digit by digit on digit rows kept beside the pool.  Dedup is
+# exact: table spaces of at most 2^20 use a bitmap over the packed code,
+# larger ones a set of keys (the int64 code below 2^63, the limb bytes above).
+# Generators are introduced one at a time and skipped when they are already
+# members of the clone generated so far (a generator that is already a term
+# function adds nothing).  tests/closure_reference.py is a plain fixpoint
+# over tuples that the engine is cross-checked against.
 
-_BITMAP_LIMIT = 1 << 24
-
-
-class _SliceState:
-    """Dedup + storage for one arity slice during closure generation."""
-
-    def __init__(self, k: int, width: int):
-        self.k = k
-        self.width = width
-        self.space = k**width  # python int; may be astronomically large
-        self.pow = (k ** np.arange(width - 1, -1, -1, dtype=np.int64)
-                    if self.space < (1 << 62) else None)
-        self.bitmap = (np.zeros(self.space, dtype=bool)
-                       if self.space <= _BITMAP_LIMIT else None)
-        self.codes: set[int] | None = None if self.bitmap is not None else set()
-        self.rows = np.zeros((0, width), dtype=np.int8)
-        self.count = 0
-
-    def encode(self, rows: np.ndarray) -> np.ndarray | None:
-        if self.pow is None:
-            return None
-        return rows.astype(np.int64) @ self.pow
-
-    def add(self, rows: np.ndarray) -> np.ndarray:
-        """Insert rows, returning the block of genuinely new ones."""
-        if rows.size == 0:
-            return rows.reshape(0, self.width)
-        codes = self.encode(rows)
-        if codes is None:
-            # fallback for table spaces beyond int64 packing
-            fresh_idx = []
-            seen = self.codes
-            assert seen is not None
-            for i, row in enumerate(rows):
-                key = row.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    fresh_idx.append(i)
-            fresh = rows[fresh_idx]
-        elif self.bitmap is not None:
-            novel = ~self.bitmap[codes]
-            codes = codes[novel]
-            rows = rows[novel]
-            codes, first = np.unique(codes, return_index=True)
-            fresh = rows[np.sort(first)]
-            self.bitmap[self.encode(fresh)] = True
-        else:
-            assert self.codes is not None
-            fresh_idx = []
-            for i, c in enumerate(codes.tolist()):
-                if c not in self.codes:
-                    self.codes.add(c)
-                    fresh_idx.append(i)
-            fresh = rows[fresh_idx]
-        if len(fresh):
-            self.rows = np.concatenate([self.rows, fresh.astype(np.int8)])
-            self.count += len(fresh)
-        return fresh
-
-    def contains_row(self, row: np.ndarray) -> bool:
-        code = self.encode(row.reshape(1, -1))
-        if code is None:
-            assert self.codes is not None
-            return row.tobytes() in self.codes
-        if self.bitmap is not None:
-            return bool(self.bitmap[code[0]])
-        assert self.codes is not None
-        return int(code[0]) in self.codes
-
-    @property
-    def full(self) -> bool:
-        return self.count == self.space
-
-
-def _apply_unary(lut: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    return lut[rows]
-
-
-def _apply_pointwise(lut: np.ndarray, k: int, operands: list[np.ndarray],
-                     chunk_cells: int = 4_000_000) -> Iterator[np.ndarray]:
-    """Yield lut[g-index of operand tuples] over the product of operand blocks.
-
-    operands is a list of m row-blocks; the product block_1 x ... x block_m is
-    traversed in chunks small enough to keep peak memory bounded.
-    """
-    m = len(operands)
-    if m == 1:
-        yield lut[operands[0]]
-        return
-    sizes = [len(b) for b in operands]
-    if any(s == 0 for s in sizes):
-        return
-    width = operands[0].shape[1]
-    tail_cells = width
-    for s in sizes[1:]:
-        tail_cells *= s
-    step = max(1, chunk_cells // max(tail_cells, 1))
-    first = operands[0]
-    for start in range(0, sizes[0], step):
-        block = first[start:start + step].astype(np.int32)
-        idx = block[:, None, :] * k + operands[1][None, :, :]
-        idx = idx.reshape(-1, width)
-        for extra in operands[2:]:
-            idx = (idx[:, None, :] * k + extra[None, :, :]).reshape(-1, width)
-        yield lut[idx]
-
-
-def _generator_key(g: OpTable) -> tuple:
-    return (g.arity, g.table)
+_BITMAP_SPACE = 1 << 20
+_LIMB_SPACE = 1 << 8
+_BLOCK = 1024
+_TILE_BYTES = 16 << 20
 
 
 def _cylinder_row(g: OpTable, tuple_prefix: np.ndarray) -> np.ndarray:
     """Table of g(x_1..x_m) read as an n-ary operation (m <= n)."""
     k = g.carrier.size
-    lut = np.asarray(g.table, dtype=np.int8)
+    lut = np.asarray(g.table, dtype=np.uint8)
     idx = np.zeros(len(tuple_prefix), dtype=np.int64)
     for j in range(g.arity):
         idx = idx * k + tuple_prefix[:, j]
-    return lut[idx].astype(np.int8)
-
-
-_CODE_LIMIT = 1 << 20
-_BLOCK = 1024
+    return lut[idx]
 
 
 def _digits(codes: np.ndarray, k: int, width: int) -> np.ndarray:
-    out = np.empty((len(codes), width), dtype=np.int8)
+    out = np.empty((len(codes), width), dtype=np.uint8)
     rest = codes.astype(np.int64)
     for j in range(width - 1, -1, -1):
         out[:, j] = rest % k
@@ -377,57 +276,133 @@ def _digits(codes: np.ndarray, k: int, width: int) -> np.ndarray:
     return out
 
 
-class _CodeEngine:
-    """Closure of one slice over packed table codes.
+def _limb_widths(k: int, width: int) -> list[int]:
+    """Digits per limb, larger limbs first; each limb has k^c <= 2^8 values."""
+    c = 1
+    while k ** (c + 1) <= _LIMB_SPACE:
+        c += 1
+    count = max(2, -(-width // c))
+    q, r = divmod(width, count)
+    return [q + 1] * r + [q] * (count - r)
 
-    Each table is a single base-k integer; binary generators act through a
-    pair of half-table lookup matrices (high and low digit halves), so one
-    composed pair costs a couple of gathers instead of a digit loop.  Every
-    active generator keeps a cursor into the pool and processes blocks
+
+def _unpack(limbs: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
+    """Digit rows of limb rows, one lookup per run of equal limbs."""
+    parts, col = [], 0
+    for w in sorted(set(widths), reverse=True):
+        n = widths.count(w)
+        digits = _digits(np.arange(k**w), k, w)[limbs[:, col : col + n]]
+        parts.append(digits.reshape(len(limbs), n * w))
+        col += n
+    return np.concatenate(parts, axis=1)
+
+
+def _pack(rows: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
+    """Limb rows of digit rows, by Horner's rule over each run of equal limbs."""
+    out = np.empty((len(rows), len(widths)), dtype=np.uint8)
+    col = start = 0
+    for w in sorted(set(widths), reverse=True):
+        n = widths.count(w)
+        digits = rows[:, start : start + n * w].reshape(len(rows), n, w)
+        acc = digits[:, :, 0].copy()
+        for j in range(1, w):
+            acc *= k
+            acc += digits[:, :, j]
+        out[:, col : col + n] = acc
+        col, start = col + n, start + n * w
+    return out
+
+
+class _CodeEngine:
+    """Closure of one slice over tables packed into byte limbs.
+
+    Every active generator keeps a cursor into the pool and processes blocks
     against everything before them, which guarantees each operand tuple is
     seen once while letting freshly found tables circulate quickly.
 
-    stop_codes are tables certified elsewhere to generate the full slice on
+    stop_keys are tables certified elsewhere to generate the full slice on
     their own; the moment one appears the closure is provably full and the
     run stops.
     """
 
-    def __init__(self, k: int, arity: int, stop_if_full: bool,
-                 max_tables: int | None, stop_codes: np.ndarray | None = None):
+    def __init__(self, k: int, arity: int, stop_if_full: bool, max_tables: int | None):
         self.k = k
+        self.arity = arity
         self.width = k**arity
         self.space = k**self.width
         self.stop_if_full = stop_if_full
         self.max_tables = max_tables
-        self.stop_codes = stop_codes
+        self.stop_keys: list = []
         self.certified = False
-        self.lo_w = self.width // 2
-        self.hi_w = self.width - self.lo_w
-        self.lo_space = k**self.lo_w
-        self.bitmap = np.zeros(self.space, dtype=bool)
-        self.pool = np.empty(self.space, dtype=np.int32)
+        self.widths = _limb_widths(k, self.width)
+        self.scale = [k ** sum(self.widths[i + 1 :]) for i in range(len(self.widths))]
+        self.bitmap = np.zeros(self.space, dtype=bool) if self.space <= _BITMAP_SPACE else None
+        self.seen: set = set()
+        if self.space < 1 << 63:
+            self.key_dtype = np.dtype(np.int32 if self.bitmap is not None else np.int64)
+            self.key_bytes = self.key_dtype.itemsize
+        else:
+            self.key_dtype = np.dtype((np.void, len(self.widths)))
+            self.key_bytes = len(self.widths) + sys.getsizeof(b"")  # held as bytes objects
+        self.limbs = np.empty((64, len(self.widths)), dtype=np.uint8)
+        self.rows: np.ndarray | None = None  # digit rows, once an arity >= 3 generator is active
         self.count = 0
-        self.pow_full = k ** np.arange(self.width - 1, -1, -1, dtype=np.int64)
-        self.appliers: list = []   # (arity, payload)
+        self.appliers: list = []  # (arity, payload)
         self.cursors: list[int] = []
 
-    # -- storage ------------------------------------------------------------
+    # -- keys and storage ---------------------------------------------------
 
-    def add(self, codes: np.ndarray) -> int:
-        if codes.size == 0:
-            return 0
-        novel = codes[~self.bitmap[codes]]
-        if novel.size == 0:
-            return 0
-        fresh = np.unique(novel)
-        self.bitmap[fresh] = True
-        self.pool[self.count : self.count + len(fresh)] = fresh
-        self.count += len(fresh)
+    @property
+    def packed(self) -> bool:
+        return self.key_dtype.kind == "i"
+
+    def keys_of(self, limbs: np.ndarray) -> np.ndarray:
+        if not self.packed:
+            return np.ascontiguousarray(limbs).view(self.key_dtype).ravel()
+        keys = limbs[:, 0].astype(self.key_dtype) * self.scale[0]
+        for i in range(1, len(self.widths)):
+            keys += limbs[:, i].astype(self.key_dtype) * self.scale[i]
+        return keys
+
+    def key_of_row(self, row: np.ndarray):
+        return self.keys_of(_pack(row.reshape(1, -1), self.k, self.widths)).tolist()[0]
+
+    def has(self, key) -> bool:
+        return bool(self.bitmap[key]) if self.bitmap is not None else key in self.seen
+
+    def add(self, keys: np.ndarray) -> None:
+        """Insert candidate keys; genuinely new tables go to the end of the pool."""
+        if self.bitmap is not None:
+            fresh = _sorted_unique(keys[~self.bitmap[keys]])
+            self.bitmap[fresh] = True
+        else:
+            distinct = _sorted_unique(keys).tolist() if self.packed else dict.fromkeys(keys.tolist())
+            new = [key for key in distinct if key not in self.seen]
+            self.seen.update(new)
+            fresh = np.array(new, dtype=self.key_dtype)
+        if not len(fresh):
+            return
+        if self.packed:
+            limbs = np.stack([(fresh // s) % self.k**w for s, w in zip(self.scale, self.widths)], axis=1)
+        else:
+            limbs = fresh.view(np.uint8).reshape(len(fresh), -1)
+        self.append(limbs.astype(np.uint8))
         if self.max_tables is not None and self.count > self.max_tables:
-            raise ResourceLimitError(f"slice exceeded {self.max_tables} tables")
-        if self.stop_codes is not None and not self.certified:
-            self.certified = bool(self.bitmap[self.stop_codes].any())
-        return len(fresh)
+            raise ResourceLimitError(f"slice exceeded {self.max_tables} tables at arity {self.arity}")
+        if self.stop_keys and not self.certified:
+            self.certified = any(self.has(key) for key in self.stop_keys)
+
+    def append(self, limbs: np.ndarray) -> None:
+        end = self.count + len(limbs)
+        if end > len(self.limbs):
+            cap = max(end, 2 * len(self.limbs))
+            self.limbs = _grown(self.limbs, self.count, cap)
+            if self.rows is not None:
+                self.rows = _grown(self.rows, self.count, cap)
+        self.limbs[self.count : end] = limbs
+        if self.rows is not None:
+            self.rows[self.count : end] = _unpack(limbs, self.k, self.widths)
+        self.count = end
 
     @property
     def full(self) -> bool:
@@ -437,85 +412,80 @@ class _CodeEngine:
     def done_enough(self) -> bool:
         return self.stop_if_full and (self.full or self.certified)
 
-    def pack_rows(self, rows: np.ndarray) -> np.ndarray:
-        return (rows.astype(np.int64) @ self.pow_full).astype(np.int32)
-
-    def contains_table(self, row: np.ndarray) -> bool:
-        return bool(self.bitmap[int(self.pack_rows(row.reshape(1, -1))[0])])
-
     # -- generator application ----------------------------------------------
 
-    def make_applier(self, g: OpTable):
-        lut = np.asarray(g.table, dtype=np.int8)
-        if g.arity == 1:
-            digs = _digits(np.arange(self.space), self.k, self.width)
-            table = self.pack_rows(lut[digs])
-            return (1, table)
-        if g.arity == 2:
-            def half(w: int) -> np.ndarray:
-                space = self.k**w
-                digs = _digits(np.arange(space), self.k, w)
-                idx = digs[:, None, :].astype(np.int16) * self.k + digs[None, :, :]
-                vals = lut[idx]
-                pw = self.k ** np.arange(w - 1, -1, -1, dtype=np.int64)
-                return (vals.astype(np.int64) @ pw).astype(np.int32)
+    def activate(self, g: OpTable) -> None:
+        k, lut = self.k, np.asarray(g.table, dtype=np.uint8)
+        if g.arity >= 3:
+            if self.rows is None:
+                self.rows = _grown(_unpack(self.limbs[: self.count], k, self.widths),
+                                   self.count, len(self.limbs))
+            payload = lut
+        else:
+            # by_width[w]: g acting on w-digit chunks, built one digit at a time
+            by_width = {1: lut.reshape((k,) * g.arity)}
+            for w in range(2, self.widths[0] + 1):
+                x = np.arange(k**w)
+                hi, lo = x // k, x % k
+                if g.arity == 1:
+                    by_width[w] = by_width[w - 1][hi] * k + lut[lo]
+                else:
+                    by_width[w] = (by_width[w - 1][hi[:, None], hi[None, :]] * k
+                                   + by_width[1][lo[:, None], lo[None, :]])
+            payload = [by_width[w] for w in self.widths]
+            if self.packed:
+                payload = [t.astype(self.key_dtype) * s for t, s in zip(payload, self.scale)]
+        self.appliers.append((g.arity, payload))
+        self.cursors.append(0)
 
-            return (2, (half(self.hi_w), half(self.lo_w)))
-        return (g.arity, lut)
+    def _limbwise(self, payload: list[np.ndarray], operands: list[np.ndarray]) -> np.ndarray:
+        """Keys of a unary or binary generator applied limb by limb."""
+        if len(operands) == 1:
+            shape, index = (len(operands[0]),), lambda i: operands[0][:, i]
+        else:
+            a, b = operands
+            shape, index = (len(a), len(b)), lambda i: (a[:, i, None], b[None, :, i])
+        if self.packed:
+            keys = payload[0][index(0)]
+            for i in range(1, len(payload)):
+                keys += payload[i][index(i)]
+            return keys.ravel()
+        out = np.empty(shape + (len(payload),), dtype=np.uint8)
+        for i, table in enumerate(payload):
+            out[..., i] = table[index(i)]
+        return self.keys_of(out.reshape(-1, len(payload)))
 
-    def _apply_binary(self, payload, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        hi_lut, lo_lut = payload
-        a_hi, a_lo = a // self.lo_space, a % self.lo_space
-        b_hi, b_lo = b // self.lo_space, b % self.lo_space
-        out = hi_lut[a_hi[:, None], b_hi[None, :]] * self.lo_space
-        out += lo_lut[a_lo[:, None], b_lo[None, :]]
-        return out.ravel()
-
-    def _binary_sweep(self, payload, a: np.ndarray, b: np.ndarray) -> None:
-        """a x b in bounded tiles with an early-exit check per tile."""
-        tile = max(1, 4_000_000 // max(len(b), 1))
-        for start in range(0, len(a), tile):
-            self.add(self._apply_binary(payload, a[start : start + tile], b))
-            if self.done_enough:
-                return
-
-    def _apply_wide(self, m: int, lut: np.ndarray, operands: list[np.ndarray]) -> np.ndarray:
-        rows = [_digits(o, self.k, self.width) for o in operands]
-        acc = rows[0].astype(np.int32)
-        for extra in rows[1:]:
+    def _pointwise(self, lut: np.ndarray, operands: list[np.ndarray]) -> np.ndarray:
+        """Keys of a generator of arity >= 3 applied digit by digit."""
+        acc = operands[0].astype(np.intp)
+        for extra in operands[1:]:
             acc = (acc[:, None, :] * self.k + extra[None, :, :]).reshape(-1, self.width)
-        return self.pack_rows(lut[acc])
+        return self.keys_of(_pack(np.take(lut, acc), self.k, self.widths))
 
     def process_block(self, gen_index: int) -> None:
         """Advance one generator's cursor by one block of pool rows."""
         m, payload = self.appliers[gen_index]
+        pool = self.rows if m >= 3 else self.limbs
         done = self.cursors[gen_index]
         hi = min(done + _BLOCK, self.count)
-        block = self.pool[done:hi]
-        if m == 1:
-            self.add(payload[block])
-        elif m == 2:
-            self._binary_sweep(payload, block, self.pool[:hi])
-            if not self.done_enough and done:
-                self._binary_sweep(payload, self.pool[:done], block)
-        else:
-            # slot p holds the block, earlier slots strictly older rows,
-            # later slots anything up to hi: covers every operand tuple once
-            upto = self.pool[:hi]
-            older = self.pool[:done]
-            for p in range(m):
-                operands = [older] * p + [block] + [upto] * (m - 1 - p)
-                if any(len(o) == 0 for o in operands):
-                    continue
-                tail = 1
-                for o in operands[1:]:
-                    tail *= len(o)
-                step = max(1, 2_000_000 // max(tail, 1))
-                for start in range(0, len(operands[0]), step):
-                    chunk = [operands[0][start : start + step]] + operands[1:]
-                    self.add(self._apply_wide(m, payload, chunk))
-                    if self.done_enough:
-                        return
+        older, block, upto = pool[:done], pool[done:hi], pool[:hi]
+        per_candidate = 8 * self.width if m >= 3 else self.key_bytes  # intp index cells
+        # slot p holds the block, earlier slots strictly older rows, later
+        # slots anything up to hi: covers every operand tuple once
+        for p in range(m):
+            operands = [older] * p + [block] + [upto] * (m - 1 - p)
+            tail = math.prod(len(o) for o in operands[1:])
+            if not tail or not len(operands[0]):
+                continue
+            step = max(1, _TILE_BYTES // (per_candidate * tail))
+            for start in range(0, len(operands[0]), step):
+                chunk = [operands[0][start : start + step]] + operands[1:]
+                if m >= 3:
+                    self.add(self._pointwise(payload, chunk))
+                else:
+                    self.add(self._limbwise(payload, chunk))
+                if self.done_enough:
+                    return
         self.cursors[gen_index] = hi
 
     def drain(self) -> None:
@@ -530,117 +500,54 @@ class _CodeEngine:
                     return
 
 
-def _closure_slice_codes(
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    a = np.sort(a)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
+def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:
+    out = np.empty((cap,) + a.shape[1:], dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
+
+
+def _closure(
     gens: list[OpTable],
     carrier: Carrier,
     arity: int,
-    stop_if_full: bool,
-    max_tables: int | None,
-    stop_codes: np.ndarray | None = None,
-) -> tuple[list[tuple[int, ...]], bool, list[OpTable]]:
-    k = carrier.size
-    eng = _CodeEngine(k, arity, stop_if_full, max_tables, stop_codes)
+    *,
+    stop_if_full: bool = True,
+    max_tables: int | None = None,
+    stop_ops: Sequence[OpTable] = (),
+) -> tuple[np.ndarray, bool, list[OpTable]]:
+    """The one closure entry: (pool limb rows, full or certified, activated).
+
+    stop_ops are operations certified elsewhere to generate the full slice
+    on their own; the run stops as soon as one of them is in the pool.
+    """
+    eng = _CodeEngine(carrier.size, arity, stop_if_full, max_tables)
     tuple_prefix = np.array(list(carrier.tuples(arity)), dtype=np.int64)
-    projections = np.array(
-        [[t[j] for t in carrier.tuples(arity)] for j in range(arity)], dtype=np.int8
-    )
-    eng.add(eng.pack_rows(projections))
+    for op in stop_ops:
+        if op.arity > arity:
+            raise ValueError("complete op arity above the slice arity")
+        eng.stop_keys.append(eng.key_of_row(_cylinder_row(op, tuple_prefix)))
+    projections = tuple_prefix.T.astype(np.uint8)
+    eng.add(eng.keys_of(_pack(projections, eng.k, eng.widths)))
 
     activated: list[OpTable] = []
     for g in gens:
         if eng.done_enough:
             break
-        if g.arity <= arity and eng.contains_table(_cylinder_row(g, tuple_prefix)):
+        if g.arity <= arity and eng.has(eng.key_of_row(_cylinder_row(g, tuple_prefix))):
             # already a term function of the generators activated so far
             continue
         activated.append(g)
-        eng.appliers.append(eng.make_applier(g))
-        eng.cursors.append(0)
+        eng.activate(g)
         eng.drain()
-
-    codes = eng.pool[: eng.count]
-    tables = [tuple(int(v) for v in row) for row in _digits(codes, k, eng.width)]
-    return tables, eng.full or eng.certified, activated
-
-
-def _closure_slice_rows(
-    gens: list[OpTable],
-    carrier: Carrier,
-    arity: int,
-    stop_if_full: bool,
-    max_tables: int | None,
-) -> tuple[list[tuple[int, ...]], bool, list[OpTable]]:
-    k = carrier.size
-    width = k**arity
-    state = _SliceState(k, width)
-
-    projections = np.array(
-        [[t[j] for t in carrier.tuples(arity)] for j in range(arity)], dtype=np.int8
-    )
-    state.add(projections)
-
-    tuple_prefix = np.array(list(carrier.tuples(arity)), dtype=np.int64)
-    active: list[tuple[int, np.ndarray]] = []  # (gen arity, lut)
-    empty = np.zeros((0, width), dtype=np.int8)
-
-    def absorb(blocks) -> tuple[np.ndarray, bool]:
-        """Dedup-insert chunks eagerly; returns (fresh rows, done flag)."""
-        fresh_parts = []
-        for block in blocks:
-            fresh = state.add(block)
-            if len(fresh):
-                fresh_parts.append(fresh)
-            if stop_if_full and state.full:
-                return (np.concatenate(fresh_parts) if fresh_parts else empty, True)
-            if max_tables is not None and state.count > max_tables:
-                raise ResourceLimitError(
-                    f"slice exceeded {max_tables} tables at arity {arity}"
-                )
-        return (np.concatenate(fresh_parts) if fresh_parts else empty, False)
-
-    def run_rounds(frontier: np.ndarray) -> bool:
-        while len(frontier):
-            if stop_if_full and state.full:
-                return True
-            old = state.rows[: state.count - len(frontier)]
-            fresh_parts = []
-            for m, lut in active:
-                if m == 1:
-                    blocks = [_apply_unary(lut, frontier)]
-                else:
-                    blocks = itertools.chain.from_iterable(
-                        _apply_pointwise(lut, k, [frontier if p else old for p in pattern])
-                        for pattern in itertools.product((0, 1), repeat=m)
-                        if any(pattern)
-                    )
-                fresh, done = absorb(blocks)
-                if len(fresh):
-                    fresh_parts.append(fresh)
-                if done:
-                    return True
-            frontier = np.concatenate(fresh_parts) if fresh_parts else empty
-        return state.full
-
-    activated: list[OpTable] = []
-    for g in gens:
-        if stop_if_full and state.full:
-            break
-        if g.arity <= arity and state.contains_row(_cylinder_row(g, tuple_prefix)):
-            continue
-        activated.append(g)
-        lut = np.asarray(g.table, dtype=np.int8)
-        active.append((g.arity, lut))
-        pool = state.rows[: state.count]
-        if g.arity == 1:
-            blocks = [_apply_unary(lut, pool)]
-        else:
-            blocks = _apply_pointwise(lut, k, [pool] * g.arity)
-        frontier, done = absorb(blocks)
-        if done or run_rounds(frontier):
-            break
-
-    tables = [tuple(int(v) for v in row) for row in state.rows[: state.count]]
-    return tables, state.full, activated
+    return eng.limbs[: eng.count], eng.full or eng.certified, activated
 
 
 def _normalized_generators(
@@ -686,13 +593,10 @@ def closure_slice(
     confirmation sweep (sound: the slice cannot grow further).
     """
     gens = _normalized_generators(generators, carrier, include_all_unary)
-    k = carrier.size
-    width = k**arity
-    if k**width <= _CODE_LIMIT:
-        tables, full, _ = _closure_slice_codes(gens, carrier, arity, stop_if_full, max_tables)
-    else:
-        tables, full, _ = _closure_slice_rows(gens, carrier, arity, stop_if_full, max_tables)
-    return tables, full
+    codes, full, _ = _closure(gens, carrier, arity, stop_if_full=stop_if_full,
+                              max_tables=max_tables)
+    rows = _unpack(codes, carrier.size, _limb_widths(carrier.size, carrier.size**arity))
+    return list(map(tuple, rows.tolist())), full
 
 
 def closure_covers_slice(
@@ -709,23 +613,7 @@ def closure_covers_slice(
     monotonicity the closure contains that operation's full closure.
     """
     gens = _normalized_generators(generators, carrier, False)
-    k = carrier.size
-    width = k**arity
-    if k**width > _CODE_LIMIT:
-        _, full, _ = _closure_slice_rows(gens, carrier, arity, True, None)
-        return full
-    stop_codes = None
-    if complete_ops:
-        pow_full = k ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        rows = []
-        tuple_prefix = np.array(list(carrier.tuples(arity)), dtype=np.int64)
-        for op in complete_ops:
-            if op.arity > arity:
-                raise ValueError("complete op arity above the slice arity")
-            rows.append(_cylinder_row(op, tuple_prefix))
-        stop_codes = (np.array(rows, dtype=np.int64) @ pow_full).astype(np.int32)
-    _, full, _ = _closure_slice_codes(gens, carrier, arity, True, None, stop_codes)
-    return full
+    return _closure(gens, carrier, arity, stop_ops=complete_ops)[1]
 
 
 def reduce_generators(
@@ -742,13 +630,7 @@ def reduce_generators(
     for g in gens:
         if g.arity > arity_cap:
             raise ValueError("arity cap below a generator arity")
-    k = carrier.size
-    width = k**arity_cap
-    if k**width <= _CODE_LIMIT:
-        _, _, activated = _closure_slice_codes(gens, carrier, arity_cap, False, None)
-    else:
-        _, _, activated = _closure_slice_rows(gens, carrier, arity_cap, False, None)
-    return activated
+    return _closure(gens, carrier, arity_cap, stop_if_full=False)[2]
 
 
 def clone_closure(
@@ -787,8 +669,8 @@ def closure_slice_is_full(
     include_all_unary: bool = False,
 ) -> bool:
     """Whether the arity-slice of the bounded closure is every operation."""
-    _, full = closure_slice(generators, carrier, arity, include_all_unary)
-    return full
+    gens = _normalized_generators(generators, carrier, include_all_unary)
+    return _closure(gens, carrier, arity)[1]
 
 
 def conjugate(op: OpTable, perm: Sequence[int]) -> OpTable:

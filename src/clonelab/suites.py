@@ -530,8 +530,6 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CriterionResult]:
         battery = ACCEPTANCE
     elif name == "fast":
         battery = FAST
-    elif name == "full":
-        battery = ACCEPTANCE
     else:
-        raise ValueError(f"unknown suite {name!r}; choose acceptance, fast or full")
+        raise ValueError(f"unknown suite {name!r}; choose acceptance or fast")
     return [criterion(seed) for criterion in battery]

@@ -46,6 +46,12 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_full_is_not_a_suite(self, capsys):
+        # "full" was an alias of "acceptance"; only the two batteries remain
+        code = main(["suite", "full"])
+        capsys.readouterr()
+        assert code == 2
+
     def test_resource_limit_exit(self, capsys):
         code, report = run_cli(capsys, "ramsey", "--n", "30", "--m", "4", "--r", "2", "--c", "2")
         assert code == 3

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from clonelab.finite import (
     ResourceLimitError,
     all_op_tables,
     clone_closure,
+    closure_covers_slice,
     closure_slice,
     compose,
     conjugate,
@@ -22,7 +25,7 @@ from clonelab.finite import (
     reduce_generators,
     respects,
 )
-from clonelab.finite import _closure_slice_codes, _closure_slice_rows, _normalized_generators
+from closure_reference import reference_slice
 
 C2 = Carrier(2)
 C3 = Carrier(3)
@@ -56,6 +59,73 @@ OR = OpTable(C2, 2, (0, 1, 1, 1))
 XOR = OpTable(C2, 2, (0, 1, 1, 0))
 NAND = OpTable(C2, 2, (1, 1, 1, 0))
 NOT = OpTable(C2, 1, (1, 0))
+
+
+def _op(k, arity, fn, perm=None):
+    op = OpTable.from_fn(Carrier(k), arity, fn)
+    return conjugate(op, perm) if perm else op
+
+
+def _agreement_cases():
+    """(carrier size, slice arity, generators, known slice size or None).
+
+    Random generators where the whole table space is small, then small
+    clones, conjugated by seeded permutations, on slices that reach every
+    dedup path: bitmap (up to 2^20 tables), int64 keys and byte keys.
+    """
+    rng = random.Random(7)
+
+    def rand_op(k, ar):
+        return OpTable(Carrier(k), ar, tuple(rng.randrange(k) for _ in range(k**ar)))
+
+    def lattice(k, perm):
+        return [_op(k, 2, min, perm), _op(k, 2, max, perm)]
+
+    def affine(k, perm):
+        return [_op(k, 2, lambda x, y: (x + y) % k, perm), _op(k, 1, lambda x: 1, perm)]
+
+    def minority(k, perm):
+        return [_op(k, 3, lambda x, y, z: (x - y + z) % k, perm)]
+
+    cases = []
+    for _ in range(25):
+        k = rng.choice([2, 2, 3])
+        arities = [rng.choice([1, 2]) for _ in range(rng.randrange(0, 4))]
+        cases.append((k, rng.choice([1, 2]) if k == 2 else 1, [rand_op(k, a) for a in arities], None))
+    for _ in range(6):
+        cases.append((4, 1, [rand_op(4, rng.choice([1, 2])) for _ in range(rng.randrange(1, 3))], None))
+    for k in (3, 4):
+        for _ in range(2):
+            perm = tuple(rng.sample(range(k), k))
+            cases += [
+                (k, 2, [rand_op(k, 1), rand_op(k, 1)], None),
+                (k, 2, lattice(k, perm), None),
+                (k, 2, minority(k, perm), None),
+                (k, 2, affine(k, perm), None),
+                (k, 2, lattice(k, perm) + [_op(k, 1, lambda x: c) for c in (0, k - 1)], None),
+            ]
+    perm2, perm3, perm4 = (1, 0), tuple(rng.sample(range(3), 3)), tuple(rng.sample(range(4), 4))
+    dedekind = (2, 3, 6, 20, 168)  # monotone Boolean functions, OEIS A000372
+    cases += [
+        # bitmap: <AND, OR> gives the free distributive lattice, D(n) - 2
+        (2, 4, [AND, OR], dedekind[4] - 2),
+        # int64 keys; conjunctions of nonempty variable sets, odd parities
+        (2, 5, [_op(2, 2, lambda x, y: x & y, perm2)], 2**5 - 1),
+        (2, 5, [_op(2, 3, lambda x, y, z: x ^ y ^ z)], 2 ** (5 - 1)),
+        (2, 5, [_op(2, 2, lambda x, y: x ^ y), _op(2, 1, lambda x: 1 - x)], None),
+        (3, 3, lattice(3, None), dedekind[3] - 2),
+        (3, 3, lattice(3, perm3), None),
+        (3, 3, affine(3, perm3), None),
+        (3, 3, [rand_op(3, 1), rand_op(3, 1)], None),
+        # byte keys; x - y + z gives every sum a.x with sum a = 1, <x + y, 1>
+        # every a.x + c
+        (3, 4, minority(3, None), 3 ** (4 - 1)),
+        (3, 4, affine(3, None), 3 ** (4 + 1)),
+        (4, 3, lattice(4, perm4), None),
+        (4, 3, minority(4, perm4), None),
+        (4, 3, [rand_op(4, 1)], None),
+    ]
+    return cases
 
 
 class TestCompose:
@@ -148,25 +218,37 @@ class TestClosure:
             clone_closure([AND], C2, 1)
 
     def test_engines_agree_on_random_generators(self):
-        # carrier 3 binary slices are kept out of the row engine here: its
-        # full fixpoint over 19683 tables is minutes of work, and the unary
-        # slice plus the whole carrier-2 space already exercise both paths
-        import random
-
-        rng = random.Random(7)
-        for _ in range(25):
-            k = rng.choice([2, 2, 3])
+        # every case against the plain fixpoint of closure_reference.py;
+        # the known counts are the formulas cited in clonebench/oracles.py
+        for k, arity, gens, known in _agreement_cases():
             carrier = Carrier(k)
-            gens = [
-                OpTable(carrier, ar, tuple(rng.randrange(k) for _ in range(k**ar)))
-                for ar in (rng.choice([1, 2]) for _ in range(rng.randrange(0, 4)))
-            ]
-            arity = rng.choice([1, 2]) if k == 2 else 1
-            norm = _normalized_generators(gens, carrier, False)
-            t1, f1, _ = _closure_slice_codes(norm, carrier, arity, False, None)
-            t2, f2, _ = _closure_slice_rows(norm, carrier, arity, False, None)
-            assert sorted(t1) == sorted(t2)
-            assert f1 == f2
+            tables, full = closure_slice(gens, carrier, arity, stop_if_full=False)
+            reference = reference_slice(gens, k, arity)
+            assert len(tables) == len(set(tables)) == len(reference), (k, arity, gens)
+            assert set(tables) == reference
+            assert full == (len(reference) == k ** (k**arity))
+            if known is not None:
+                assert len(reference) == known
+
+    def test_complete_ops_stop_a_wide_slice(self):
+        # NAND generates every Boolean operation (Sheffer), so the slice of
+        # 2^32 tables is certified as soon as NAND(x1, x2) is in the pool
+        start = time.perf_counter()
+        assert closure_covers_slice([NAND], C2, 5, complete_ops=[NAND])
+        assert time.perf_counter() - start < 5
+
+    def test_complete_op_above_slice_arity_is_rejected(self):
+        for arity in (2, 5):  # one slice below 2^20 tables, one above
+            too_wide = OpTable(C2, arity + 1, (1,) * 2 ** (arity + 1))
+            with pytest.raises(ValueError):
+                closure_covers_slice([NAND], C2, arity, complete_ops=[too_wide])
+
+    def test_max_tables_budget(self):
+        # <AND, OR> has D(4) - 2 = 166 tables at arity 4 and 7579 at arity 5
+        assert len(closure_slice([AND, OR], C2, 4, max_tables=166)[0]) == 166
+        for arity in (4, 5):
+            with pytest.raises(ResourceLimitError):
+                closure_slice([AND, OR], C2, arity, max_tables=100)
 
     def test_reduce_generators_preserves_closure(self):
         gens = [AND, OR, XOR, NOT, NAND]
