@@ -321,14 +321,14 @@ def criterion_partial_eval(seed):
 
     shapes = {CONST: 0, UNARY_X: 0, UNARY_Y: 0}
     rng = random.Random(seed)
-    thinned_count = 0
+    thinned: list[SubsetSpec] = []
     found_pairs = 0
     for t in corpus:
         subset = naturals
         res = partial_eval(t, subset, registry)
         if not res.defined:
             subset = thin_for([t], naturals, registry)
-            thinned_count += 1
+            thinned.append(subset)
             res = partial_eval(t, subset, registry)
         if not res.defined:
             return False, {"term": t, "reason": "undefined even after thinning"}
@@ -349,8 +349,10 @@ def criterion_partial_eval(seed):
     return passed, {
         "corpus": len(corpus),
         "shapes": shapes,
-        "thinned_terms": thinned_count,
+        "thinned_terms": len(thinned),
         "agreement_pairs": found_pairs,
+        "thin_depth_max": max((s.depth for s in thinned), default=0),
+        "thin_scanned": sum(s.scanned for s in thinned),
     }
 
 

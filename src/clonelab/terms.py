@@ -26,9 +26,10 @@ the term, which is exactly what find_agreement searches for.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import Coloring
@@ -248,11 +249,28 @@ class SubsetSpec:
 
     Enumerated elements are spot-checked against the membership predicate,
     so a spec whose two halves disagree fails loudly on first use.
+
+    A thinning layer keeps the spec it thins as `base`, and `depth` counts
+    the layers above the root.  Greedy layers share one lazy prefix between
+    membership and enumeration (see `greedy`), so `first(n)` through stacked
+    layers costs time linear in their number, not exponential.  `scanned`
+    counts the base elements that the spec's greedy layers examined.
     """
 
     contains: Callable[[int], bool]
     enumerate_from: Callable[[], Iterator[int]]
     label: str = "subset"
+    base: "SubsetSpec | None" = None
+    _greedy: "_GreedyPrefix | None" = field(default=None, repr=False)
+
+    @property
+    def depth(self) -> int:
+        return 0 if self.base is None else self.base.depth + 1
+
+    @property
+    def scanned(self) -> int:
+        own = 0 if self._greedy is None else self._greedy.scanned
+        return own + (0 if self.base is None else self.base.scanned)
 
     def elements(self) -> Iterator[int]:
         last = None
@@ -289,7 +307,71 @@ class SubsetSpec:
             lambda v: base.contains(v) and keep(v),
             lambda: (v for v in base.elements() if keep(v)),
             label,
+            base,
         )
+
+    @classmethod
+    def greedy(
+        cls, base: "SubsetSpec", accept: Callable[[int, list[int]], bool], label: str
+    ) -> "SubsetSpec":
+        """The elements of base kept by accept, decided greedily.
+
+        accept(x, kept) is called once per base element, in increasing
+        order, with the elements kept so far.  Membership grows the shared
+        prefix past the asked point and bisects the kept list; enumeration
+        walks it.  Once the base or accept has raised, every later call
+        raises the same error, so a failure never passes for a finite set.
+        """
+        prefix = _GreedyPrefix(base, accept)
+        return cls(prefix.contains, prefix.walk, label, base, prefix)
+
+
+class _GreedyPrefix:
+    """One greedy layer's state: a single pass over the base enumeration,
+    the append-only list of kept elements, and the first error raised."""
+
+    def __init__(self, base: SubsetSpec, accept: Callable[[int, list[int]], bool]):
+        self.base, self.accept = base, accept
+        self.source = base.elements()
+        self.kept: list[int] = []
+        self.last = -1  # the last base element examined
+        self.scanned = 0
+        self.error: BaseException | None = None
+
+    def _advance(self) -> bool:
+        """Examine the next base element; False once the base is exhausted."""
+        if self.error is not None:
+            raise self.error
+        try:
+            x = next(self.source, None)
+            if x is None:
+                return False
+            self.scanned += 1
+            self.last = x
+            if self.accept(x, self.kept):
+                self.kept.append(x)
+            return True
+        except BaseException as exc:
+            self.error = exc
+            raise
+
+    def contains(self, x: int) -> bool:
+        if self.error is not None:
+            raise self.error
+        if not self.base.contains(x):
+            return False
+        while self.last < x and self._advance():
+            pass
+        i = bisect.bisect_left(self.kept, x)
+        return i < len(self.kept) and self.kept[i] == x
+
+    def walk(self) -> Iterator[int]:
+        # after a failure, elements() raises at its membership check
+        i = 0
+        while i < len(self.kept) or self._advance():
+            if i < len(self.kept):
+                yield self.kept[i]
+                i += 1
 
 
 _BUILTIN_SUBSETS = {
@@ -464,56 +546,45 @@ def partial_eval(
 
 # -- thinning ----------------------------------------------------------------
 
+_LOOKAHEAD = 16  # _thin_unary's look-ahead, in multiples of the probe budget
+
+
 def _thin_unary(h: Callable[[int], int], subset: SubsetSpec, probe_budget: int) -> SubsetSpec:
     """Shrink the subset until h is injective or constant on it.
 
     When the sampled range is tiny, restrict to the most frequent value's
     preimage (aiming at constant); otherwise keep greedily the first
-    element of each h-fiber (aiming at injective).
+    element of each h-fiber (aiming at injective).  The injective branch
+    needs probe_budget distinct values, so a look-ahead over up to
+    _LOOKAHEAD * probe_budget elements must find that many first; if it
+    does not, the constant branch runs on the look-ahead sample.  Whether
+    a map takes finitely many values on an infinite set stays undecidable:
+    a map with finitely many values, probe_budget or more of them inside
+    the look-ahead, still takes the injective branch, and enumerating that
+    subset past the map's last new value never returns.
     """
-    xs = subset.first(probe_budget)
-    values = [h(x) for x in xs]
+    sample = subset.elements()
+    values = [h(x) for x in itertools.islice(sample, probe_budget)]
     distinct = len(set(values))
-    if distinct * distinct <= len(xs):
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        target = max(sorted(counts), key=lambda v: counts[v])
-        return SubsetSpec.filtered(
-            subset, lambda x: h(x) == target, f"{subset.label}|const{target}"
-        )
+    if distinct * distinct > len(values):
+        seen = set(values)
+        ahead = itertools.islice(sample, (_LOOKAHEAD - 1) * probe_budget)
+        while len(seen) < probe_budget and (x := next(ahead, None)) is not None:
+            values.append(h(x))
+            seen.add(values[-1])
+        # a finite subset ends the greedy pass, so it may take the branch too
+        if len(seen) >= probe_budget or len(values) < _LOOKAHEAD * probe_budget:
+            first_of_fiber: dict[int, int] = {}
 
-    kept: list[int] = []
-    kept_values: set[int] = set()
+            def accept(x: int, kept: list[int]) -> bool:
+                return first_of_fiber.setdefault(h(x), x) == x
 
-    def selector() -> Iterator[int]:
-        idx = 0
-        for x in subset.elements():
-            while idx < len(kept) and kept[idx] < x:
-                idx += 1
-            if idx < len(kept) and kept[idx] == x:
-                yield x
-                idx += 1
-                continue
-            if idx == len(kept):
-                v = h(x)
-                if v not in kept_values:
-                    kept.append(x)
-                    kept_values.add(v)
-                    idx += 1
-                    yield x
+            return SubsetSpec.greedy(subset, accept, f"{subset.label}|inj")
 
-    def contains(x: int) -> bool:
-        if not subset.contains(x):
-            return False
-        for v in selector():
-            if v == x:
-                return True
-            if v > x:
-                return False
-        return False
-
-    return SubsetSpec(contains, selector, f"{subset.label}|inj")
+    target = max(sorted(set(values)), key=values.count)
+    return SubsetSpec.filtered(
+        subset, lambda x: h(x) == target, f"{subset.label}|const{target}"
+    )
 
 
 def thin_for(
@@ -527,7 +598,9 @@ def thin_for(
 
     Each round reduces all terms and thins at the first offending unary
     map; definedness is monotone under subsets, so earlier successes are
-    never spoiled.
+    never spoiled.  A map is thinned to one point per fiber only when a
+    look-ahead of 16 probe budgets finds probe_budget distinct values, and
+    to its most frequent value's preimage otherwise.
     """
     current = subset
     for _ in range(max_rounds):
@@ -547,35 +620,16 @@ def thin_disjoint_images(
     subset: SubsetSpec, fns: Sequence[Callable[[int], int]], label: str = "disjoint"
 ) -> SubsetSpec:
     """Keep points whose images under all fns avoid previously kept images."""
-    kept: list[int] = []
     used: set[int] = set()
 
-    def selector() -> Iterator[int]:
-        idx = 0
-        for x in subset.elements():
-            if idx < len(kept) and kept[idx] == x:
-                yield x
-                idx += 1
-                continue
-            if idx == len(kept):
-                image = {f(x) for f in fns}
-                if len(image) == len(fns) and not (image & used):
-                    kept.append(x)
-                    used.update(image)
-                    idx += 1
-                    yield x
-
-    def contains(x: int) -> bool:
-        if not subset.contains(x):
+    def accept(x: int, kept: list[int]) -> bool:
+        image = {f(x) for f in fns}
+        if len(image) != len(fns) or image & used:
             return False
-        for v in selector():
-            if v == x:
-                return True
-            if v > x:
-                return False
-        return False
+        used.update(image)
+        return True
 
-    return SubsetSpec(contains, selector, f"{subset.label}|{label}")
+    return SubsetSpec.greedy(subset, accept, f"{subset.label}|{label}")
 
 
 def thin_avoid_pairing_collisions(
@@ -585,39 +639,14 @@ def thin_avoid_pairing_collisions(
 ) -> SubsetSpec:
     """Keep points so that no kept pair (a, b) has pr(a, b) or pr(b, a)
     colliding with an image f(a) or f(b)."""
-    kept: list[int] = []
 
-    def clash(x: int) -> bool:
-        for b in kept:
-            for f in fns:
-                if f(x) in (pr(x, b), pr(b, x)) or f(b) in (pr(x, b), pr(b, x)):
-                    return True
-        return False
+    def accept(x: int, kept: list[int]) -> bool:
+        return not any(
+            f(x) in (pr(x, b), pr(b, x)) or f(b) in (pr(x, b), pr(b, x))
+            for b in kept for f in fns
+        )
 
-    def selector() -> Iterator[int]:
-        idx = 0
-        for x in subset.elements():
-            if idx < len(kept) and kept[idx] == x:
-                yield x
-                idx += 1
-                continue
-            if idx == len(kept):
-                if not clash(x):
-                    kept.append(x)
-                    idx += 1
-                    yield x
-
-    def contains(x: int) -> bool:
-        if not subset.contains(x):
-            return False
-        for v in selector():
-            if v == x:
-                return True
-            if v > x:
-                return False
-        return False
-
-    return SubsetSpec(contains, selector, f"{subset.label}|pairfree")
+    return SubsetSpec.greedy(subset, accept, f"{subset.label}|pairfree")
 
 
 def thin_avoid_constants(
@@ -625,34 +654,13 @@ def thin_avoid_constants(
 ) -> SubsetSpec:
     """Keep points so that no kept pair codes to one of the given constants."""
     bad = frozenset(constants)
-    kept: list[int] = []
 
-    def selector() -> Iterator[int]:
-        idx = 0
-        for x in subset.elements():
-            if idx < len(kept) and kept[idx] == x:
-                yield x
-                idx += 1
-                continue
-            if idx == len(kept):
-                if all(
-                    pr(x, b) not in bad and pr(b, x) not in bad for b in kept
-                ) and pr(x, x) not in bad:
-                    kept.append(x)
-                    idx += 1
-                    yield x
+    def accept(x: int, kept: list[int]) -> bool:
+        return all(
+            pr(x, b) not in bad and pr(b, x) not in bad for b in kept
+        ) and pr(x, x) not in bad
 
-    def contains(x: int) -> bool:
-        if not subset.contains(x):
-            return False
-        for v in selector():
-            if v == x:
-                return True
-            if v > x:
-                return False
-        return False
-
-    return SubsetSpec(contains, selector, f"{subset.label}|constfree")
+    return SubsetSpec.greedy(subset, accept, f"{subset.label}|constfree")
 
 
 # -- agreement search ----------------------------------------------------------

@@ -1,8 +1,15 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import clonelab
+import thinning_reference as ref
 from clonelab.combinatorics import constant_coloring, sum_coloring
 from clonelab.pairings import color_gated_pairing
 from clonelab.symbolic import Box, SymbolicFn, cantor_pairing
@@ -25,6 +32,7 @@ from clonelab.terms import (
     eval_term,
     find_agreement,
     format_term,
+    _thin_unary,
     parse_term,
     partial_eval,
     thin_avoid_constants,
@@ -216,6 +224,128 @@ class TestThinning:
         for a in chosen:
             for b in chosen:
                 assert PR(a, b) not in bad
+
+
+# One thinning layer: (kind, params).  Every map grows without bound and
+# each kept point rejects boundedly many later points, so every stack stays
+# infinite and dense enough to fill the reference prefix.
+affine_fns = st.lists(
+    st.tuples(st.integers(2, 4), st.integers(0, 8)), min_size=1, max_size=3,
+    unique_by=lambda mr: mr[1],
+).map(lambda ps: [lambda a, _m=ps[0][0], _r=r: _m * a + _r for _, r in ps])
+thin_layers = st.one_of(
+    st.tuples(st.just("inj"), st.tuples(st.integers(1, 3), st.integers(0, 5))),
+    st.tuples(st.just("disjoint"), affine_fns),
+    st.tuples(st.just("pairfree"), st.one_of(
+        affine_fns,
+        st.integers(1, 3).map(lambda c: [lambda a, _c=c: PR(a, a + _c)]),
+    )),
+    st.tuples(st.just("constfree"), st.frozensets(st.integers(0, 300), max_size=12)),
+)
+
+
+def thinned_pair(spec, elements, layer):
+    """One layer applied to a spec and, by the reference, to its prefix list."""
+    kind, params = layer
+    if kind == "inj":
+        d, b = params
+        h = lambda a, _d=d, _b=b: (a + _b) // _d  # noqa: E731
+        out = _thin_unary(h, spec, 64)
+        assert out.label.endswith("|inj")
+        return out, ref.thin(elements, ref.injective(h))
+    if kind == "disjoint":
+        return thin_disjoint_images(spec, params), ref.thin(elements, ref.disjoint_images(params))
+    if kind == "pairfree":
+        return (thin_avoid_pairing_collisions(spec, params, PR),
+                ref.thin(elements, ref.avoid_pairing_collisions(params, PR)))
+    return thin_avoid_constants(spec, params, PR), ref.thin(elements, ref.avoid_constants(params, PR))
+
+
+class TestGreedyThinning:
+    BELOW = 240
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["naturals", "evens", "odds"]),
+        st.lists(thin_layers, min_size=1, max_size=3),
+        st.integers(1, 40),
+    )
+    def test_stacked_thinners_match_the_reference(self, root, layers, n):
+        spec = getattr(SubsetSpec, root)()
+        elements = [v for v in range(self.BELOW) if spec.contains(v)]
+        for layer in layers:
+            spec, elements = thinned_pair(spec, elements, layer)
+        assert spec.depth == len(layers)
+        m = min(n, len(elements))
+        assert spec.first(m) == elements[:m]
+        kept = set(elements)
+        assert [v for v in range(200) if spec.contains(v)] == [v for v in range(200) if v in kept]
+
+    def test_stacked_cost_is_linear_in_depth(self):
+        ops = {"contains": 0, "steps": 0}
+
+        def contains(v):
+            ops["contains"] += 1
+            return v >= 0
+
+        def enumerate_from():
+            for v in itertools.count(0):
+                ops["steps"] += 1
+                yield v
+
+        spec = SubsetSpec(contains, enumerate_from, "counted")
+        for depth in range(8):
+            m = 3 + depth % 3  # the residues differ mod m, so no point is rejected
+            spec = thin_disjoint_images(spec, [lambda a, _m=m: _m * a, lambda a, _m=m: _m * a + 1])
+        assert spec.first(64) == list(range(64))
+        assert spec.depth == 8 and spec.scanned == 8 * 64
+        assert ops["contains"] + ops["steps"] <= 2 * 8 * 64
+
+    def test_a_failure_is_raised_again_not_taken_for_the_end(self):
+        broken = SubsetSpec(lambda v: v % 2 == 0, lambda: itertools.count(1), "broken")
+        thinned = thin_disjoint_images(broken, [lambda a: a])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="fails the predicate"):
+                thinned.first(3)
+        with pytest.raises(ValueError, match="fails the predicate"):
+            thinned.contains(4)
+
+        def fragile(a):
+            if a == 3:
+                raise ArithmeticError("no image for 3")
+            return a
+
+        thinned = thin_disjoint_images(SubsetSpec.naturals(), [fragile])
+        assert thinned.first(3) == [0, 1, 2]
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                thinned.first(4)
+        with pytest.raises(ArithmeticError):
+            thinned.contains(1)
+
+    def test_finitely_valued_map_thins_to_constant(self):
+        # runs in a child process so that a regression fails instead of hanging
+        code = (
+            "from clonelab.terms import *\n"
+            "reg = default_registry()\n"
+            "term = parse_term('(b:min x 8)')\n"
+            "out = thin_for([term], SubsetSpec.naturals(), reg)\n"
+            "res = partial_eval(term, out, reg)\n"
+            "print(out.label, out.first(3), res.kind, res.value)\n"
+        )
+        src = str(Path(clonelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "naturals|const8 [8, 9, 10] constant 8"
+
+    def test_finite_subset_keeps_the_injective_branch(self):
+        ten = SubsetSpec(lambda v: 0 <= v < 10, lambda: iter(range(10)), "ten")
+        out = _thin_unary(lambda v: v // 2, ten, 64)
+        assert out.label == "ten|inj"
+        assert out.first(64) == [0, 2, 4, 6, 8]
 
 
 class TestAgreement:
