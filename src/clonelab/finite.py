@@ -248,7 +248,14 @@ def pol(relation: RelationTable, arity_cap: int, *, max_candidates: int = 1 << 2
 # larger ones a set of keys (the int64 code below 2^63, the limb bytes above).
 # Generators are introduced one at a time and skipped when they are already
 # members of the clone generated so far (a generator that is already a term
-# function adds nothing).  tests/closure_reference.py is a plain fixpoint
+# function adds nothing).
+#
+# A run may stop as soon as the pool reaches the subuniverse bound: the
+# number of n-ary operations preserving every subset that all generators
+# preserve (the unary relations of Rosenberg's theorem).  The slice lies
+# inside that Pol, so a pool of that size is the whole slice and no later
+# operand tuple can add a table.  With only trivial subuniverses the bound is
+# k^(k^n), the full space.  tests/closure_reference.py is a plain fixpoint
 # over tuples that the engine is cross-checked against.
 
 _BITMAP_SPACE = 1 << 20
@@ -320,17 +327,20 @@ class _CodeEngine:
     against everything before them, which guarantees each operand tuple is
     seen once while letting freshly found tables circulate quickly.
 
-    stop_keys are tables certified elsewhere to generate the full slice on
-    their own; the moment one appears the closure is provably full and the
-    run stops.
+    The run stops once the pool holds bound tables, since it then is the
+    whole slice.  stop_keys are tables certified elsewhere to generate the
+    full slice on their own; the moment one appears the closure is provably
+    full and the run stops.
     """
 
-    def __init__(self, k: int, arity: int, stop_if_full: bool, max_tables: int | None):
+    def __init__(self, k: int, arity: int, stop_if_full: bool, max_tables: int | None,
+                 bound: int):
         self.k = k
         self.arity = arity
         self.width = k**arity
         self.space = k**self.width
         self.stop_if_full = stop_if_full
+        self.bound = bound  # no slice the generators reach holds more tables
         self.max_tables = max_tables
         self.stop_keys: list = []
         self.certified = False
@@ -410,7 +420,7 @@ class _CodeEngine:
 
     @property
     def done_enough(self) -> bool:
-        return self.stop_if_full and (self.full or self.certified)
+        return self.stop_if_full and (self.count == self.bound or self.certified)
 
     # -- generator application ----------------------------------------------
 
@@ -514,6 +524,49 @@ def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:
     return out
 
 
+def _subuniverse_bound(gens: Sequence[OpTable], k: int, arity: int) -> int:
+    """|Pol_arity| of every subset that all of gens preserve.
+
+    An operation f preserves every such subuniverse exactly when, at each
+    point x of X^arity, f(x) lies in Sg(x_1..x_n), the subuniverse the
+    coordinates of x generate.  So the count is the product of
+    |Sg(x_1..x_n)| over the points, grouped here by coordinate set: s-element
+    sets are the coordinate sets of surj(s) points each.  Every slice the
+    generators reach lies inside that Pol.
+    """
+    # reach[m][t]: bitmask of the values m-ary generators take at index t
+    reach: dict[int, list[int]] = {}
+    for g in gens:
+        values = reach.setdefault(g.arity, [0] * len(g.table))
+        for t, v in enumerate(g.table):
+            values[t] |= 1 << v
+    everything = (1 << k) - 1
+    generated: dict[int, int] = {}
+    bound = 1
+    for size in range(1, min(k, arity) + 1):
+        surj = sum((-1) ** j * math.comb(size, j) * (size - j) ** arity for j in range(size + 1))
+        for coords in itertools.combinations(range(k), size):
+            start = mask = sum(1 << x for x in coords)
+            if size > 1:  # Sg is monotone: start from what the subsets one smaller generate
+                for x in coords:
+                    mask |= generated[start & ~(1 << x)]
+            while mask != everything:
+                members = [x for x in range(k) if mask >> x & 1]
+                grown = mask
+                for m, values in reach.items():
+                    index = [0]
+                    for _ in range(m):
+                        index = [i * k + x for i in index for x in members]
+                    for i in index:
+                        grown |= values[i]
+                if grown == mask:
+                    break
+                mask = grown
+            generated[start] = mask
+            bound *= mask.bit_count() ** surj
+    return bound
+
+
 def _closure(
     gens: list[OpTable],
     carrier: Carrier,
@@ -522,17 +575,25 @@ def _closure(
     stop_if_full: bool = True,
     max_tables: int | None = None,
     stop_ops: Sequence[OpTable] = (),
+    full_only: bool = False,
 ) -> tuple[np.ndarray, bool, list[OpTable]]:
     """The one closure entry: (pool limb rows, full or certified, activated).
 
     stop_ops are operations certified elsewhere to generate the full slice
     on their own; the run stops as soon as one of them is in the pool.
+    full_only callers read only the flag: when the subuniverse bound is below
+    the space the slice cannot be full, and the run returns an empty pool
+    without applying any generator.
     """
-    eng = _CodeEngine(carrier.size, arity, stop_if_full, max_tables)
-    tuple_prefix = np.array(list(carrier.tuples(arity)), dtype=np.int64)
     for op in stop_ops:
         if op.arity > arity:
             raise ValueError("complete op arity above the slice arity")
+    eng = _CodeEngine(carrier.size, arity, stop_if_full, max_tables,
+                      _subuniverse_bound(gens, carrier.size, arity))
+    if full_only and eng.bound < eng.space:
+        return eng.limbs[:0], False, []
+    tuple_prefix = np.array(list(carrier.tuples(arity)), dtype=np.int64)
+    for op in stop_ops:
         eng.stop_keys.append(eng.key_of_row(_cylinder_row(op, tuple_prefix)))
     projections = tuple_prefix.T.astype(np.uint8)
     eng.add(eng.keys_of(_pack(projections, eng.k, eng.widths)))
@@ -589,8 +650,11 @@ def closure_slice(
     """The arity-slice of the bounded clone closure.
 
     Returns (tables, is_full).  When stop_if_full is set the generation halts
-    the moment every table of this arity has appeared, skipping the final
-    confirmation sweep (sound: the slice cannot grow further).
+    the moment the pool reaches the subuniverse bound (the number of
+    operations preserving every subset all generators preserve; the full
+    space when there is no such proper subset), skipping the final
+    confirmation sweep (sound: the slice lies inside that bound, so it cannot
+    grow further).  The tables and their order are the same either way.
     """
     gens = _normalized_generators(generators, carrier, include_all_unary)
     codes, full, _ = _closure(gens, carrier, arity, stop_if_full=stop_if_full,
@@ -610,10 +674,12 @@ def closure_covers_slice(
     complete_ops must each be known (verified elsewhere, e.g. by an honest
     closure_slice_is_full run) to generate the full slice single-handedly;
     the run then stops as soon as one of them appears in the pool, since by
-    monotonicity the closure contains that operation's full closure.
+    monotonicity the closure contains that operation's full closure.  A
+    proper nonempty subset that all generators preserve answers False with
+    no fill.
     """
     gens = _normalized_generators(generators, carrier, False)
-    return _closure(gens, carrier, arity, stop_ops=complete_ops)[1]
+    return _closure(gens, carrier, arity, stop_ops=complete_ops, full_only=True)[1]
 
 
 def reduce_generators(
@@ -630,7 +696,7 @@ def reduce_generators(
     for g in gens:
         if g.arity > arity_cap:
             raise ValueError("arity cap below a generator arity")
-    return _closure(gens, carrier, arity_cap, stop_if_full=False)[2]
+    return _closure(gens, carrier, arity_cap)[2]
 
 
 def clone_closure(
@@ -668,9 +734,13 @@ def closure_slice_is_full(
     arity: int,
     include_all_unary: bool = False,
 ) -> bool:
-    """Whether the arity-slice of the bounded closure is every operation."""
+    """Whether the arity-slice of the bounded closure is every operation.
+
+    False at once, with no fill, when the generators all preserve a proper
+    nonempty subset of the carrier.
+    """
     gens = _normalized_generators(generators, carrier, include_all_unary)
-    return _closure(gens, carrier, arity)[1]
+    return _closure(gens, carrier, arity, full_only=True)[1]
 
 
 def conjugate(op: OpTable, perm: Sequence[int]) -> OpTable:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 
@@ -14,6 +15,7 @@ from clonelab.finite import (
     clone_closure,
     closure_covers_slice,
     closure_slice,
+    closure_slice_is_full,
     compose,
     conjugate,
     format_ops,
@@ -25,6 +27,7 @@ from clonelab.finite import (
     reduce_generators,
     respects,
 )
+from clonelab.finite import _closure, _CodeEngine, _normalized_generators, _subuniverse_bound
 from closure_reference import reference_slice
 
 C2 = Carrier(2)
@@ -226,6 +229,8 @@ class TestClosure:
             reference = reference_slice(gens, k, arity)
             assert len(tables) == len(set(tables)) == len(reference), (k, arity, gens)
             assert set(tables) == reference
+            # stopping at the subuniverse bound changes neither the tables nor their order
+            assert closure_slice(gens, carrier, arity) == (tables, full)
             assert full == (len(reference) == k ** (k**arity))
             if known is not None:
                 assert len(reference) == known
@@ -250,11 +255,140 @@ class TestClosure:
             with pytest.raises(ResourceLimitError):
                 closure_slice([AND, OR], C2, arity, max_tables=100)
 
+    def test_bound_refutes_fullness_without_a_fill(self, monkeypatch):
+        # <AND, OR> preserves {0} and {1}; <AND, XOR> preserves {0}
+        applied = _count_operand_tuples(monkeypatch)
+        assert not closure_slice_is_full([AND, OR], C2, 5)
+        assert not closure_covers_slice([AND, XOR], C2, 3)
+        assert not closure_covers_slice([AND, XOR], C2, 3, complete_ops=[NAND])
+        assert applied == [0]
+        assert closure_slice_is_full([NAND], C2, 3)
+
+    def test_bound_stop_keeps_the_tables_and_their_order(self, monkeypatch):
+        # <AND, XOR> is Pol{0}: every table with t[0] == 0, 2^(2^n - 1) of them
+        applied = _count_operand_tuples(monkeypatch)
+        for arity, count in ((2, 8), (3, 128)):
+            saturated = closure_slice([AND, XOR], C2, arity)
+            assert saturated == closure_slice([AND, XOR], C2, arity, stop_if_full=False)
+            assert len(saturated[0]) == count and not saturated[1]
+        # the arity-4 sweep applies 2 * 32768^2 operand tuples, too many for a
+        # unit test, so the stopped run is checked against the Pol{0} oracle
+        applied[0] = 0
+        tables, full = closure_slice([AND, XOR], C2, 4)
+        assert len(tables) == len(set(tables)) == 32768 and not full
+        assert all(t[0] == 0 for t in tables)
+        assert applied[0] <= 2 * 32768**2 // 4
+
+    def test_reduce_generators_stops_at_the_bound(self):
+        # every operation of arity <= 2 fixing 0 generates Pol{0} on C2
+        offered = [f for n in (1, 2) for f in all_op_tables(C2, n) if f.table[0] == 0]
+        for cap in (2, 3):
+            swept = _closure(_normalized_generators(offered, C2, False), C2, cap,
+                             stop_if_full=False)[2]
+            assert reduce_generators(offered, C2, cap) == swept
+
     def test_reduce_generators_preserves_closure(self):
         gens = [AND, OR, XOR, NOT, NAND]
         core = reduce_generators(gens, C2, 2)
         assert len(core) <= len(gens)
         assert clone_closure(core, C2, 2).signature() == clone_closure(gens, C2, 2).signature()
+
+
+def _count_operand_tuples(monkeypatch) -> list[int]:
+    """A counter of the operand tuples unary and binary generators apply."""
+    applied = [0]
+    limbwise = _CodeEngine._limbwise
+
+    def counted(self, payload, operands):
+        applied[0] += math.prod(len(o) for o in operands)
+        return limbwise(self, payload, operands)
+
+    monkeypatch.setattr(_CodeEngine, "_limbwise", counted)
+    return applied
+
+
+def _inside(k, arity, excluded):
+    """Every table that keeps tuples avoiding excluded away from excluded."""
+    small = [x for x in range(k) if x != excluded]
+    positions = [i for i, t in enumerate(itertools.product(range(k), repeat=arity))
+                 if set(t) <= set(small)]
+    return [OpTable(Carrier(k), arity, t) for t in itertools.product(range(k), repeat=k**arity)
+            if all(t[i] != excluded for i in positions)]
+
+
+@pytest.fixture(scope="module")
+def ideal_core():
+    """The reduced generators of the carrier-3 ideal clone Pol{0, 1} (e = 2)."""
+    offered = _inside(3, 1, 2) + _inside(3, 2, 2)
+    assert len(offered) == 12 + 3888
+    return reduce_generators(offered, C3, 2)
+
+
+# the generators the full introduction sweep (stop_if_full=False) keeps
+IDEAL_CORE_TABLES = [
+    (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 2),
+    (0, 0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 0, 0, 0, 1, 2), (0, 0, 0, 0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 1, 0, 1, 0),
+    (0, 0, 0, 0, 0, 1, 0, 1, 2), (0, 0, 0, 0, 0, 1, 0, 2, 0), (0, 0, 0, 0, 0, 1, 1, 2, 0),
+    (0, 0, 0, 0, 0, 2, 0, 2, 0), (0, 0, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 0, 2),
+    (0, 0, 0, 0, 1, 0, 0, 2, 0),
+]
+
+
+class TestSubuniverseBound:
+    def test_ideal_core_saturates_at_the_bound(self, ideal_core, monkeypatch):
+        assert [g.table for g in ideal_core] == IDEAL_CORE_TABLES
+        inside_op = OpTable(C3, 2, (0, 1, 1, 0, 1, 2, 2, 2, 2))
+        gens = ideal_core + [inside_op]
+        assert _subuniverse_bound(gens, 3, 2) == 2**4 * 3**5 == 3888
+        applied = _count_operand_tuples(monkeypatch)
+        saturated = closure_slice(gens, C3, 2)
+        stopped_work, applied[0] = applied[0], 0
+        swept = closure_slice(gens, C3, 2, stop_if_full=False)
+        assert saturated == swept
+        assert len(saturated[0]) == 3888 and not saturated[1]
+        assert stopped_work <= applied[0] // 4
+
+    def test_trivial_subuniverses_bound_the_full_space(self):
+        assert _subuniverse_bound([NAND], 2, 3) == 2**8
+        webb = OpTable.from_fn(C3, 2, lambda x, y: (max(x, y) + 1) % 3)
+        assert _subuniverse_bound([webb], 3, 2) == 3**9
+        assert _subuniverse_bound([NOT], 2, 5) == 2**32  # no proper subuniverse at all
+        # no generators: every subset is a subuniverse, so the bound counts
+        # the conservative operations
+        assert _subuniverse_bound([], 3, 2) == 1**3 * 2**6
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_bound_equals_brute_force_pol_count(self, data):
+        k, arity = data.draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+        # generators drawn to preserve a chosen subset, so nontrivial
+        # invariants are common; the oracle finds every invariant itself
+        chosen = data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1))
+        gens = []
+        for _ in range(data.draw(st.integers(0, 3))):
+            m = data.draw(st.integers(1, 3 if k == 2 else 2))
+            table = data.draw(st.lists(st.integers(0, k - 1), min_size=k**m, max_size=k**m))
+            for i, t in enumerate(itertools.product(range(k), repeat=m)):
+                if set(t) <= chosen and table[i] not in chosen:
+                    table[i] = min(chosen)
+            gens.append(OpTable(Carrier(k), m, tuple(table)))
+        assert _subuniverse_bound(gens, k, arity) == _brute_force_pol_count(gens, k, arity)
+
+
+def _brute_force_pol_count(gens, k, arity):
+    """Operations of the arity preserving every subset all of gens preserve."""
+    invariant = [
+        set(s) for r in range(1, k + 1) for s in itertools.combinations(range(k), r)
+        if all(g.table[i] in s
+               for g in gens
+               for i, t in enumerate(itertools.product(range(k), repeat=g.arity))
+               if set(t) <= set(s))
+    ]
+    points = list(itertools.product(range(k), repeat=arity))
+    constraints = [(i, s) for s in invariant for i, p in enumerate(points) if set(p) <= s]
+    return sum(1 for table in itertools.product(range(k), repeat=len(points))
+               if all(table[i] in s for i, s in constraints))
 
 
 binary_ops = st.builds(
