@@ -18,7 +18,6 @@ from pathlib import Path
 from . import suites
 from .combinatorics import (
     BlockSequence,
-    InvalidColoringError,
     anti_ramsey_search,
     builtin_coloring,
     hausdorff_family,
@@ -35,7 +34,7 @@ from .finite import (
     parse_relations,
     pol,
 )
-from .ideals import DegenerateWitnessError, PrincipalIdeal, preserves_ideal
+from .ideals import PrincipalIdeal, preserves_ideal
 from .lattice import precompleteness_evidence, unary_interval_chain
 from .pairings import (
     InvalidMergeError,
@@ -520,18 +519,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         status, report = args.handler(args)
-    except UsageError as exc:
+    except (ValueError, RegistryError, ResourceLimitError, InconclusiveError) as exc:
+        # UsageError and the input errors of the modules are ValueErrors
         _emit({"error": str(exc), "_runtime": time.perf_counter() - t0}, args.out)
-        return USAGE
-    except (RegistryError, InvalidColoringError, DegenerateWitnessError, ValueError) as exc:
-        _emit({"error": str(exc), "_runtime": time.perf_counter() - t0}, args.out)
-        return USAGE
-    except ResourceLimitError as exc:
-        _emit({"error": str(exc), "_runtime": time.perf_counter() - t0}, args.out)
-        return LIMIT
-    except InconclusiveError as exc:
-        _emit({"error": str(exc), "_runtime": time.perf_counter() - t0}, args.out)
-        return LIMIT
+        return LIMIT if isinstance(exc, (ResourceLimitError, InconclusiveError)) else USAGE
     report["seed"] = args.seed
     report["_runtime"] = time.perf_counter() - t0
     _emit(report, args.out)

@@ -259,6 +259,11 @@ def pol(relation: RelationTable, arity_cap: int, *, max_candidates: int = 1 << 2
 # over tuples that the engine is cross-checked against.
 
 _BITMAP_SPACE = 1 << 20
+# Every public closure entry raises ResourceLimitError once a pool passes
+# this many tables, unless its caller passes max_tables: 64 times the largest
+# slice any suite or test builds (2^16 tables), and about 460 MB of peak
+# memory when a carrier-4 binary slice reaches it.
+_MAX_TABLES = 1 << 22
 _LIMB_SPACE = 1 << 8
 _BLOCK = 1024
 _TILE_BYTES = 16 << 20
@@ -333,8 +338,7 @@ class _CodeEngine:
     full and the run stops.
     """
 
-    def __init__(self, k: int, arity: int, stop_if_full: bool, max_tables: int | None,
-                 bound: int):
+    def __init__(self, k: int, arity: int, stop_if_full: bool, max_tables: int, bound: int):
         self.k = k
         self.arity = arity
         self.width = k**arity
@@ -397,7 +401,7 @@ class _CodeEngine:
         else:
             limbs = fresh.view(np.uint8).reshape(len(fresh), -1)
         self.append(limbs.astype(np.uint8))
-        if self.max_tables is not None and self.count > self.max_tables:
+        if self.count > self.max_tables:
             raise ResourceLimitError(f"slice exceeded {self.max_tables} tables at arity {self.arity}")
         if self.stop_keys and not self.certified:
             self.certified = any(self.has(key) for key in self.stop_keys)
@@ -588,7 +592,8 @@ def _closure(
     for op in stop_ops:
         if op.arity > arity:
             raise ValueError("complete op arity above the slice arity")
-    eng = _CodeEngine(carrier.size, arity, stop_if_full, max_tables,
+    eng = _CodeEngine(carrier.size, arity, stop_if_full,
+                      _MAX_TABLES if max_tables is None else max_tables,
                       _subuniverse_bound(gens, carrier.size, arity))
     if full_only and eng.bound < eng.space:
         return eng.limbs[:0], False, []
@@ -655,6 +660,7 @@ def closure_slice(
     space when there is no such proper subset), skipping the final
     confirmation sweep (sound: the slice lies inside that bound, so it cannot
     grow further).  The tables and their order are the same either way.
+    More than max_tables tables (default _MAX_TABLES) raise ResourceLimitError.
     """
     gens = _normalized_generators(generators, carrier, include_all_unary)
     codes, full, _ = _closure(gens, carrier, arity, stop_if_full=stop_if_full,

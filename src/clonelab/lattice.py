@@ -17,6 +17,8 @@ from .finite import (
     ResourceLimitError,
     all_op_tables,
     clone_closure,
+    closure_slice,
+    closure_slice_is_full,
     conjugate,
     op_space_size,
 )
@@ -26,11 +28,6 @@ from .finite import (
 class PrecompletenessVerdict:
     kind: str  # "precomplete-evidence" | "not-maximal" | "improper"
     witness: OpTable | None = None
-
-
-def _is_everything(closure: OpSet, carrier: Carrier, cap: int) -> bool:
-    counts = closure.counts()
-    return all(counts.get(n, 0) == op_space_size(carrier, n) for n in range(1, cap + 1))
 
 
 def precompleteness_evidence(
@@ -43,22 +40,29 @@ def precompleteness_evidence(
 
     improper: the closure already holds every operation of arity <= arity_cap.
     not-maximal(f): some missing f of arity <= arity_cap fails to regenerate
-    all operations of arity <= arity_cap when added (closures at working_cap).
+    all operations of arity <= arity_cap when added.
     precomplete-evidence otherwise.
+
+    "Everything" is closure_slice_is_full at arity_cap: a full slice there
+    implies full slices below it, by identifying variables, so no slice
+    above arity_cap is built.  working_cap changes no verdict; it must be at
+    least arity_cap + 1 and at least every generator's arity.
     """
     if working_cap < arity_cap + 1:
         raise ValueError("working_cap must be at least arity_cap + 1")
     gens = sorted(generators if isinstance(generators, list) else generators.ops,
                   key=OpTable.sort_key)
-    base = clone_closure(gens, carrier, working_cap)
-    if _is_everything(base, carrier, arity_cap):
+    for g in gens:
+        if g.arity > working_cap:
+            raise ValueError(f"working cap {working_cap} below generator arity {g.arity}")
+    if closure_slice_is_full(gens, carrier, arity_cap):
         return PrecompletenessVerdict("improper")
     for n in range(1, arity_cap + 1):
+        members = set(closure_slice(gens, carrier, n)[0])
         for f in all_op_tables(carrier, n):
-            if f in base:
+            if f.table in members:
                 continue
-            extended = clone_closure(gens + [f], carrier, working_cap)
-            if not _is_everything(extended, carrier, arity_cap):
+            if not closure_slice_is_full(gens + [f], carrier, arity_cap):
                 return PrecompletenessVerdict("not-maximal", witness=f)
     return PrecompletenessVerdict("precomplete-evidence")
 

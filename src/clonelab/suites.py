@@ -29,7 +29,6 @@ from .finite import (
     Carrier,
     OpTable,
     all_op_tables,
-    clone_closure,
     closure_covers_slice,
     closure_slice_is_full,
     conjugate,
@@ -61,6 +60,7 @@ from .symbolic import (
 from .terms import (
     Registry,
     SubsetSpec,
+    agreement_holds,
     bounded_term_search,
     default_registry,
     eval_term,
@@ -118,21 +118,18 @@ def _ideal_generators(carrier: Carrier, excluded: int) -> tuple[PrincipalIdeal, 
 
 
 def complete_singletons(carrier: Carrier) -> list[OpTable]:
-    """Conjugates of the shifted maximum, each verified to generate the full
-    binary slice by an honest exhaustive closure."""
+    """Conjugates of the shifted maximum, each generating the full binary
+    slice: one honest exhaustive closure verifies the shifted maximum, and
+    closure commutes with carrier permutations, so its conjugates need none."""
     k = carrier.size
     base = OpTable.from_fn(carrier, 2, lambda x, y: (max(x, y) + 1) % k)
-    out = []
-    seen = set()
+    if not closure_slice_is_full([base], carrier, 2):
+        raise RuntimeError(f"completeness certificate failed for {base.table}")
+    out: dict[tuple, OpTable] = {}
     for perm in itertools.permutations(range(k)):
         op = conjugate(base, perm)
-        if op.table in seen:
-            continue
-        seen.add(op.table)
-        if not closure_slice_is_full([op], carrier, 2):
-            raise RuntimeError(f"completeness certificate failed for {op.table}")
-        out.append(op)
-    return out
+        out.setdefault(op.table, op)
+    return list(out.values())
 
 
 @_result(2, "ideal-clone-regeneration")
@@ -148,9 +145,7 @@ def criterion_regeneration(seed):
     ]
     full_everywhere = True
     for f in outside:
-        grown = clone_closure(gens2 + [f], c2, 3)
-        counts = grown.counts()
-        if counts != {1: 4, 2: 16, 3: 256}:
+        if not closure_slice_is_full(gens2 + [f], c2, 3):
             full_everywhere = False
             break
 
@@ -342,8 +337,7 @@ def criterion_partial_eval(seed):
         if pair is None:
             continue
         found_pairs += 1
-        a, b = pair
-        if coloring(a, b) != 0 or eval_term(t, a, b, registry) != res.evaluate(a, b):
+        if not agreement_holds(t, res, coloring, 0, registry, pair):
             return False, {"term": t, "pair": pair, "reason": "post-hoc conjunct failed"}
     passed = len(corpus) >= 50 and found_pairs > 0
     return passed, {

@@ -61,6 +61,24 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "chain", "--carrier", "3", "--cap", "2")
         assert code == 3
 
+    def test_closure_table_budget_exit(self, capsys, tmp_path, monkeypatch):
+        import clonelab.finite as finite
+
+        path = tmp_path / "gens.ops"
+        path.write_text(format_ops([("nand", OpTable(Carrier(2), 2, (1, 1, 1, 0)))]))
+        monkeypatch.setattr(finite, "_MAX_TABLES", 100)
+        code, report = run_cli(capsys, "closure", "--carrier", "2", "--cap", "3",
+                               "--gens", str(path))
+        assert code == 3
+        assert "error" in report
+
+    def test_inconclusive_reduction_exit(self, capsys):
+        # one probe point cannot classify a map
+        code, report = run_cli(capsys, "terms", "--term", "(u:succ x)", "--partial-eval",
+                               "--budget", "1")
+        assert code == 3
+        assert "error" in report
+
 
 class TestFileDriven:
     def test_closure_from_ops_file(self, capsys, tmp_path):
@@ -92,6 +110,47 @@ class TestFileDriven:
                                "--ops", str(path))
         assert code == 0
         assert report["verdicts"] == {"max": True, "const2": False}
+
+
+class TestPrecompleteCommand:
+    def _gens_file(self, tmp_path, named):
+        path = tmp_path / "gens.ops"
+        path.write_text(format_ops(named))
+        return str(path)
+
+    def test_gens_file(self, capsys, tmp_path):
+        c2 = Carrier(2)
+        path = self._gens_file(tmp_path, [("and", OpTable(c2, 2, (0, 0, 0, 1))),
+                                          ("xor", OpTable(c2, 2, (0, 1, 1, 0)))])
+        code, report = run_cli(capsys, "precomplete", "--carrier", "2", "--cap", "2",
+                               "--working-cap", "3", "--gens", path)
+        assert code == 0
+        assert report["verdict"] == "precomplete-evidence"
+        assert report["parameters"] == {"carrier": 2, "cap": 2, "working_cap": 3, "generators": 2}
+        assert "witness" not in report
+
+    def test_gens_file_witness(self, capsys, tmp_path):
+        # <AND> lacks the constant 0, and <AND, 0> still preserves {0}
+        path = self._gens_file(tmp_path, [("and", OpTable(Carrier(2), 2, (0, 0, 0, 1)))])
+        code, report = run_cli(capsys, "precomplete", "--carrier", "2", "--cap", "2",
+                               "--working-cap", "3", "--gens", path)
+        assert code == 0
+        assert report["verdict"] == "not-maximal"
+        assert report["witness"] == {"arity": 1, "table": [0, 0]}
+
+    def test_ci_exclude(self, capsys):
+        # the operations of arity <= 2 fixing 0: 2 unary and 8 binary
+        code, report = run_cli(capsys, "precomplete", "--carrier", "2", "--cap", "2",
+                               "--working-cap", "3", "--ci-exclude", "1")
+        assert code == 0
+        assert report["verdict"] == "precomplete-evidence"
+        assert report["parameters"]["generators"] == 10
+
+    def test_needs_generators(self, capsys):
+        code, report = run_cli(capsys, "precomplete", "--carrier", "2", "--cap", "2",
+                               "--working-cap", "3")
+        assert code == 2
+        assert "error" in report
 
 
 class TestPairingCommand:

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clonelab import finite
 from clonelab.finite import (
     Carrier,
     OpTable,
@@ -255,6 +256,16 @@ class TestClosure:
             with pytest.raises(ResourceLimitError):
                 closure_slice([AND, OR], C2, arity, max_tables=100)
 
+    def test_default_budget_stops_every_entry(self, monkeypatch):
+        # NAND is Sheffer: its arity-3 slice has all 256 tables, no bound stops short
+        assert finite._MAX_TABLES >= 1 << 16  # the largest slice tests and suites build
+        monkeypatch.setattr(finite, "_MAX_TABLES", 100)
+        for entry in (closure_slice, closure_slice_is_full, closure_covers_slice,
+                      reduce_generators, clone_closure):
+            with pytest.raises(ResourceLimitError):
+                entry([NAND], C2, 3)
+        assert len(closure_slice([NAND], C2, 3, max_tables=256)[0]) == 256
+
     def test_bound_refutes_fullness_without_a_fill(self, monkeypatch):
         # <AND, OR> preserves {0} and {1}; <AND, XOR> preserves {0}
         applied = _count_operand_tuples(monkeypatch)
@@ -469,3 +480,21 @@ class TestConjugation:
 
     def test_conjugate_of_and_is_or(self):
         assert conjugate(AND, (1, 0)).table == OR.table
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_fullness_is_conjugation_invariant(self, data):
+        # closure commutes with carrier permutations, which is what lets one
+        # verified certificate stand for all of its conjugates; unary slices
+        # keep the fills cheap, generators of arity up to 3 act on them
+        gens = [
+            OpTable(C3, m, tuple(data.draw(st.lists(st.integers(0, 2), min_size=3**m,
+                                                    max_size=3**m))))
+            for m in data.draw(st.lists(st.integers(1, 3), max_size=3))
+        ]
+        perm = data.draw(st.permutations(range(3)))
+        mirrored = [conjugate(g, perm) for g in gens]
+        tables = closure_slice(gens, C3, 1, stop_if_full=False)[0]
+        expected = {conjugate(OpTable(C3, 1, t), perm).table for t in tables}
+        assert set(closure_slice(mirrored, C3, 1, stop_if_full=False)[0]) == expected
+        assert closure_slice_is_full(mirrored, C3, 1) == closure_slice_is_full(gens, C3, 1)

@@ -1,6 +1,20 @@
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from clonelab.finite import Carrier, OpTable, ResourceLimitError, all_op_tables
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import clonelab
+from clonelab.finite import (
+    Carrier,
+    OpTable,
+    ResourceLimitError,
+    all_op_tables,
+    clone_closure,
+    op_space_size,
+)
 from clonelab.ideals import PrincipalIdeal, preserves_ideal
 from clonelab.lattice import precompleteness_evidence, unary_interval_chain
 
@@ -36,6 +50,66 @@ class TestPrecompleteness:
     def test_caps_inverted(self):
         with pytest.raises(ValueError):
             precompleteness_evidence([], C2, 2, 2)
+
+    def test_generator_above_the_working_cap(self):
+        with pytest.raises(ValueError):
+            precompleteness_evidence([OpTable(C2, 4, (0,) * 16)], C2, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_closure_at_the_working_cap(self, data):
+        # carrier 2 at cap 2 (generators up to arity 3, the working cap) and
+        # carrier 3 at cap 1; generators are often drawn to preserve a chosen
+        # subset, so every verdict kind turns up
+        k, cap = data.draw(st.sampled_from([(2, 2), (3, 1)]))
+        carrier = Carrier(k)
+        chosen = data.draw(st.sets(st.integers(0, k - 1), max_size=k - 1))
+        gens = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            m = data.draw(st.integers(1, cap + 1 if k == 2 else cap))
+            table = data.draw(st.lists(st.integers(0, k - 1), min_size=k**m, max_size=k**m))
+            for i, t in enumerate(carrier.tuples(m)):
+                if chosen and set(t) <= chosen and table[i] not in chosen:
+                    table[i] = min(chosen)
+            gens.append(OpTable(carrier, m, tuple(table)))
+        got = precompleteness_evidence(gens, carrier, cap, cap + 1)
+        assert (got.kind, got.witness) == _reference_evidence(gens, carrier, cap, cap + 1)
+
+    def test_wide_working_cap_builds_no_wide_slice(self):
+        # <AND, XOR> is Pol{0}, a maximal clone; a closure at working cap 5
+        # would fill 2^31 tables, so a regression fails here instead of hanging
+        code = (
+            "from clonelab.finite import Carrier, OpTable\n"
+            "from clonelab.lattice import precompleteness_evidence\n"
+            "c2 = Carrier(2)\n"
+            "gens = [OpTable(c2, 2, (0, 0, 0, 1)), OpTable(c2, 2, (0, 1, 1, 0))]\n"
+            "print(precompleteness_evidence(gens, c2, 2, 5).kind)\n"
+        )
+        src = str(Path(clonelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "precomplete-evidence"
+
+
+def _reference_evidence(gens, carrier, arity_cap, working_cap):
+    """(kind, witness) from whole closures at the working cap, checking every
+    slice up to arity_cap for fullness."""
+
+    def everything(closure):
+        counts = closure.counts()
+        return all(counts[n] == op_space_size(carrier, n) for n in range(1, arity_cap + 1))
+
+    base = clone_closure(gens, carrier, working_cap)
+    if everything(base):
+        return "improper", None
+    for n in range(1, arity_cap + 1):
+        for f in all_op_tables(carrier, n):
+            if f not in base and not everything(clone_closure(gens + [f], carrier, working_cap)):
+                return "not-maximal", f
+    return "precomplete-evidence", None
 
 
 class TestUnaryIntervalChain:
