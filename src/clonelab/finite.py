@@ -10,6 +10,7 @@ above the requested cap is ever materialized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -257,6 +258,11 @@ def pol(relation: RelationTable, arity_cap: int, *, max_candidates: int = 1 << 2
 # operand tuple can add a table.  With only trivial subuniverses the bound is
 # k^(k^n), the full space.  tests/closure_reference.py is a plain fixpoint
 # over tuples that the engine is cross-checked against.
+#
+# Whether a slice is full needs no pool at arity >= 2 on carriers 2 and 3:
+# closure_slice_is_full asks whether the generators escape every maximal
+# clone (the relation lists below).  The engine answers it for unary slices
+# and carriers of 4 or more, and builds every slice's tables.
 
 _BITMAP_SPACE = 1 << 20
 # Every public closure entry raises ResourceLimitError once a pool passes
@@ -333,9 +339,7 @@ class _CodeEngine:
     seen once while letting freshly found tables circulate quickly.
 
     The run stops once the pool holds bound tables, since it then is the
-    whole slice.  stop_keys are tables certified elsewhere to generate the
-    full slice on their own; the moment one appears the closure is provably
-    full and the run stops.
+    whole slice.
     """
 
     def __init__(self, k: int, arity: int, stop_if_full: bool, max_tables: int, bound: int):
@@ -346,8 +350,6 @@ class _CodeEngine:
         self.stop_if_full = stop_if_full
         self.bound = bound  # no slice the generators reach holds more tables
         self.max_tables = max_tables
-        self.stop_keys: list = []
-        self.certified = False
         self.widths = _limb_widths(k, self.width)
         self.scale = [k ** sum(self.widths[i + 1 :]) for i in range(len(self.widths))]
         self.bitmap = np.zeros(self.space, dtype=bool) if self.space <= _BITMAP_SPACE else None
@@ -403,8 +405,6 @@ class _CodeEngine:
         self.append(limbs.astype(np.uint8))
         if self.count > self.max_tables:
             raise ResourceLimitError(f"slice exceeded {self.max_tables} tables at arity {self.arity}")
-        if self.stop_keys and not self.certified:
-            self.certified = any(self.has(key) for key in self.stop_keys)
 
     def append(self, limbs: np.ndarray) -> None:
         end = self.count + len(limbs)
@@ -424,7 +424,7 @@ class _CodeEngine:
 
     @property
     def done_enough(self) -> bool:
-        return self.stop_if_full and (self.count == self.bound or self.certified)
+        return self.stop_if_full and self.count == self.bound
 
     # -- generator application ----------------------------------------------
 
@@ -571,6 +571,92 @@ def _subuniverse_bound(gens: Sequence[OpTable], k: int, arity: int) -> int:
     return bound
 
 
+# Rosenberg's theorem on a finite carrier: every proper clone lies in a
+# maximal clone Pol ρ, and the maximal clones are finitely many.  So for
+# n >= 2 the n-ary slice of <G> is full exactly when every maximal clone
+# misses some generator (a full n-ary slice holds a binary Sheffer operation
+# with dummy variables, hence every operation).  The lists below are Post's
+# five relations for k = 2 (1941) and Jablonskij's eighteen for k = 3 (1958),
+# in Rosenberg's families.  tests/test_finite.py pins them: their Pol_2
+# sizes, their maximality in the engine, and their agreement with the engine.
+
+_PRESERVE_ROWS = 1 << 16  # operand rows (times tables) per vectorised step
+
+
+class _Invariant:
+    """A relation prepared for vectorised preservation checks."""
+
+    def __init__(self, relation: RelationTable):
+        k, h = relation.carrier.size, relation.width
+        self.relation = relation
+        self.rows = np.array(sorted(relation.tuples), dtype=np.intp).reshape(-1, h)
+        self.places = k ** np.arange(h - 1, -1, -1)
+        self.member = np.zeros(k**h, dtype=bool)  # by code of the tuple
+        self.member[self.rows @ self.places] = True
+        self._tails: dict[int, np.ndarray] = {}
+
+    def _tail_indices(self, tail: int) -> np.ndarray:
+        """Table indices over every choice of the last tail operands, h per choice."""
+        if tail not in self._tails:
+            k, h = self.relation.carrier.size, self.relation.width
+            index = np.zeros((1, h), dtype=np.intp)
+            for _ in range(tail):
+                index = (index[:, None] * k + self.rows[None]).reshape(-1, h)
+            self._tails[tail] = index
+        return self._tails[tail]
+
+    def preserved_by(self, tables: np.ndarray, arity: int) -> np.ndarray:
+        """Which arity-ary tables (one per row) map the relation into itself.
+
+        f is applied to every arity rows of the relation: the last operands
+        all at once, up to _PRESERVE_ROWS choices, the leading ones in a loop.
+        """
+        k = self.relation.carrier.size
+        tail, choices = 0, 1
+        while tail < arity and choices * len(self.rows) <= _PRESERVE_ROWS:
+            tail, choices = tail + 1, choices * len(self.rows)
+        low = self._tail_indices(tail)
+        step = max(1, _PRESERVE_ROWS // choices)
+        ok = np.ones(len(tables), dtype=bool)
+        for head in itertools.product(self.rows, repeat=arity - tail):
+            index = low
+            if head:
+                index = functools.reduce(lambda acc, row: acc * k + row, head) * k**tail + low
+            for start in range(0, len(tables), step):
+                images = tables[start : start + step, index]  # (tables, choices, h)
+                ok[start : start + step] &= self.member[images @ self.places].all(axis=1)
+        return ok
+
+
+@functools.cache
+def _maximal_relations(k: int) -> tuple[_Invariant, ...]:
+    """One relation ρ per maximal clone Pol ρ on carriers 2 and 3."""
+    carrier, xs = Carrier(k), range(k)
+    pairs = list(itertools.product(xs, repeat=2))
+    rels = [{(x,) for x in subset}  # nonempty proper subsets
+            for size in range(1, k) for subset in itertools.combinations(xs, size)]
+    if k == 2:
+        rels += [{(x, y) for x, y in pairs if x <= y},  # the order 0 < 1
+                 {(x, 1 - x) for x in xs}]  # the graph of negation
+    else:
+        # bounded orders: the three chains, up to reversal, by middle element
+        for mid in xs:
+            low, high = sorted(set(xs) - {mid})
+            rank = {low: 0, mid: 1, high: 2}
+            rels.append({(x, y) for x, y in pairs if rank[x] <= rank[y]})
+        rels.append({(x, (x + 1) % 3) for x in xs})  # the prime permutation x + 1
+        rels += [{(x, y) for x, y in pairs if x == y or {x, y} == set(block)}  # equivalences
+                 for block in itertools.combinations(xs, 2)]
+        rels += [{(x, y) for x, y in pairs if x == y or centre in (x, y)}  # binary central
+                 for centre in xs]
+    rels.append({t for t in itertools.product(xs, repeat=4)  # affine: x + y = z + u
+                 if (t[0] + t[1] - t[2] - t[3]) % k == 0})
+    if k == 3:  # 3-regular: Słupecki's clone
+        rels.append({t for t in itertools.product(xs, repeat=3) if len(set(t)) < 3})
+    return tuple(_Invariant(RelationTable(carrier, len(next(iter(r))), frozenset(r)))
+                 for r in rels)
+
+
 def _closure(
     gens: list[OpTable],
     carrier: Carrier,
@@ -578,28 +664,22 @@ def _closure(
     *,
     stop_if_full: bool = True,
     max_tables: int | None = None,
-    stop_ops: Sequence[OpTable] = (),
     full_only: bool = False,
 ) -> tuple[np.ndarray, bool, list[OpTable]]:
-    """The one closure entry: (pool limb rows, full or certified, activated).
+    """The one closure entry: (pool limb rows, full, activated generators).
 
-    stop_ops are operations certified elsewhere to generate the full slice
-    on their own; the run stops as soon as one of them is in the pool.
     full_only callers read only the flag: when the subuniverse bound is below
     the space the slice cannot be full, and the run returns an empty pool
-    without applying any generator.
+    without applying any generator.  closure_slice_is_full sends only unary
+    slices and carriers of 4 or more here; it answers the rest from the
+    maximal clones.
     """
-    for op in stop_ops:
-        if op.arity > arity:
-            raise ValueError("complete op arity above the slice arity")
     eng = _CodeEngine(carrier.size, arity, stop_if_full,
                       _MAX_TABLES if max_tables is None else max_tables,
                       _subuniverse_bound(gens, carrier.size, arity))
     if full_only and eng.bound < eng.space:
         return eng.limbs[:0], False, []
     tuple_prefix = np.array(list(carrier.tuples(arity)), dtype=np.int64)
-    for op in stop_ops:
-        eng.stop_keys.append(eng.key_of_row(_cylinder_row(op, tuple_prefix)))
     projections = tuple_prefix.T.astype(np.uint8)
     eng.add(eng.keys_of(_pack(projections, eng.k, eng.widths)))
 
@@ -613,7 +693,7 @@ def _closure(
         activated.append(g)
         eng.activate(g)
         eng.drain()
-    return eng.limbs[: eng.count], eng.full or eng.certified, activated
+    return eng.limbs[: eng.count], eng.full, activated
 
 
 def _normalized_generators(
@@ -675,17 +755,16 @@ def closure_covers_slice(
     arity: int,
     complete_ops: Sequence[OpTable] = (),
 ) -> bool:
-    """Whether the closure's arity-slice is everything, with shortcut exits.
+    """Whether the closure's arity-slice is everything: closure_slice_is_full.
 
-    complete_ops must each be known (verified elsewhere, e.g. by an honest
-    closure_slice_is_full run) to generate the full slice single-handedly;
-    the run then stops as soon as one of them appears in the pool, since by
-    monotonicity the closure contains that operation's full closure.  A
-    proper nonempty subset that all generators preserve answers False with
-    no fill.
+    complete_ops is accepted, arity-checked and unused until the next
+    benchmark change, which passes it: fullness no longer needs operations
+    certified by the caller.
     """
-    gens = _normalized_generators(generators, carrier, False)
-    return _closure(gens, carrier, arity, stop_ops=complete_ops, full_only=True)[1]
+    for op in complete_ops:
+        if op.arity > arity:
+            raise ValueError("complete op arity above the slice arity")
+    return closure_slice_is_full(generators, carrier, arity)
 
 
 def reduce_generators(
@@ -742,10 +821,18 @@ def closure_slice_is_full(
 ) -> bool:
     """Whether the arity-slice of the bounded closure is every operation.
 
-    False at once, with no fill, when the generators all preserve a proper
-    nonempty subset of the carrier.
+    At arity >= 2 on carriers 2 and 3 the answer comes from the maximal
+    clones, with no pool: full exactly when, for every relation of
+    _maximal_relations, some generator fails to preserve it.  Elsewhere (unary
+    slices, carriers of 4 or more) the engine decides, answering False at
+    once, with no fill, when the generators all preserve a proper nonempty
+    subset of the carrier.
     """
     gens = _normalized_generators(generators, carrier, include_all_unary)
+    if arity >= 2 and carrier.size <= 3:
+        tables = [(np.asarray(g.table, dtype=np.uint8)[None], g.arity) for g in gens]
+        return all(any(not inv.preserved_by(table, m)[0] for table, m in tables)
+                   for inv in _maximal_relations(carrier.size))
     return _closure(gens, carrier, arity, full_only=True)[1]
 
 

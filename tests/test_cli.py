@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import clonelab
 from clonelab.cli import main
 from clonelab.finite import Carrier, OpTable, RelationTable, format_ops, format_relations
 
@@ -128,6 +133,23 @@ class TestPrecompleteCommand:
         assert report["verdict"] == "precomplete-evidence"
         assert report["parameters"] == {"carrier": 2, "cap": 2, "working_cap": 3, "generators": 2}
         assert "witness" not in report
+
+    def test_gens_file_at_cap_3(self, tmp_path):
+        # <AND, XOR> is Pol{0}, a maximal clone: one fullness question at the
+        # cap per candidate outside it, each answered from the maximal clones;
+        # a regression to slice fills fails here instead of hanging
+        c2 = Carrier(2)
+        path = self._gens_file(tmp_path, [("and", OpTable(c2, 2, (0, 0, 0, 1))),
+                                          ("xor", OpTable(c2, 2, (0, 1, 1, 0)))])
+        src = str(Path(clonelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "clonelab.cli", "precomplete", "--carrier", "2", "--cap", "3",
+             "--working-cap", "4", "--gens", path],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "precomplete-evidence"
 
     def test_gens_file_witness(self, capsys, tmp_path):
         # <AND> lacks the constant 0, and <AND, 0> still preserves {0}

@@ -3,6 +3,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,7 +29,14 @@ from clonelab.finite import (
     reduce_generators,
     respects,
 )
-from clonelab.finite import _closure, _CodeEngine, _normalized_generators, _subuniverse_bound
+from clonelab.finite import (
+    _closure,
+    _CodeEngine,
+    _Invariant,
+    _maximal_relations,
+    _normalized_generators,
+    _subuniverse_bound,
+)
 from closure_reference import reference_slice
 
 C2 = Carrier(2)
@@ -260,10 +268,17 @@ class TestClosure:
         # NAND is Sheffer: its arity-3 slice has all 256 tables, no bound stops short
         assert finite._MAX_TABLES >= 1 << 16  # the largest slice tests and suites build
         monkeypatch.setattr(finite, "_MAX_TABLES", 100)
-        for entry in (closure_slice, closure_slice_is_full, closure_covers_slice,
-                      reduce_generators, clone_closure):
+        for entry in (closure_slice, reduce_generators, clone_closure):
             with pytest.raises(ResourceLimitError):
                 entry([NAND], C2, 3)
+        # fullness on carriers 2 and 3 reads the maximal clones and fills no
+        # slice; on carrier 4 the engine fills, and the shifted max preserves
+        # no proper subset, so no bound stops short of 4^16 tables
+        webb4 = _op(4, 2, lambda x, y: (max(x, y) + 1) % 4)
+        for entry in (closure_slice_is_full, closure_covers_slice):
+            with pytest.raises(ResourceLimitError):
+                entry([webb4], Carrier(4), 2)
+        assert closure_slice_is_full([NAND], C2, 3)
         assert len(closure_slice([NAND], C2, 3, max_tables=256)[0]) == 256
 
     def test_bound_refutes_fullness_without_a_fill(self, monkeypatch):
@@ -400,6 +415,140 @@ def _brute_force_pol_count(gens, k, arity):
     constraints = [(i, s) for s in invariant for i, p in enumerate(points) if set(p) <= s]
     return sum(1 for table in itertools.product(range(k), repeat=len(points))
                if all(table[i] in s for i, s in constraints))
+
+
+# Pol_2 sizes of the maximal-clone relations, in list order: for k = 2
+# {0}, {1}, <=, the graph of negation, affine; for k = 3 the six subsets
+# (singletons first), the three chains, the 3-cycle, three equivalences,
+# three binary central relations, affine, 3-regular
+POL2_SIZES = {
+    2: [8, 8, 6, 4, 8],
+    3: [6561] * 3 + [3888] * 3 + [175] * 3 + [27] + [1275] * 3 + [1361] * 3 + [27, 1545],
+}
+
+
+def _all_tables(k, arity):
+    return np.array(list(itertools.product(range(k), repeat=k**arity)), dtype=np.uint8)
+
+
+def _pol_slice(inv, arity):
+    """Pol_arity of the relation in reverse table order, by the kernel."""
+    k = inv.relation.carrier.size
+    tables = _all_tables(k, arity)
+    return [OpTable(Carrier(k), arity, tuple(t))
+            for t in tables[inv.preserved_by(tables, arity)].tolist()[::-1]]
+
+
+def _outside_witness(inv):
+    """One operation outside Pol of the relation.
+
+    The first unary one in table order; for the graph of a permutation the
+    first permutation outside, since with a constant the carrier-3 fill takes
+    four times as long; max when every unary operation preserves the relation.
+    """
+    carrier, rel = inv.relation.carrier, inv.relation
+    outside = [f for f in all_op_tables(carrier, 1) if not respects(f, rel)]
+    if rel.width == 2 and len(rel.tuples) == carrier.size:
+        outside.sort(key=lambda f: len(set(f.table)) < carrier.size)
+    return (outside or [OpTable.from_fn(carrier, 2, max)])[0]
+
+
+class TestMaximalClones:
+    def test_one_relation_per_maximal_clone(self):
+        # Post (1941) for k = 2, Jablonskij (1958) for k = 3
+        assert len(_maximal_relations(2)) == 5
+        assert len(_maximal_relations(3)) == 18
+        assert _maximal_relations(3) is _maximal_relations(3)  # built once
+
+    def test_kernel_agrees_with_respects(self, monkeypatch):
+        rng = random.Random(11)
+        cases = []
+        for _ in range(150):
+            k = rng.choice([2, 3])
+            if rng.random() < 0.3:
+                rel = rng.choice(_maximal_relations(k)).relation
+            else:
+                width = rng.randint(1, 4)
+                space = list(itertools.product(range(k), repeat=width))
+                tuples = rng.sample(space, rng.randint(1, min(len(space), 12)))
+                rel = RelationTable(Carrier(k), width, frozenset(tuples))
+            m = rng.randint(1, 3)
+            ops = [OpTable(Carrier(k), m, tuple(rng.randrange(k) for _ in range(k**m)))
+                   for _ in range(3)]
+            cases.append((rel, m, ops))
+        # a tiny step budget runs the looped leading operands and the chunked tables too
+        for budget in (finite._PRESERVE_ROWS, 5):
+            monkeypatch.setattr(finite, "_PRESERVE_ROWS", budget)
+            for rel, m, ops in cases:
+                tables = np.array([f.table for f in ops], dtype=np.uint8)
+                got = _Invariant(rel).preserved_by(tables, m)
+                assert got.tolist() == [respects(f, rel) for f in ops], (rel, m, ops)
+
+    def test_pol2_slices_are_pinned_proper_and_distinct(self):
+        for k, sizes in POL2_SIZES.items():
+            pols = [frozenset(f.table for f in _pol_slice(inv, 2)) for inv in _maximal_relations(k)]
+            assert [len(p) for p in pols] == sizes
+            assert all(len(p) < k ** (k * k) for p in pols)
+            assert len(set(pols)) == len(pols)
+        for inv, size in zip(_maximal_relations(2), POL2_SIZES[2]):
+            assert len(pol(inv.relation, 2).slice(2)) == size
+
+    def test_each_relation_is_maximal_in_the_engine(self):
+        # Pol_n(rho) plus one operation outside it generates every binary
+        # operation.  n = 3 on carrier 2, whose self-dual clone has only
+        # essentially unary binary members; reverse table order activates the
+        # operations that grow the pool fastest first
+        for k, n in ((2, 3), (3, 2)):
+            for inv in _maximal_relations(k):
+                witness = _outside_witness(inv)
+                assert not respects(witness, inv.relation)
+                assert closure_slice([witness] + _pol_slice(inv, n), Carrier(k), 2)[1], (
+                    inv.relation, witness)
+
+    def test_list_agrees_with_the_engine(self):
+        rng = random.Random(5)
+
+        def rand_op(k, m):
+            return OpTable(Carrier(k), m, tuple(rng.randrange(k) for _ in range(k**m)))
+
+        cases = [(2, n, [rand_op(2, rng.choice([1, 2, 3])) for _ in range(rng.randrange(4))])
+                 for n in (2, 3) for _ in range(60)]
+        # carrier-3 fills take the engine up to a few seconds each
+        cases += [(3, 2, [rand_op(3, 2) for _ in range(rng.randrange(1, 3))]) for _ in range(3)]
+        # inside one maximal clone, with and without one operation outside it
+        for k, n, count in ((2, 3, 30), (3, 2, 2)):
+            tables = _all_tables(k, 2)
+            for _ in range(count):
+                kept = rng.choice(_maximal_relations(k)).preserved_by(tables, 2)
+                inside, outside = ([OpTable(Carrier(k), 2, tuple(t)) for t in tables[mask].tolist()]
+                                   for mask in (kept, ~kept))
+                gens = rng.sample(inside, 2)
+                cases += [(k, n, gens), (k, n, gens + [rng.choice(outside)])]
+        verdicts = []
+        for k, n, gens in cases:
+            full = closure_slice_is_full(gens, Carrier(k), n)
+            assert full == closure_slice(gens, Carrier(k), n)[1], (k, n, gens)
+            verdicts.append(full)
+        assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+    def test_one_maximal_clone_holds_every_unary_operation(self):
+        # the finite side of the paper's closing theorem (exactly 2 on a
+        # weakly compact cardinal): exactly one here, the affine clone L for
+        # k = 2 and Slupecki's clone (the 3-regular relation) for k = 3
+        for k, expected in ((2, 4), (3, 17)):
+            unary = _all_tables(k, 1)
+            holding = [i for i, inv in enumerate(_maximal_relations(k))
+                       if inv.preserved_by(unary, 1).all()]
+            assert holding == [expected]
+        affine2 = _maximal_relations(2)[4].relation
+        assert affine2.tuples == {t for t in itertools.product((0, 1), repeat=4) if sum(t) % 2 == 0}
+        regular3 = _maximal_relations(3)[17].relation
+        assert regular3.tuples == {t for t in itertools.product(range(3), repeat=3) if len(set(t)) < 3}
+        # the engine's check: all unary operations plus one binary operation
+        # outside that clone fill the binary slice
+        assert closure_slice([AND], C2, 2, include_all_unary=True)[1]
+        assert closure_slice([_op(3, 2, lambda x, y: (x + y) % 3)], C3, 2,
+                             include_all_unary=True)[1]
 
 
 binary_ops = st.builds(
