@@ -28,6 +28,7 @@ from .combinatorics import (
 from .finite import (
     Carrier,
     OpTable,
+    RelationTable,
     ResourceLimitError,
     clone_closure,
     parse_ops,
@@ -165,15 +166,9 @@ def cmd_precomplete(args) -> tuple[int, dict]:
     if args.gens:
         gens = [op for _, op in _load_ops(args.gens)]
     elif args.ci_exclude is not None:
+        # the ideal clone is Pol of the unary relation X minus the excluded point
         ideal = PrincipalIdeal(carrier, args.ci_exclude)
-        from .finite import all_op_tables
-
-        gens = [
-            f
-            for n in range(1, args.cap + 1)
-            for f in all_op_tables(carrier, n)
-            if preserves_ideal(f, ideal)
-        ]
+        gens = list(pol(RelationTable.unary(carrier, ideal.largest_member()), args.cap))
     else:
         raise UsageError("precomplete needs --gens or --ci-exclude")
     verdict = precompleteness_evidence(gens, carrier, args.cap, args.working_cap)

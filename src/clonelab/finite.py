@@ -165,18 +165,6 @@ class RelationTable:
         return cls(carrier, carrier.size**arity, frozenset(o.table for o in ops))
 
 
-def respects(f: OpTable, relation: RelationTable) -> bool:
-    """Whether f maps tuples of the relation coordinatewise into the relation."""
-    if f.carrier != relation.carrier:
-        raise ValueError("carrier mismatch between operation and relation")
-    rows = sorted(relation.tuples)
-    for choice in itertools.product(rows, repeat=f.arity):
-        image = tuple(f(*(row[i] for row in choice)) for i in range(relation.width))
-        if image not in relation.tuples:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class OpSet:
     """A deduplicated set of operations of arity <= arity_cap on one carrier."""
@@ -219,22 +207,115 @@ class OpSet:
         return self.ops <= other.ops
 
 
+# ---------------------------------------------------------------------------
+# Preservation.
+#
+# One kernel answers "does f preserve the relation" for respects, pol and
+# closure_slice_is_full: it applies a stack of tables to every choice of
+# relation rows at once and looks the image tuples up.  Relations with
+# k^h <= _BITMAP_SPACE possible tuples (every relation the suites and the
+# maximal-clone lists use) look up a membership table over the tuple codes;
+# wider ones binary-search their sorted rows, read as h-byte strings.
+# tests/preservation_reference.py is the plain scalar loop the kernel is
+# cross-checked against.
+
+_PRESERVE_ROWS = 1 << 16  # operand rows (times tables) per vectorised step
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each tuple along the last axis as one h-byte string, ordered like the tuple."""
+    rows = np.ascontiguousarray(rows, dtype=np.uint8)
+    return rows.view(np.dtype((np.void, rows.shape[-1])))[..., 0]
+
+
+class _Invariant:
+    """A relation prepared for vectorised preservation checks."""
+
+    def __init__(self, relation: RelationTable):
+        k, h = relation.carrier.size, relation.width
+        self.relation = relation
+        self.rows = np.array(sorted(relation.tuples), dtype=np.intp).reshape(len(relation.tuples), h)
+        if k**h <= _BITMAP_SPACE:
+            self.places = k ** np.arange(h - 1, -1, -1)
+            self.member = np.zeros(k**h, dtype=bool)  # by code of the tuple
+            self.member[self.rows @ self.places] = True
+        else:
+            self.member = None
+            self.keys = _row_keys(self.rows)  # sorted, as the rows are
+        self._tails: dict[int, np.ndarray] = {}
+
+    def _contains(self, images: np.ndarray) -> np.ndarray:
+        """Which tuples along the last axis of images are rows of the relation."""
+        if self.member is not None:
+            return self.member[images @ self.places]
+        keys = _row_keys(images)
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return self.keys[at] == keys
+
+    def _tail_indices(self, tail: int) -> np.ndarray:
+        """Table indices over every choice of the last tail operands, h per choice."""
+        if tail not in self._tails:
+            k, h = self.relation.carrier.size, self.relation.width
+            index = np.zeros((1, h), dtype=np.intp)
+            for _ in range(tail):
+                index = (index[:, None] * k + self.rows[None]).reshape(len(index) * len(self.rows), h)
+            self._tails[tail] = index
+        return self._tails[tail]
+
+    def preserved_by(self, tables: np.ndarray, arity: int) -> np.ndarray:
+        """Which arity-ary tables (one per row) map the relation into itself.
+
+        f is applied to every arity rows of the relation: the last operands
+        all at once, up to _PRESERVE_ROWS choices, the leading ones in a loop.
+        Every table preserves the empty relation.
+        """
+        k = self.relation.carrier.size
+        ok = np.ones(len(tables), dtype=bool)
+        if not len(self.rows):
+            return ok
+        tail, choices = 0, 1
+        while tail < arity and choices * len(self.rows) <= _PRESERVE_ROWS:
+            tail, choices = tail + 1, choices * len(self.rows)
+        low = self._tail_indices(tail)
+        step = max(1, _PRESERVE_ROWS // choices)
+        for head in itertools.product(self.rows, repeat=arity - tail):
+            index = low
+            if head:
+                index = functools.reduce(lambda acc, row: acc * k + row, head) * k**tail + low
+            for start in range(0, len(tables), step):
+                images = tables[start : start + step, index]  # (tables, choices, h)
+                ok[start : start + step] &= self._contains(images).all(axis=1)
+        return ok
+
+
+def respects(f: OpTable, relation: RelationTable) -> bool:
+    """Whether f maps tuples of the relation coordinatewise into the relation."""
+    if f.carrier != relation.carrier:
+        raise ValueError("carrier mismatch between operation and relation")
+    table = np.asarray(f.table, dtype=np.uint8)[None]
+    return bool(_Invariant(relation).preserved_by(table, f.arity)[0])
+
+
 def pol(relation: RelationTable, arity_cap: int, *, max_candidates: int = 1 << 21) -> OpSet:
-    """All operations of arity <= arity_cap that respect the relation."""
+    """All operations of arity <= arity_cap that respect the relation.
+
+    Every candidate table of an arity goes through the kernel in one stack.
+    """
     if arity_cap < 1:
         raise ValueError("arity_cap must be >= 1")
-    total = sum(op_space_size(relation.carrier, n) for n in range(1, arity_cap + 1))
+    carrier, k = relation.carrier, relation.carrier.size
+    total = sum(op_space_size(carrier, n) for n in range(1, arity_cap + 1))
     if total > max_candidates:
         raise ResourceLimitError(
             f"{total} candidate operations exceed the budget {max_candidates}"
         )
-    keep = [
-        f
-        for n in range(1, arity_cap + 1)
-        for f in all_op_tables(relation.carrier, n)
-        if respects(f, relation)
-    ]
-    return OpSet(relation.carrier, arity_cap, frozenset(keep))
+    inv = _Invariant(relation)
+    keep: list[OpTable] = []
+    for n in range(1, arity_cap + 1):
+        tables = _digits(np.arange(op_space_size(carrier, n)), k, k**n)
+        kept = tables[inv.preserved_by(tables, n)].tolist()
+        keep += (OpTable(carrier, n, tuple(t)) for t in kept)
+    return OpSet(carrier, arity_cap, frozenset(keep))
 
 
 # ---------------------------------------------------------------------------
@@ -579,53 +660,6 @@ def _subuniverse_bound(gens: Sequence[OpTable], k: int, arity: int) -> int:
 # five relations for k = 2 (1941) and Jablonskij's eighteen for k = 3 (1958),
 # in Rosenberg's families.  tests/test_finite.py pins them: their Pol_2
 # sizes, their maximality in the engine, and their agreement with the engine.
-
-_PRESERVE_ROWS = 1 << 16  # operand rows (times tables) per vectorised step
-
-
-class _Invariant:
-    """A relation prepared for vectorised preservation checks."""
-
-    def __init__(self, relation: RelationTable):
-        k, h = relation.carrier.size, relation.width
-        self.relation = relation
-        self.rows = np.array(sorted(relation.tuples), dtype=np.intp).reshape(-1, h)
-        self.places = k ** np.arange(h - 1, -1, -1)
-        self.member = np.zeros(k**h, dtype=bool)  # by code of the tuple
-        self.member[self.rows @ self.places] = True
-        self._tails: dict[int, np.ndarray] = {}
-
-    def _tail_indices(self, tail: int) -> np.ndarray:
-        """Table indices over every choice of the last tail operands, h per choice."""
-        if tail not in self._tails:
-            k, h = self.relation.carrier.size, self.relation.width
-            index = np.zeros((1, h), dtype=np.intp)
-            for _ in range(tail):
-                index = (index[:, None] * k + self.rows[None]).reshape(-1, h)
-            self._tails[tail] = index
-        return self._tails[tail]
-
-    def preserved_by(self, tables: np.ndarray, arity: int) -> np.ndarray:
-        """Which arity-ary tables (one per row) map the relation into itself.
-
-        f is applied to every arity rows of the relation: the last operands
-        all at once, up to _PRESERVE_ROWS choices, the leading ones in a loop.
-        """
-        k = self.relation.carrier.size
-        tail, choices = 0, 1
-        while tail < arity and choices * len(self.rows) <= _PRESERVE_ROWS:
-            tail, choices = tail + 1, choices * len(self.rows)
-        low = self._tail_indices(tail)
-        step = max(1, _PRESERVE_ROWS // choices)
-        ok = np.ones(len(tables), dtype=bool)
-        for head in itertools.product(self.rows, repeat=arity - tail):
-            index = low
-            if head:
-                index = functools.reduce(lambda acc, row: acc * k + row, head) * k**tail + low
-            for start in range(0, len(tables), step):
-                images = tables[start : start + step, index]  # (tables, choices, h)
-                ok[start : start + step] &= self.member[images @ self.places].all(axis=1)
-        return ok
 
 
 @functools.cache

@@ -28,9 +28,11 @@ from .combinatorics import (
 from .finite import (
     Carrier,
     OpTable,
+    RelationTable,
     all_op_tables,
     closure_covers_slice,
     closure_slice_is_full,
+    pol,
     reduce_generators,
 )
 from .ideals import PrincipalIdeal, decompose_with, preserves_ideal
@@ -107,12 +109,8 @@ def criterion_unary_chain(seed):
 
 def _ideal_generators(carrier: Carrier, excluded: int) -> tuple[PrincipalIdeal, list[OpTable]]:
     ideal = PrincipalIdeal(carrier, excluded)
-    gens = [
-        f
-        for n in (1, 2)
-        for f in all_op_tables(carrier, n)
-        if preserves_ideal(f, ideal)
-    ]
+    # the ideal clone is Pol of the unary relation X minus the excluded point
+    gens = list(pol(RelationTable.unary(carrier, ideal.largest_member()), 2))
     return ideal, gens
 
 

@@ -22,6 +22,14 @@ def run_cli_raw(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_cli_child(*argv, timeout):
+    """The CLI in a child process, so a hang fails the test instead of stalling it."""
+    src = str(Path(clonelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "clonelab.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+
+
 def strip_meta(report):
     report = dict(report)
     report.pop("meta", None)
@@ -103,6 +111,14 @@ class TestFileDriven:
         assert code == 0
         assert report["relations"]["zero"] == {"1": 2, "2": 8}
 
+    def test_pol_of_an_empty_relation(self, capsys, tmp_path):
+        # a header with no tuples: every operation preserves the empty relation
+        path = tmp_path / "rels.rel"
+        path.write_text("rel e carrier=2 width=2\n")
+        code, report = run_cli(capsys, "pol", "--rel", str(path), "--cap", "2")
+        assert code == 0
+        assert report["relations"]["e"] == {"1": 4, "2": 16}
+
     def test_ci_membership_verdicts(self, capsys, tmp_path):
         c3 = Carrier(3)
         ops = [
@@ -141,15 +157,18 @@ class TestPrecompleteCommand:
         c2 = Carrier(2)
         path = self._gens_file(tmp_path, [("and", OpTable(c2, 2, (0, 0, 0, 1))),
                                           ("xor", OpTable(c2, 2, (0, 1, 1, 0)))])
-        src = str(Path(clonelab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "clonelab.cli", "precomplete", "--carrier", "2", "--cap", "3",
-             "--working-cap", "4", "--gens", path],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        proc = run_cli_child("precomplete", "--carrier", "2", "--cap", "3",
+                             "--working-cap", "4", "--gens", path, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["verdict"] == "precomplete-evidence"
+
+    def test_ci_exclude_past_the_candidate_budget_exits_at_once(self):
+        # the ideal clone's generators come from pol, whose budget refuses the
+        # 3^27 ternary tables of carrier 3 instead of enumerating them
+        proc = run_cli_child("precomplete", "--carrier", "3", "--cap", "3", "--working-cap", "4",
+                             "--ci-exclude", "2", timeout=20)
+        assert proc.returncode == 3, proc.stderr
+        assert "budget" in json.loads(proc.stdout)["error"]
 
     def test_gens_file_witness(self, capsys, tmp_path):
         # <AND> lacks the constant 0, and <AND, 0> still preserves {0}

@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from clonelab import finite
 from clonelab.finite import (
@@ -38,6 +38,7 @@ from clonelab.finite import (
     _subuniverse_bound,
 )
 from closure_reference import reference_slice
+from preservation_reference import reference_pol, reference_respects
 
 C2 = Carrier(2)
 C3 = Carrier(3)
@@ -207,6 +208,35 @@ class TestPol:
         with pytest.raises(ResourceLimitError):
             pol(RelationTable.unary(C3, {0}), 2, max_candidates=10)
 
+    def test_empty_relation_is_preserved_by_everything(self):
+        for width in (1, 2, 4):
+            empty = RelationTable(C3, width, frozenset())
+            assert pol(empty, 2).counts() == {1: 27, 2: 19683}
+            assert respects(OpTable(C3, 3, (0,) * 27), empty)
+
+    def test_width_zero_relations_are_preserved_by_everything(self):
+        # parse_relations reads a width-0 header with no rows as the empty
+        # relation; the one other width-0 relation holds the empty tuple
+        (_, parsed), = parse_relations("rel z carrier=2 width=0\n")
+        assert parsed == RelationTable(C2, 0, frozenset())
+        for rel in (parsed, RelationTable(C2, 0, frozenset({()}))):
+            assert pol(rel, 3).counts() == {1: 4, 2: 16, 3: 256}
+            assert respects(XOR, rel) and reference_respects(XOR, rel)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_pol_matches_the_reference(self, data):
+        k = data.draw(st.sampled_from([2, 3]))
+        cap = data.draw(st.integers(1, 3 if k == 2 else 2))
+        width = data.draw(st.integers(0, 4))
+        space = list(itertools.product(range(k), repeat=width))
+        tuples = data.draw(st.one_of(st.just(frozenset()), st.just(frozenset(space)),
+                                     st.frozensets(st.sampled_from(space), max_size=4)))
+        # the reference tries up to |rows|^n choices for each of the k^(k^n) tables
+        assume(sum(k ** k**n * len(tuples) ** n for n in range(1, cap + 1)) * max(width, 1) <= 1 << 19)
+        rel = RelationTable(Carrier(k), width, tuples)
+        assert pol(rel, cap).ops == reference_pol(rel, cap)
+
 
 class TestClosure:
     def test_empty_generators_projections_only(self):
@@ -245,8 +275,9 @@ class TestClosure:
                 assert len(reference) == known
 
     def test_complete_ops_stop_a_wide_slice(self):
-        # NAND generates every Boolean operation (Sheffer), so the slice of
-        # 2^32 tables is certified as soon as NAND(x1, x2) is in the pool
+        # NAND generates every Boolean operation (Sheffer): it escapes each of
+        # Post's five maximal clones, so the slice of 2^32 tables is full
+        # without a pool, and complete_ops is accepted but unused
         start = time.perf_counter()
         assert closure_covers_slice([NAND], C2, 5, complete_ops=[NAND])
         assert time.perf_counter() - start < 5
@@ -432,11 +463,8 @@ def _all_tables(k, arity):
 
 
 def _pol_slice(inv, arity):
-    """Pol_arity of the relation in reverse table order, by the kernel."""
-    k = inv.relation.carrier.size
-    tables = _all_tables(k, arity)
-    return [OpTable(Carrier(k), arity, tuple(t))
-            for t in tables[inv.preserved_by(tables, arity)].tolist()[::-1]]
+    """Pol_arity of the relation in reverse table order."""
+    return list(pol(inv.relation, arity).slice(arity)[::-1])
 
 
 def _outside_witness(inv):
@@ -460,29 +488,44 @@ class TestMaximalClones:
         assert len(_maximal_relations(3)) == 18
         assert _maximal_relations(3) is _maximal_relations(3)  # built once
 
-    def test_kernel_agrees_with_respects(self, monkeypatch):
+    def test_kernel_agrees_with_the_reference(self, monkeypatch):
         rng = random.Random(11)
         cases = []
-        for _ in range(150):
+        for i in range(190):
             k = rng.choice([2, 3])
-            if rng.random() < 0.3:
+            if i >= 150:
+                # above 2^20 possible tuples: the sorted-row lookup, with the
+                # constant tuples in half the relations so constants pass
+                width = rng.choice([21, 22, 23, 24] if k == 2 else [13, 14])
+                tuples = {tuple(rng.randrange(k) for _ in range(width)) for _ in range(rng.randint(1, 8))}
+                if i % 2:
+                    tuples |= {(c,) * width for c in range(k)}
+                rel = RelationTable(Carrier(k), width, frozenset(tuples))
+            elif rng.random() < 0.3:
                 rel = rng.choice(_maximal_relations(k)).relation
             else:
-                width = rng.randint(1, 4)
+                width = rng.randint(0, 4)
                 space = list(itertools.product(range(k), repeat=width))
-                tuples = rng.sample(space, rng.randint(1, min(len(space), 12)))
+                tuples = rng.sample(space, rng.randint(0, min(len(space), 12)))
                 rel = RelationTable(Carrier(k), width, frozenset(tuples))
             m = rng.randint(1, 3)
             ops = [OpTable(Carrier(k), m, tuple(rng.randrange(k) for _ in range(k**m)))
                    for _ in range(3)]
-            cases.append((rel, m, ops))
+            ops += [make_projection(m, rng.randint(1, m), Carrier(k)),
+                    OpTable(Carrier(k), m, (rng.randrange(k),) * k**m)]
+            cases.append((rel, m, ops, [reference_respects(f, rel) for f in ops]))
+        assert _Invariant(cases[-1][0]).member is None
+        verdicts = [v for *_, expected in cases[150:] for v in expected]
+        assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
+        for rel, m, ops, expected in cases:
+            assert [respects(f, rel) for f in ops] == expected, (rel, m, ops)
         # a tiny step budget runs the looped leading operands and the chunked tables too
         for budget in (finite._PRESERVE_ROWS, 5):
             monkeypatch.setattr(finite, "_PRESERVE_ROWS", budget)
-            for rel, m, ops in cases:
+            for rel, m, ops, expected in cases:
                 tables = np.array([f.table for f in ops], dtype=np.uint8)
                 got = _Invariant(rel).preserved_by(tables, m)
-                assert got.tolist() == [respects(f, rel) for f in ops], (rel, m, ops)
+                assert got.tolist() == expected, (rel, m, ops)
 
     def test_pol2_slices_are_pinned_proper_and_distinct(self):
         for k, sizes in POL2_SIZES.items():
@@ -491,7 +534,7 @@ class TestMaximalClones:
             assert all(len(p) < k ** (k * k) for p in pols)
             assert len(set(pols)) == len(pols)
         for inv, size in zip(_maximal_relations(2), POL2_SIZES[2]):
-            assert len(pol(inv.relation, 2).slice(2)) == size
+            assert sum(f.arity == 2 for f in reference_pol(inv.relation, 2)) == size
 
     def test_each_relation_is_maximal_in_the_engine(self):
         # Pol_n(rho) plus one operation outside it generates every binary
@@ -633,9 +676,9 @@ class TestConjugation:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_fullness_is_conjugation_invariant(self, data):
-        # closure commutes with carrier permutations, which is what lets one
-        # verified certificate stand for all of its conjugates; unary slices
-        # keep the fills cheap, generators of arity up to 3 act on them
+        # closure commutes with carrier permutations, so conjugate generator
+        # sets have conjugate slices and the same fullness verdict; unary
+        # slices keep the fills cheap, generators of arity up to 3 act on them
         gens = [
             OpTable(C3, m, tuple(data.draw(st.lists(st.integers(0, 2), min_size=3**m,
                                                     max_size=3**m))))
