@@ -24,6 +24,8 @@ class InvalidColoringError(ValueError):
 
 _AUDIT_SEED = 0x5EED
 _AUDIT_PAIRS = 128
+_MAX_COLORINGS = 1 << 22  # partition_check's exhaustive budget
+_MAX_CELL = 3  # largest cell s in hausdorff_family's base
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +177,7 @@ def anti_ramsey_search(
     return None
 
 
-def partition_check(
-    n: int, m: int, r: int, c: int, *, max_colorings: int = 1 << 22
-) -> bool:
+def partition_check(n: int, m: int, r: int, c: int) -> bool:
     """Finite partition instance: every c-coloring of the r-subsets of an
     n-set admits an m-subset all of whose r-subsets share one color.
 
@@ -192,8 +192,8 @@ def partition_check(
     edges = list(itertools.combinations(range(n), r))
     index = {e: i for i, e in enumerate(edges)}
     total = c ** len(edges)
-    if total > max_colorings:
-        raise ResourceLimitError(f"{total} colorings exceed the budget {max_colorings}")
+    if total > _MAX_COLORINGS:
+        raise ResourceLimitError(f"{total} colorings exceed the budget {_MAX_COLORINGS}")
     candidate_masks = []
     for subset in itertools.combinations(range(n), m):
         ids = [index[e] for e in itertools.combinations(subset, r)]
@@ -268,13 +268,11 @@ def verify_independent(family: IndependentFamily, width: int) -> bool:
     return True
 
 
-def hausdorff_family(
-    m: int, q: int, *, max_cell: int = 3, width: int = 3
-) -> IndependentFamily:
+def hausdorff_family(m: int, q: int, *, width: int = 3) -> IndependentFamily:
     """Independent family via the pairs-of-(set, family-of-subsets) base.
 
     The base consists of all pairs (s, A) with s a subset of the ground
-    order 0..q-1 of size <= max_cell and A a set of subsets of s.  Index i
+    order 0..q-1 of size <= _MAX_CELL and A a set of subsets of s.  Index i
     is realized by the threshold cut {0..i}: its set holds the pairs with
     s ∩ cut ∈ A.  Distinct cuts trace distinct intersections on a suitable
     s, which is what makes all signed combinations nonempty; the
@@ -287,7 +285,7 @@ def hausdorff_family(
     ground = range(q)
     cells = [
         combo
-        for size in range(0, max_cell + 1)
+        for size in range(0, _MAX_CELL + 1)
         for combo in itertools.combinations(ground, size)
     ]
     for s in cells:

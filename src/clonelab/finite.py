@@ -203,9 +203,6 @@ class OpSet:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def __le__(self, other: "OpSet") -> bool:
-        return self.ops <= other.ops
-
 
 # ---------------------------------------------------------------------------
 # Preservation.
@@ -296,7 +293,22 @@ def respects(f: OpTable, relation: RelationTable) -> bool:
     return bool(_Invariant(relation).preserved_by(table, f.arity)[0])
 
 
-def pol(relation: RelationTable, arity_cap: int, *, max_candidates: int = 1 << 21) -> OpSet:
+# pol and precompleteness_evidence enumerate at most this many candidate
+# tables, summed over the arities up to their cap.
+_MAX_CANDIDATES = 1 << 21
+
+
+def _check_candidate_budget(carrier: Carrier, arity_cap: int) -> None:
+    """Raise ResourceLimitError when the operations of arity <= arity_cap
+    number more than _MAX_CANDIDATES."""
+    total = sum(op_space_size(carrier, n) for n in range(1, arity_cap + 1))
+    if total > _MAX_CANDIDATES:
+        raise ResourceLimitError(
+            f"{total} candidate operations exceed the budget {_MAX_CANDIDATES}"
+        )
+
+
+def pol(relation: RelationTable, arity_cap: int) -> OpSet:
     """All operations of arity <= arity_cap that respect the relation.
 
     Every candidate table of an arity goes through the kernel in one stack.
@@ -304,11 +316,7 @@ def pol(relation: RelationTable, arity_cap: int, *, max_candidates: int = 1 << 2
     if arity_cap < 1:
         raise ValueError("arity_cap must be >= 1")
     carrier, k = relation.carrier, relation.carrier.size
-    total = sum(op_space_size(carrier, n) for n in range(1, arity_cap + 1))
-    if total > max_candidates:
-        raise ResourceLimitError(
-            f"{total} candidate operations exceed the budget {max_candidates}"
-        )
+    _check_candidate_budget(carrier, arity_cap)
     inv = _Invariant(relation)
     keep: list[OpTable] = []
     for n in range(1, arity_cap + 1):
@@ -325,9 +333,10 @@ def pol(relation: RelationTable, arity_cap: int, *, max_candidates: int = 1 << 2
 # cut into at least two near-equal limbs of at most c digits, where
 # k^(2c) <= 2^16: a limb fits in a byte, and a unary or binary generator acts
 # limb by limb through a lookup table of at most 2^16 entries.  Generators of
-# arity >= 3 act digit by digit on digit rows kept beside the pool.  Dedup is
-# exact: table spaces of at most 2^20 use a bitmap over the packed code,
-# larger ones a set of keys (the int64 code below 2^63, the limb bytes above).
+# arity >= 3 act digit by digit on digit rows, unpacked from the limbs once
+# per block.  Dedup is exact: table spaces of at most 2^20 use a bitmap over
+# the packed code, larger ones a set of keys (the int64 code below 2^63, the
+# limb bytes above).
 # Generators are introduced one at a time and skipped when they are already
 # members of the clone generated so far (a generator that is already a term
 # function adds nothing).
@@ -347,9 +356,9 @@ def pol(relation: RelationTable, arity_cap: int, *, max_candidates: int = 1 << 2
 
 _BITMAP_SPACE = 1 << 20
 # Every public closure entry raises ResourceLimitError once a pool passes
-# this many tables, unless its caller passes max_tables: 64 times the largest
-# slice any suite or test builds (2^16 tables), and about 460 MB of peak
-# memory when a carrier-4 binary slice reaches it.
+# this many tables: 64 times the largest slice any suite or test builds
+# (2^16 tables), and about 460 MB of peak memory when a carrier-4 binary
+# slice reaches it.
 _MAX_TABLES = 1 << 22
 _LIMB_SPACE = 1 << 8
 _BLOCK = 1024
@@ -423,14 +432,13 @@ class _CodeEngine:
     whole slice.
     """
 
-    def __init__(self, k: int, arity: int, stop_if_full: bool, max_tables: int, bound: int):
+    def __init__(self, k: int, arity: int, stop_if_full: bool, bound: int):
         self.k = k
         self.arity = arity
         self.width = k**arity
         self.space = k**self.width
         self.stop_if_full = stop_if_full
         self.bound = bound  # no slice the generators reach holds more tables
-        self.max_tables = max_tables
         self.widths = _limb_widths(k, self.width)
         self.scale = [k ** sum(self.widths[i + 1 :]) for i in range(len(self.widths))]
         self.bitmap = np.zeros(self.space, dtype=bool) if self.space <= _BITMAP_SPACE else None
@@ -442,7 +450,6 @@ class _CodeEngine:
             self.key_dtype = np.dtype((np.void, len(self.widths)))
             self.key_bytes = len(self.widths) + sys.getsizeof(b"")  # held as bytes objects
         self.limbs = np.empty((64, len(self.widths)), dtype=np.uint8)
-        self.rows: np.ndarray | None = None  # digit rows, once an arity >= 3 generator is active
         self.count = 0
         self.appliers: list = []  # (arity, payload)
         self.cursors: list[int] = []
@@ -484,19 +491,14 @@ class _CodeEngine:
         else:
             limbs = fresh.view(np.uint8).reshape(len(fresh), -1)
         self.append(limbs.astype(np.uint8))
-        if self.count > self.max_tables:
-            raise ResourceLimitError(f"slice exceeded {self.max_tables} tables at arity {self.arity}")
+        if self.count > _MAX_TABLES:
+            raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {self.arity}")
 
     def append(self, limbs: np.ndarray) -> None:
         end = self.count + len(limbs)
         if end > len(self.limbs):
-            cap = max(end, 2 * len(self.limbs))
-            self.limbs = _grown(self.limbs, self.count, cap)
-            if self.rows is not None:
-                self.rows = _grown(self.rows, self.count, cap)
+            self.limbs = _grown(self.limbs, self.count, max(end, 2 * len(self.limbs)))
         self.limbs[self.count : end] = limbs
-        if self.rows is not None:
-            self.rows[self.count : end] = _unpack(limbs, self.k, self.widths)
         self.count = end
 
     @property
@@ -512,9 +514,6 @@ class _CodeEngine:
     def activate(self, g: OpTable) -> None:
         k, lut = self.k, np.asarray(g.table, dtype=np.uint8)
         if g.arity >= 3:
-            if self.rows is None:
-                self.rows = _grown(_unpack(self.limbs[: self.count], k, self.widths),
-                                   self.count, len(self.limbs))
             payload = lut
         else:
             # by_width[w]: g acting on w-digit chunks, built one digit at a time
@@ -560,9 +559,9 @@ class _CodeEngine:
     def process_block(self, gen_index: int) -> None:
         """Advance one generator's cursor by one block of pool rows."""
         m, payload = self.appliers[gen_index]
-        pool = self.rows if m >= 3 else self.limbs
         done = self.cursors[gen_index]
         hi = min(done + _BLOCK, self.count)
+        pool = _unpack(self.limbs[:hi], self.k, self.widths) if m >= 3 else self.limbs
         older, block, upto = pool[:done], pool[done:hi], pool[:hi]
         per_candidate = 8 * self.width if m >= 3 else self.key_bytes  # intp index cells
         # slot p holds the block, earlier slots strictly older rows, later
@@ -697,7 +696,6 @@ def _closure(
     arity: int,
     *,
     stop_if_full: bool = True,
-    max_tables: int | None = None,
     full_only: bool = False,
 ) -> tuple[np.ndarray, bool, list[OpTable]]:
     """The one closure entry: (pool limb rows, full, activated generators).
@@ -709,7 +707,6 @@ def _closure(
     maximal clones.
     """
     eng = _CodeEngine(carrier.size, arity, stop_if_full,
-                      _MAX_TABLES if max_tables is None else max_tables,
                       _subuniverse_bound(gens, carrier.size, arity))
     if full_only and eng.bound < eng.space:
         return eng.limbs[:0], False, []
@@ -764,7 +761,6 @@ def closure_slice(
     include_all_unary: bool = False,
     *,
     stop_if_full: bool = True,
-    max_tables: int | None = None,
 ) -> tuple[list[tuple[int, ...]], bool]:
     """The arity-slice of the bounded clone closure.
 
@@ -774,11 +770,10 @@ def closure_slice(
     space when there is no such proper subset), skipping the final
     confirmation sweep (sound: the slice lies inside that bound, so it cannot
     grow further).  The tables and their order are the same either way.
-    More than max_tables tables (default _MAX_TABLES) raise ResourceLimitError.
+    More than _MAX_TABLES tables raise ResourceLimitError.
     """
     gens = _normalized_generators(generators, carrier, include_all_unary)
-    codes, full, _ = _closure(gens, carrier, arity, stop_if_full=stop_if_full,
-                              max_tables=max_tables)
+    codes, full, _ = _closure(gens, carrier, arity, stop_if_full=stop_if_full)
     rows = _unpack(codes, carrier.size, _limb_widths(carrier.size, carrier.size**arity))
     return list(map(tuple, rows.tolist())), full
 
@@ -823,8 +818,6 @@ def clone_closure(
     carrier: Carrier,
     arity_cap: int,
     include_all_unary: bool = False,
-    *,
-    max_tables: int | None = None,
 ) -> OpSet:
     """Least bounded clone containing the generators and all projections.
 
@@ -840,9 +833,7 @@ def clone_closure(
             )
     ops: set[OpTable] = set()
     for n in range(1, arity_cap + 1):
-        tables, _ = closure_slice(
-            gens, carrier, n, include_all_unary, max_tables=max_tables
-        )
+        tables, _ = closure_slice(gens, carrier, n, include_all_unary)
         ops.update(OpTable(carrier, n, t) for t in tables)
     return OpSet(carrier, arity_cap, frozenset(ops))
 
@@ -851,7 +842,6 @@ def closure_slice_is_full(
     generators: Sequence[OpTable],
     carrier: Carrier,
     arity: int,
-    include_all_unary: bool = False,
 ) -> bool:
     """Whether the arity-slice of the bounded closure is every operation.
 
@@ -862,7 +852,7 @@ def closure_slice_is_full(
     once, with no fill, when the generators all preserve a proper nonempty
     subset of the carrier.
     """
-    gens = _normalized_generators(generators, carrier, include_all_unary)
+    gens = _normalized_generators(generators, carrier, False)
     if arity >= 2 and carrier.size <= 3:
         tables = [(np.asarray(g.table, dtype=np.uint8)[None], g.arity) for g in gens]
         return all(any(not inv.preserved_by(table, m)[0] for table, m in tables)

@@ -174,7 +174,10 @@ def decompose_with(g: OpTable, f: OpTable, ideal: PrincipalIdeal) -> Decompositi
     )
 
 
-def reconstructs_ideal(ideal: PrincipalIdeal, *, max_carrier: int = 4) -> bool:
+_MAX_CARRIER = 4  # reconstructs_ideal's exhaustive budget
+
+
+def reconstructs_ideal(ideal: PrincipalIdeal) -> bool:
     """Finite analog of recovering the ideal from its induced clone.
 
     Computes {A : every unary operation with range inside A preserves the
@@ -182,9 +185,9 @@ def reconstructs_ideal(ideal: PrincipalIdeal, *, max_carrier: int = 4) -> bool:
     it with the ideal itself.
     """
     k = ideal.carrier.size
-    if k > max_carrier:
+    if k > _MAX_CARRIER:
         raise ResourceLimitError(
-            f"carrier size {k} above the exhaustive budget {max_carrier}"
+            f"carrier size {k} above the exhaustive budget {_MAX_CARRIER}"
         )
     elements = list(ideal.carrier.elements())
     recovered = set()

@@ -21,7 +21,10 @@ from .finite import (
     closure_slice_is_full,
     conjugate,
     op_space_size,
+    _check_candidate_budget,
 )
+
+_MAX_SLICE = 1 << 15  # unary_interval_chain builds no slice with more tables
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,9 @@ def precompleteness_evidence(
     "Everything" is closure_slice_is_full at arity_cap: a full slice there
     implies full slices below it, by identifying variables, so no slice
     above arity_cap is built.  working_cap changes no verdict; it must be at
-    least arity_cap + 1 and at least every generator's arity.
+    least arity_cap + 1 and at least every generator's arity.  Before the
+    candidates of arity n are tried, ResourceLimitError is raised when the
+    operations of arity <= n number more than pol's candidate budget.
     """
     if working_cap < arity_cap + 1:
         raise ValueError("working_cap must be at least arity_cap + 1")
@@ -58,6 +63,7 @@ def precompleteness_evidence(
     if closure_slice_is_full(gens, carrier, arity_cap):
         return PrecompletenessVerdict("improper")
     for n in range(1, arity_cap + 1):
+        _check_candidate_budget(carrier, n)
         members = set(closure_slice(gens, carrier, n)[0])
         for f in all_op_tables(carrier, n):
             if f.table in members:
@@ -102,8 +108,6 @@ def unary_interval_chain(
     carrier: Carrier,
     arity_cap: int,
     working_cap: int | None = None,
-    *,
-    max_slice: int = 1 << 15,
 ) -> ChainReport:
     """Survey of the bounded clones above the full unary clone.
 
@@ -116,10 +120,10 @@ def unary_interval_chain(
     """
     working_cap = arity_cap + 1 if working_cap is None else working_cap
     for n in range(1, working_cap + 1):
-        if op_space_size(carrier, n) > max_slice:
+        if op_space_size(carrier, n) > _MAX_SLICE:
             raise ResourceLimitError(
                 f"slice at arity {n} has {op_space_size(carrier, n)} tables, "
-                f"budget is {max_slice}"
+                f"budget is {_MAX_SLICE}"
             )
 
     perms = _carrier_permutations(carrier)

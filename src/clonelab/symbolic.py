@@ -8,7 +8,7 @@ explicit Box; no verdict here claims anything about all of the naturals.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection, Iterator
 
 REGIONS = ("delta", "nabla", "offdiag", "full")
@@ -99,7 +99,6 @@ class SymbolicFn:
     arity: int
     fn: Callable[..., int]
     witness: AlmostUnaryWitness | None = None
-    traits: frozenset[str] = field(default_factory=frozenset)
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
@@ -121,7 +120,7 @@ def cantor_pairing() -> SymbolicFn:
     def pair(x: int, y: int) -> int:
         return 2 * (_triangle(x + y) + y) + 2
 
-    return SymbolicFn("pair", 2, pair, traits=frozenset({"injective", "zero-avoiding"}))
+    return SymbolicFn("pair", 2, pair)
 
 
 def delta_pairing(pr: SymbolicFn | None = None) -> SymbolicFn:
@@ -143,14 +142,13 @@ def delta_pairing(pr: SymbolicFn | None = None) -> SymbolicFn:
 
 
 def max_fn() -> SymbolicFn:
-    return SymbolicFn("max", 2, lambda x, y: max(x, y), traits=frozenset({"symmetric"}))
+    return SymbolicFn("max", 2, lambda x, y: max(x, y))
 
 
 def min_fn() -> SymbolicFn:
     return SymbolicFn(
         "min", 2, lambda x, y: min(x, y),
         witness=AlmostUnaryWitness(1, lambda x: range(0, x + 1)),
-        traits=frozenset({"symmetric"}),
     )
 
 
@@ -273,7 +271,10 @@ def pairing_bijection(pr: SymbolicFn | None = None, *, check_box: Box | None = N
     )
 
 
-def verify_bijection_on(parts: BijectionParts, targets: int, *, max_side: int = 1 << 12) -> bool:
+_MAX_SIDE = 1 << 12  # verify_bijection_on scans squares up to this side
+
+
+def verify_bijection_on(parts: BijectionParts, targets: int) -> bool:
     """Adaptive scan oracle: every value below `targets` is hit exactly once.
 
     The rank of a code counts image elements below it, so it is monotone in
@@ -281,7 +282,7 @@ def verify_bijection_on(parts: BijectionParts, targets: int, *, max_side: int = 
     whose rank already reaches `targets`, the scan is complete.
     """
     side = 8
-    while side <= max_side:
+    while side <= _MAX_SIDE:
         hits: dict[int, int] = {}
         for x in range(side):
             for y in range(side):

@@ -547,6 +547,7 @@ def partial_eval(
 # -- thinning ----------------------------------------------------------------
 
 _LOOKAHEAD = 16  # _thin_unary's look-ahead, in multiples of the probe budget
+_MAX_ROUNDS = 32  # thin_for gives up after this many thinning rounds
 
 
 def _thin_unary(h: Callable[[int], int], subset: SubsetSpec, probe_budget: int) -> SubsetSpec:
@@ -592,7 +593,6 @@ def thin_for(
     subset: SubsetSpec,
     registry: Registry,
     probe_budget: int = 64,
-    max_rounds: int = 32,
 ) -> SubsetSpec:
     """Shrink the subset until every term's reduction is defined.
 
@@ -603,7 +603,7 @@ def thin_for(
     to its most frequent value's preimage otherwise.
     """
     current = subset
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         offender = None
         for t in terms:
             res = partial_eval(t, current, registry, probe_budget)
@@ -613,7 +613,7 @@ def thin_for(
         if offender is None:
             return current
         current = _thin_unary(offender, current, probe_budget)
-    raise InconclusiveError(f"still undefined after {max_rounds} thinning rounds")
+    raise InconclusiveError(f"still undefined after {_MAX_ROUNDS} thinning rounds")
 
 
 def thin_disjoint_images(

@@ -137,6 +137,11 @@ def _agreement_cases():
         (4, 3, lattice(4, perm4), None),
         (4, 3, minority(4, perm4), None),
         (4, 3, [rand_op(4, 1)], None),
+        # a generator of arity 3 activated after a unary one has grown the
+        # pool: the self-dual clone, 2^(2^3 / 2) tables, and every a.x + b.y + c
+        # with a + b = 1
+        (2, 3, [NOT, _op(2, 3, lambda x, y, z: int(x + y + z >= 2))], 2 ** 4),
+        (3, 2, [_op(3, 1, lambda x: (x + 1) % 3)] + minority(3, None), 3**2),
     ]
     return cases
 
@@ -204,9 +209,11 @@ class TestPol:
         assert set(got.slice(2)) == set(oracle)
         assert len(oracle) == 8
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        assert finite._MAX_CANDIDATES == 1 << 21
+        monkeypatch.setattr(finite, "_MAX_CANDIDATES", 10)
         with pytest.raises(ResourceLimitError):
-            pol(RelationTable.unary(C3, {0}), 2, max_candidates=10)
+            pol(RelationTable.unary(C3, {0}), 2)
 
     def test_empty_relation_is_preserved_by_everything(self):
         for width in (1, 2, 4):
@@ -288,12 +295,14 @@ class TestClosure:
             with pytest.raises(ValueError):
                 closure_covers_slice([NAND], C2, arity, complete_ops=[too_wide])
 
-    def test_max_tables_budget(self):
+    def test_max_tables_budget(self, monkeypatch):
         # <AND, OR> has D(4) - 2 = 166 tables at arity 4 and 7579 at arity 5
-        assert len(closure_slice([AND, OR], C2, 4, max_tables=166)[0]) == 166
+        monkeypatch.setattr(finite, "_MAX_TABLES", 166)
+        assert len(closure_slice([AND, OR], C2, 4)[0]) == 166
+        monkeypatch.setattr(finite, "_MAX_TABLES", 100)
         for arity in (4, 5):
             with pytest.raises(ResourceLimitError):
-                closure_slice([AND, OR], C2, arity, max_tables=100)
+                closure_slice([AND, OR], C2, arity)
 
     def test_default_budget_stops_every_entry(self, monkeypatch):
         # NAND is Sheffer: its arity-3 slice has all 256 tables, no bound stops short
@@ -310,7 +319,8 @@ class TestClosure:
             with pytest.raises(ResourceLimitError):
                 entry([webb4], Carrier(4), 2)
         assert closure_slice_is_full([NAND], C2, 3)
-        assert len(closure_slice([NAND], C2, 3, max_tables=256)[0]) == 256
+        monkeypatch.setattr(finite, "_MAX_TABLES", 256)
+        assert len(closure_slice([NAND], C2, 3)[0]) == 256
 
     def test_bound_refutes_fullness_without_a_fill(self, monkeypatch):
         # <AND, OR> preserves {0} and {1}; <AND, XOR> preserves {0}

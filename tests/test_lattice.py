@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import clonelab
+from clonelab import finite
 from clonelab.finite import (
     Carrier,
     OpTable,
@@ -19,6 +21,7 @@ from clonelab.ideals import PrincipalIdeal, preserves_ideal
 from clonelab.lattice import precompleteness_evidence, unary_interval_chain
 
 C2 = Carrier(2)
+C3 = Carrier(3)
 
 
 def zero_preserving_ops():
@@ -54,6 +57,20 @@ class TestPrecompleteness:
     def test_generator_above_the_working_cap(self):
         with pytest.raises(ValueError):
             precompleteness_evidence([OpTable(C2, 4, (0,) * 16)], C2, 2, 3)
+
+    def test_candidate_budget(self, monkeypatch):
+        # the constant 0 is a unary witness: no binary or ternary candidate
+        # (3^27 of them at cap 3) is enumerated before the answer
+        start = time.perf_counter()
+        verdict = precompleteness_evidence([], C3, 3, 4)
+        assert time.perf_counter() - start < 5
+        assert (verdict.kind, verdict.witness.table) == ("not-maximal", (0, 0, 0))
+        monkeypatch.setattr(finite, "_MAX_CANDIDATES", 27)
+        assert precompleteness_evidence([], C3, 3, 4).witness.table == (0, 0, 0)
+        # every unary operation is a member, so the 27 + 3^9 candidates of
+        # arity <= 2 come next, and they exceed the budget
+        with pytest.raises(ResourceLimitError):
+            precompleteness_evidence(list(all_op_tables(C3, 1)), C3, 2, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
