@@ -350,9 +350,11 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # over tuples that the engine is cross-checked against.
 #
 # Whether a slice is full needs no pool at arity >= 2 on carriers 2 and 3:
-# closure_slice_is_full asks whether the generators escape every maximal
-# clone (the relation lists below).  The engine answers it for unary slices
-# and carriers of 4 or more, and builds every slice's tables.
+# closure_slice_is_full and closure_slice both ask whether the generators
+# escape every maximal clone (the relation lists below), and a full slice is
+# listed as every table without running the engine.  The engine answers
+# fullness for unary slices and carriers of 4 or more, and builds every
+# other slice.  Either way the tables come back in table order.
 
 _BITMAP_SPACE = 1 << 20
 # Every public closure entry raises ResourceLimitError once a pool passes
@@ -690,6 +692,20 @@ def _maximal_relations(k: int) -> tuple[_Invariant, ...]:
                  for r in rels)
 
 
+def _kept_maximal_relations(gens: Sequence[OpTable], k: int) -> Iterator[_Invariant]:
+    """The maximal-clone relations every generator preserves, lazily, in list order."""
+    tables = [(np.asarray(g.table, dtype=np.uint8)[None], g.arity) for g in gens]
+    for inv in _maximal_relations(k):
+        if all(inv.preserved_by(table, m)[0] for table, m in tables):
+            yield inv
+
+
+def _escapes_every_maximal_clone(gens: Sequence[OpTable], k: int) -> bool:
+    """Whether <gens> lies in no maximal clone: its slices of arity >= 2 are
+    full (carriers 2 and 3 only)."""
+    return next(_kept_maximal_relations(gens, k), None) is None
+
+
 def _closure(
     gens: list[OpTable],
     carrier: Carrier,
@@ -764,17 +780,28 @@ def closure_slice(
 ) -> tuple[list[tuple[int, ...]], bool]:
     """The arity-slice of the bounded clone closure.
 
-    Returns (tables, is_full).  When stop_if_full is set the generation halts
-    the moment the pool reaches the subuniverse bound (the number of
-    operations preserving every subset all generators preserve; the full
-    space when there is no such proper subset), skipping the final
-    confirmation sweep (sound: the slice lies inside that bound, so it cannot
-    grow further).  The tables and their order are the same either way.
-    More than _MAX_TABLES tables raise ResourceLimitError.
+    Returns (tables, is_full), the tables in table-lexicographic order (the
+    order of all_op_tables) on every path.  When stop_if_full is set:
+    - at arity >= 2 on carriers 2 and 3, generators that escape every
+      maximal clone (closure_slice_is_full) get every table, listed without
+      running the engine;
+    - otherwise generation halts the moment the pool reaches the subuniverse
+      bound (the number of operations preserving every subset all generators
+      preserve), skipping the final confirmation sweep (sound: the slice lies
+      inside that bound, so it cannot grow further).
+    The tables are the same either way.  More than _MAX_TABLES tables raise
+    ResourceLimitError, at once when a full slice is that large.
     """
     gens = _normalized_generators(generators, carrier, include_all_unary)
+    k, width = carrier.size, carrier.size**arity
+    if stop_if_full and arity >= 2 and k <= 3 and _escapes_every_maximal_clone(gens, k):
+        if k**width > _MAX_TABLES:
+            raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {arity}")
+        return list(itertools.product(range(k), repeat=width)), True
     codes, full, _ = _closure(gens, carrier, arity, stop_if_full=stop_if_full)
-    rows = _unpack(codes, carrier.size, _limb_widths(carrier.size, carrier.size**arity))
+    # limb rows are ordered like their digits: most significant limb first
+    codes = codes[np.lexsort(codes.T[::-1])]
+    rows = _unpack(codes, k, _limb_widths(k, width))
     return list(map(tuple, rows.tolist())), full
 
 
@@ -854,9 +881,7 @@ def closure_slice_is_full(
     """
     gens = _normalized_generators(generators, carrier, False)
     if arity >= 2 and carrier.size <= 3:
-        tables = [(np.asarray(g.table, dtype=np.uint8)[None], g.arity) for g in gens]
-        return all(any(not inv.preserved_by(table, m)[0] for table, m in tables)
-                   for inv in _maximal_relations(carrier.size))
+        return _escapes_every_maximal_clone(gens, carrier.size)
     return _closure(gens, carrier, arity, full_only=True)[1]
 
 

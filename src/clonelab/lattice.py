@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .finite import (
     Carrier,
     OpSet,
@@ -22,6 +24,7 @@ from .finite import (
     conjugate,
     op_space_size,
     _check_candidate_budget,
+    _kept_maximal_relations,
 )
 
 _MAX_SLICE = 1 << 15  # unary_interval_chain builds no slice with more tables
@@ -48,8 +51,13 @@ def precompleteness_evidence(
 
     "Everything" is closure_slice_is_full at arity_cap: a full slice there
     implies full slices below it, by identifying variables, so no slice
-    above arity_cap is built.  working_cap changes no verdict; it must be at
-    least arity_cap + 1 and at least every generator's arity.  Before the
+    above arity_cap is built.  On carriers 2 and 3 at arity_cap >= 2,
+    gens + [f] is full exactly when f escapes each maximal clone holding all
+    of gens, so each such relation is checked once against the stacked
+    non-members of an arity, and the witness is the first of them in table
+    order that preserves one.  Elsewhere each candidate asks
+    closure_slice_is_full.  working_cap changes no verdict; it must be
+    at least arity_cap + 1 and at least every generator's arity.  Before the
     candidates of arity n are tried, ResourceLimitError is raised when the
     operations of arity <= n number more than pol's candidate budget.
     """
@@ -62,14 +70,23 @@ def precompleteness_evidence(
             raise ValueError(f"working cap {working_cap} below generator arity {g.arity}")
     if closure_slice_is_full(gens, carrier, arity_cap):
         return PrecompletenessVerdict("improper")
+    k = carrier.size
+    kept = list(_kept_maximal_relations(gens, k)) if arity_cap >= 2 and k <= 3 else None
     for n in range(1, arity_cap + 1):
         _check_candidate_budget(carrier, n)
         members = set(closure_slice(gens, carrier, n)[0])
-        for f in all_op_tables(carrier, n):
-            if f.table in members:
-                continue
-            if not closure_slice_is_full(gens + [f], carrier, arity_cap):
-                return PrecompletenessVerdict("not-maximal", witness=f)
+        outside = [t for t in itertools.product(range(k), repeat=k**n) if t not in members]
+        if kept is None:
+            witness = next((t for t in outside if not closure_slice_is_full(
+                gens + [OpTable(carrier, n, t)], carrier, arity_cap)), None)
+        else:
+            stack = np.array(outside, dtype=np.uint8).reshape(len(outside), k**n)
+            held = np.zeros(len(outside), dtype=bool)
+            for inv in kept:
+                held |= inv.preserved_by(stack, n)
+            witness = outside[held.argmax()] if held.any() else None
+        if witness is not None:
+            return PrecompletenessVerdict("not-maximal", witness=OpTable(carrier, n, witness))
     return PrecompletenessVerdict("precomplete-evidence")
 
 

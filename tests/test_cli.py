@@ -103,6 +103,17 @@ class TestFileDriven:
         assert code == 0
         assert report["counts_by_arity"] == {"1": 4, "2": 16}
 
+    def test_full_closure_at_cap_4(self, tmp_path):
+        # every slice of <NAND> is full, so the 65536-table arity-4 slice is
+        # listed from the maximal clones; a regression to a fill fails here
+        # instead of stalling
+        path = tmp_path / "gens.ops"
+        path.write_text(format_ops([("nand", OpTable(Carrier(2), 2, (1, 1, 1, 0)))]))
+        proc = run_cli_child("closure", "--carrier", "2", "--cap", "4", "--gens", str(path),
+                             timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["counts_by_arity"] == {"1": 4, "2": 16, "3": 256, "4": 65536}
+
     def test_pol_from_relation_file(self, capsys, tmp_path):
         rel = RelationTable.unary(Carrier(2), {0})
         path = tmp_path / "rels.rel"

@@ -1,12 +1,17 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import clonelab
 from clonelab import finite
 from clonelab.finite import (
     Carrier,
@@ -77,6 +82,11 @@ NOT = OpTable(C2, 1, (1, 0))
 def _op(k, arity, fn, perm=None):
     op = OpTable.from_fn(Carrier(k), arity, fn)
     return conjugate(op, perm) if perm else op
+
+
+def _engine_full(gens, carrier, arity, include_all_unary=False):
+    """The engine's fullness flag: a fill, never the maximal-clone lists."""
+    return _closure(_normalized_generators(gens, carrier, include_all_unary), carrier, arity)[1]
 
 
 def _agreement_cases():
@@ -275,6 +285,7 @@ class TestClosure:
             reference = reference_slice(gens, k, arity)
             assert len(tables) == len(set(tables)) == len(reference), (k, arity, gens)
             assert set(tables) == reference
+            assert tables == sorted(tables)  # table order, as all_op_tables lists them
             # stopping at the subuniverse bound changes neither the tables nor their order
             assert closure_slice(gens, carrier, arity) == (tables, full)
             assert full == (len(reference) == k ** (k**arity))
@@ -359,6 +370,41 @@ class TestClosure:
         core = reduce_generators(gens, C2, 2)
         assert len(core) <= len(gens)
         assert clone_closure(core, C2, 2).signature() == clone_closure(gens, C2, 2).signature()
+
+
+class TestFullSlicesFromTheMaximalClones:
+    SHEFFER = [
+        (2, 3, [NAND]),
+        (2, 3, [OpTable(C2, 2, (1, 0, 0, 0))]),  # NOR
+        (3, 2, [_op(3, 2, lambda x, y: (max(x, y) + 1) % 3)]),  # Webb
+    ]
+
+    def test_full_slices_are_listed_without_the_engine(self, monkeypatch):
+        applied = _count_operand_tuples(monkeypatch)
+        for k, n, gens in self.SHEFFER:
+            tables, full = closure_slice(gens, Carrier(k), n)
+            assert tables == list(itertools.product(range(k), repeat=k**n)) and full, (k, n)
+        assert applied == [0]
+        assert closure_slice([NAND], C2, 3) == closure_slice([NAND], C2, 3, stop_if_full=False)
+        assert applied[0] > 0
+
+    def test_a_full_slice_past_the_budget_raises_at_once(self):
+        # 2^32 tables at arity 5: the error comes before any table is listed
+        code = (
+            "from clonelab.finite import Carrier, OpTable, ResourceLimitError, clone_closure, closure_slice\n"
+            "nand = OpTable(Carrier(2), 2, (1, 1, 1, 0))\n"
+            "for entry in (closure_slice, clone_closure):\n"
+            "    try:\n"
+            "        entry([nand], Carrier(2), 5)\n"
+            "    except ResourceLimitError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(clonelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=20, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"slice exceeded {finite._MAX_TABLES} tables at arity 5"] * 2
 
 
 def _count_operand_tuples(monkeypatch) -> list[int]:
@@ -555,7 +601,7 @@ class TestMaximalClones:
             for inv in _maximal_relations(k):
                 witness = _outside_witness(inv)
                 assert not respects(witness, inv.relation)
-                assert closure_slice([witness] + _pol_slice(inv, n), Carrier(k), 2)[1], (
+                assert _engine_full([witness] + _pol_slice(inv, n), Carrier(k), 2), (
                     inv.relation, witness)
 
     def test_list_agrees_with_the_engine(self):
@@ -580,7 +626,7 @@ class TestMaximalClones:
         verdicts = []
         for k, n, gens in cases:
             full = closure_slice_is_full(gens, Carrier(k), n)
-            assert full == closure_slice(gens, Carrier(k), n)[1], (k, n, gens)
+            assert full == _engine_full(gens, Carrier(k), n), (k, n, gens)
             verdicts.append(full)
         assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
@@ -599,9 +645,9 @@ class TestMaximalClones:
         assert regular3.tuples == {t for t in itertools.product(range(3), repeat=3) if len(set(t)) < 3}
         # the engine's check: all unary operations plus one binary operation
         # outside that clone fill the binary slice
-        assert closure_slice([AND], C2, 2, include_all_unary=True)[1]
-        assert closure_slice([_op(3, 2, lambda x, y: (x + y) % 3)], C3, 2,
-                             include_all_unary=True)[1]
+        assert _engine_full([AND], C2, 2, include_all_unary=True)
+        assert _engine_full([_op(3, 2, lambda x, y: (x + y) % 3)], C3, 2,
+                            include_all_unary=True)
 
 
 binary_ops = st.builds(

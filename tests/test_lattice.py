@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -12,10 +13,13 @@ from clonelab import finite
 from clonelab.finite import (
     Carrier,
     OpTable,
+    RelationTable,
     ResourceLimitError,
     all_op_tables,
     clone_closure,
+    format_ops,
     op_space_size,
+    pol,
 )
 from clonelab.ideals import PrincipalIdeal, preserves_ideal
 from clonelab.lattice import precompleteness_evidence, unary_interval_chain
@@ -110,6 +114,26 @@ class TestPrecompleteness:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "precomplete-evidence"
 
+
+    def test_candidates_meet_the_kept_relations_once(self, tmp_path):
+        # Pol at cap 2 of the graph of x + 1 (3 unary and 27 binary
+        # operations) lies in one maximal clone: its 19,656 binary
+        # non-members are checked against that relation in one stack, then
+        # the ternary candidates of arity 3 exceed the budget (exit 3)
+        shift = RelationTable(C3, 2, frozenset((x, (x + 1) % 3) for x in range(3)))
+        gens = list(pol(shift, 2))
+        assert len(gens) == 30
+        path = tmp_path / "gens.ops"
+        path.write_text(format_ops([(f"g{i}", g) for i, g in enumerate(gens)]))
+        src = str(Path(clonelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "clonelab.cli", "precomplete", "--carrier", "3", "--cap", "3",
+             "--working-cap", "4", "--gens", str(path)],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "budget" in json.loads(proc.stdout)["error"]
 
 def _reference_evidence(gens, carrier, arity_cap, working_cap):
     """(kind, witness) from whole closures at the working cap, checking every
