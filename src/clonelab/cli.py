@@ -30,7 +30,7 @@ from .finite import (
     OpTable,
     RelationTable,
     ResourceLimitError,
-    clone_closure,
+    closure_slice,
     parse_ops,
     parse_relations,
     pol,
@@ -120,7 +120,12 @@ def cmd_closure(args) -> tuple[int, dict]:
     gens = []
     if args.gens:
         gens = [op for _, op in _load_ops(args.gens)]
-    closed = clone_closure(gens, carrier, args.cap, include_all_unary=args.include_all_unary)
+    for g in gens:
+        if g.arity > args.cap:
+            raise UsageError(f"arity cap {args.cap} below generator arity {g.arity}")
+    # the slices are only counted, so their tables are never wrapped as OpTables
+    counts = {n: len(closure_slice(gens, carrier, n, args.include_all_unary)[0])
+              for n in range(1, args.cap + 1)}
     return OK, {
         "experiment": "closure",
         "parameters": {
@@ -129,8 +134,8 @@ def cmd_closure(args) -> tuple[int, dict]:
             "include_all_unary": args.include_all_unary,
             "generators": len(gens),
         },
-        "counts_by_arity": closed.counts(),
-        "total": len(closed),
+        "counts_by_arity": counts,
+        "total": sum(counts.values()),
     }
 
 

@@ -329,7 +329,19 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # ---------------------------------------------------------------------------
 # Bounded clone closure.
 #
-# One engine computes every slice.  An n-ary table is a row of k^n digits,
+# closure_slice takes one of three routes, tried in this order; each returns
+# the same tables, in table order:
+# - full slices (arity >= 2, carriers 2 and 3) are listed from the maximal
+#   clones, with no pool (see the relation lists below);
+# - slices of clones with a majority term (arity >= 4, carriers 2 and 3, pair
+#   tables of at most _BITMAP_SPACE entries) are enumerated from their binary
+#   invariants by the Baker-Pixley route (see _majority_slice);
+# - every other slice is filled by the engine.  Carrier 4 stays on the
+#   engine on purpose: on the 4-chain at arity 4 the pair route, with its
+#   ternary detection, costs about what the fill costs, and carrier 4 has
+#   no relation list for the affine shortcut.
+#
+# The engine.  An n-ary table is a row of k^n digits,
 # cut into at least two near-equal limbs of at most c digits, where
 # k^(2c) <= 2^16: a limb fits in a byte, and a unary or binary generator acts
 # limb by limb through a lookup table of at most 2^16 entries.  Generators of
@@ -351,10 +363,8 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 #
 # Whether a slice is full needs no pool at arity >= 2 on carriers 2 and 3:
 # closure_slice_is_full and closure_slice both ask whether the generators
-# escape every maximal clone (the relation lists below), and a full slice is
-# listed as every table without running the engine.  The engine answers
-# fullness for unary slices and carriers of 4 or more, and builds every
-# other slice.  Either way the tables come back in table order.
+# escape every maximal clone.  The engine answers fullness for unary slices
+# and carriers of 4 or more.
 
 _BITMAP_SPACE = 1 << 20
 # Every public closure entry raises ResourceLimitError once a pool passes
@@ -743,6 +753,107 @@ def _closure(
     return eng.limbs[: eng.count], eng.full, activated
 
 
+# Baker and Pixley (1975): when <G> has a majority term, an n-ary f is in <G>
+# exactly when, for every pair of points p, q of X^n, the pair (f(p), f(q))
+# lies in the subuniverse of A^2 that G generates from the column pairs
+# (p_i, q_i).  The same holds for a partial table on any set of points, so
+# the partial tables that meet the constraints among their first t positions
+# are exactly the first t digits of the slice's tables.  Extending them one
+# position at a time lists the slice in table order, and no partial table is
+# ever dropped.
+
+
+def _is_majority(tables: np.ndarray, k: int) -> np.ndarray:
+    """Which ternary tables (one per row) satisfy m(x,x,y) = m(x,y,x) = m(y,x,x) = x."""
+    x, y = np.divmod(np.arange(k * k), k)
+    index = np.concatenate([(x * k + x) * k + y, (x * k + y) * k + x, (y * k + x) * k + x])
+    return (tables[:, index] == np.tile(x, 3)).all(axis=1)
+
+
+def _has_majority_term(gens: list[OpTable], carrier: Carrier) -> bool:
+    """Whether <gens> holds a majority operation (carriers 2 and 3).
+
+    First among the generators.  Then, when every generator preserves the
+    affine relation x + y = z + u, <gens> holds only the operations
+    a_1.x_1 + .. + a_m.x_m + c over Z_k, and no ternary one is a majority:
+    m(x,x,y) = x forces a_3 = 0, likewise a_2 = a_1 = 0, and then m(x,x,x) = c
+    is not x.  Otherwise the answer is read off the ternary slice, which is no
+    larger than any slice of higher arity; it is filled under the same budget.
+    """
+    k = carrier.size
+    ternary = [g.table for g in gens if g.arity == 3]
+    if ternary and _is_majority(np.array(ternary, dtype=np.uint8), k).any():
+        return True
+    affine = next(inv for inv in _maximal_relations(k) if inv.relation.width == 4)
+    if all(affine.preserved_by(np.asarray(g.table, dtype=np.uint8)[None], g.arity)[0] for g in gens):
+        return False
+    codes = _closure(gens, carrier, 3)[0]
+    return bool(_is_majority(_unpack(codes, k, _limb_widths(k, k**3)), k).any())
+
+
+def _pair_subuniverses(gens: Sequence[OpTable], k: int, arity: int) -> np.ndarray:
+    """For points p, q of X^arity (by table index), the subuniverse of A^2 that
+    gens generate from the column pairs (p_i, q_i).
+
+    A subset of A^2 is a bitmask over the pair codes a.k + b.  The k^(2 arity)
+    masks are built one coordinate at a time.  The distinct ones, at most
+    2^(k^2), are closed together to a fixpoint under every generator, each
+    acting on A^2 through a table over its k^(2m) m-tuples of pairs.
+    """
+    codes = np.arange(k * k, dtype=np.uint16)
+    bits = np.left_shift(1, codes, dtype=np.uint16)
+    masks = np.zeros((1, 1), dtype=np.uint16)
+    for _ in range(arity):
+        masks = (masks[:, None, :, None] | bits.reshape(1, k, 1, k)).reshape(len(masks) * k, -1)
+    distinct, where = np.unique(masks.ravel(), return_inverse=True)
+    actions = []
+    for g in gens:
+        tuples = _digits(np.arange(k ** (2 * g.arity)), k * k, g.arity)  # pair codes
+        lut, places = np.asarray(g.table, dtype=np.intp), k ** np.arange(g.arity - 1, -1, -1)
+        image = lut[(tuples // k) @ places] * k + lut[(tuples % k) @ places]
+        actions.append((tuples, bits[image]))
+    closed = distinct
+    while True:
+        grown = closed.copy()
+        for tuples, image in actions:
+            step = max(1, _BITMAP_SPACE // len(tuples))
+            for start in range(0, len(grown), step):
+                members = (grown[start : start + step, None] >> codes) & 1
+                applies = members[:, tuples].all(axis=2)  # every operand pair is a member
+                grown[start : start + step] |= np.bitwise_or.reduce(
+                    np.where(applies, image, 0), axis=1)
+        if np.array_equal(grown, closed):
+            return closed[where].reshape(masks.shape)
+        closed = grown
+
+
+def _majority_slice(gens: Sequence[OpTable], k: int, arity: int) -> np.ndarray:
+    """The arity-slice of <gens>, which holds a majority operation, as digit
+    rows in table order; ResourceLimitError once the partial rows pass
+    _MAX_TABLES (each level is a projection of the slice, so it is no larger)."""
+    width = k**arity
+    pairs = _pair_subuniverses(gens, k, arity)
+    values = np.arange(k, dtype=np.uint16)
+    rows = np.zeros((1, width), dtype=np.uint8)
+    for t in range(width):
+        # v may follow a row at t when (v, v) lies in the subuniverse of the
+        # points (t, t), and (row[s], v) in that of (s, t) for each s < t
+        allowed = np.full(len(rows), ((pairs[t, t] >> values * (k + 1)) & 1) @ (1 << values),
+                          dtype=np.uint16)
+        if t:
+            step = max(1, _TILE_BYTES // (2 * t))  # uint16 shifts per tile
+            for start in range(0, len(rows), step):
+                shifts = rows[start : start + step, :t] * np.uint16(k)
+                allowed[start : start + step] &= np.bitwise_and.reduce(pairs[:t, t] >> shifts, axis=1)
+        parent, value = np.nonzero((allowed[:, None] >> values) & 1)
+        if len(parent) > _MAX_TABLES:
+            raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {arity}")
+        if len(parent) != len(rows) or not np.array_equal(parent, np.arange(len(rows))):
+            rows = rows[parent]  # most levels branch nowhere and skip this copy
+        rows[:, t] = value
+    return rows
+
+
 def _normalized_generators(
     generators: Sequence[OpTable], carrier: Carrier, include_all_unary: bool
 ) -> list[OpTable]:
@@ -781,23 +892,36 @@ def closure_slice(
     """The arity-slice of the bounded clone closure.
 
     Returns (tables, is_full), the tables in table-lexicographic order (the
-    order of all_op_tables) on every path.  When stop_if_full is set:
+    order of all_op_tables) on every route.  When stop_if_full is set, three
+    routes are tried in turn:
     - at arity >= 2 on carriers 2 and 3, generators that escape every
       maximal clone (closure_slice_is_full) get every table, listed without
       running the engine;
-    - otherwise generation halts the moment the pool reaches the subuniverse
-      bound (the number of operations preserving every subset all generators
-      preserve), skipping the final confirmation sweep (sound: the slice lies
-      inside that bound, so it cannot grow further).
-    The tables are the same either way.  More than _MAX_TABLES tables raise
-    ResourceLimitError, at once when a full slice is that large.
+    - at arity >= 4 on carriers 2 and 3, when <G> has a majority term and the
+      pair tables (k^(2n) entries, n the larger of arity and the widest
+      generator) fit in _BITMAP_SPACE, the slice is enumerated from the
+      subuniverses of A^2 (Baker-Pixley, _majority_slice);
+    - otherwise the engine fills the slice and halts the moment the pool
+      reaches the subuniverse bound (the number of operations preserving
+      every subset all generators preserve), skipping the final confirmation
+      sweep (sound: the slice lies inside that bound, so it cannot grow
+      further).
+    Carrier 4 and above always take the engine: on the 4-chain the pair
+    route gains nothing measurable.  Without stop_if_full the engine sweeps every operand
+    tuple.  The tables are the same on every route.  More than _MAX_TABLES
+    tables raise ResourceLimitError, at once when a full slice is that large.
     """
     gens = _normalized_generators(generators, carrier, include_all_unary)
     k, width = carrier.size, carrier.size**arity
-    if stop_if_full and arity >= 2 and k <= 3 and _escapes_every_maximal_clone(gens, k):
-        if k**width > _MAX_TABLES:
-            raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {arity}")
-        return list(itertools.product(range(k), repeat=width)), True
+    if stop_if_full and arity >= 2 and k <= 3:
+        if _escapes_every_maximal_clone(gens, k):
+            if k**width > _MAX_TABLES:
+                raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {arity}")
+            return list(itertools.product(range(k), repeat=width)), True
+        widest = max([arity] + [g.arity for g in gens])
+        if arity >= 4 and k ** (2 * widest) <= _BITMAP_SPACE and _has_majority_term(gens, carrier):
+            rows = _majority_slice(gens, k, arity)
+            return list(map(tuple, rows.tolist())), len(rows) == k**width
     codes, full, _ = _closure(gens, carrier, arity, stop_if_full=stop_if_full)
     # limb rows are ordered like their digits: most significant limb first
     codes = codes[np.lexsort(codes.T[::-1])]

@@ -114,6 +114,39 @@ class TestFileDriven:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["counts_by_arity"] == {"1": 4, "2": 16, "3": 256, "4": 65536}
 
+    def test_closure_counts_match_clone_closure(self, capsys, tmp_path, monkeypatch):
+        # the command counts the slices without building an OpTable per table;
+        # its counts are those of the OpSet clone_closure builds
+        from clonelab.finite import clone_closure
+
+        gens = [OpTable(Carrier(2), 2, (0, 0, 0, 1))]
+        path = tmp_path / "gens.ops"
+        path.write_text(format_ops([("and", gens[0])]))
+        closed = clone_closure(gens, Carrier(2), 3, include_all_unary=True)
+        built = [0]
+        post_init = OpTable.__post_init__
+
+        def counted(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(OpTable, "__post_init__", counted)
+        code, report = run_cli(capsys, "closure", "--carrier", "2", "--cap", "3",
+                               "--gens", str(path), "--include-all-unary")
+        assert code == 0
+        assert report["counts_by_arity"] == {str(n): c for n, c in closed.counts().items()}
+        assert report["total"] == len(closed) == 4 + 16 + 256
+        # the parsed generator and the unary operations each slice adds
+        assert built[0] < len(closed)
+
+    def test_closure_generator_above_the_cap_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "gens.ops"
+        path.write_text(format_ops([("and", OpTable(Carrier(2), 2, (0, 0, 0, 1)))]))
+        code, report = run_cli(capsys, "closure", "--carrier", "2", "--cap", "1",
+                               "--gens", str(path))
+        assert code == 2
+        assert report["error"] == "arity cap 1 below generator arity 2"
+
     def test_pol_from_relation_file(self, capsys, tmp_path):
         rel = RelationTable.unary(Carrier(2), {0})
         path = tmp_path / "rels.rel"

@@ -407,6 +407,153 @@ class TestFullSlicesFromTheMaximalClones:
         assert proc.stdout.splitlines() == [f"slice exceeded {finite._MAX_TABLES} tables at arity 5"] * 2
 
 
+def _median(k, perm=None):
+    return _op(k, 3, lambda a, b, c: sorted((a, b, c))[1], perm)
+
+
+def _engine_slice(gens, carrier, arity):
+    """The slice as the engine fills it: _closure called directly, in table order."""
+    codes = _closure(_normalized_generators(gens, carrier, False), carrier, arity)[0]
+    rows = finite._unpack(codes, carrier.size, finite._limb_widths(carrier.size, carrier.size**arity))
+    return sorted(map(tuple, rows.tolist()))
+
+
+def _closure_arities(monkeypatch) -> list[int]:
+    """The slice arity of every _closure call, in call order."""
+    arities = []
+    closure = finite._closure
+
+    def recorded(gens, carrier, arity, **kwargs):
+        arities.append(arity)
+        return closure(gens, carrier, arity, **kwargs)
+
+    monkeypatch.setattr(finite, "_closure", recorded)
+    return arities
+
+
+class TestBakerPixleyRoute:
+    # Literature counts the route now reaches, with their sources
+    LITERATURE = [
+        # the free distributive lattice on five generators: Dedekind D(5) - 2
+        # (OEIS A000372)
+        (C2, [AND, OR], 5, 7579),
+        # median terms on a chain: the self-dual monotone Boolean functions
+        # (OEIS A001206), on the 3-chain at arity 5 and on {0, 1} at arity 6
+        (C3, [_median(3)], 5, 81),
+        (C2, [_median(2)], 6, 2646),
+        # the self-dual clone D = <maj, not>: all 2^(2^5 / 2) self-dual functions
+        (C2, [_median(2), NOT], 5, 2**16),
+    ]
+
+    def test_literature_counts(self, monkeypatch):
+        arities = _closure_arities(monkeypatch)
+        for carrier, gens, n, count in self.LITERATURE:
+            tables, full = closure_slice(gens, carrier, n)
+            assert len(tables) == len(set(tables)) == count and not full, (gens, n)
+            assert tables == sorted(tables)
+        # no engine fill at the slice arity; <AND, OR> finds its majority term
+        # in the ternary slice
+        assert arities == [3]
+
+    def test_tables_meet_their_defining_properties(self):
+        # independent of the counts: the <AND, OR> tables are monotone and
+        # nonconstant, the <maj, not> tables self-dual, so with the counts
+        # above each slice is all of its class
+        lattice = np.array(closure_slice([AND, OR], C2, 5)[0])
+        points = np.arange(32)
+        for bit in (1, 2, 4, 8, 16):
+            low = points[points & bit == 0]
+            assert (lattice[:, low] <= lattice[:, low + bit]).all()
+        assert (lattice.min(axis=1) == 0).all() and (lattice.max(axis=1) == 1).all()
+        self_dual = np.array(closure_slice([_median(2), NOT], C2, 5)[0])
+        assert (self_dual == 1 - self_dual[:, ::-1]).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_route_matches_the_engine(self, data):
+        k = data.draw(st.sampled_from([2, 3]))
+        carrier = Carrier(k)
+        if k == 2 or data.draw(st.booleans()):
+            majority = _median(k, data.draw(st.permutations(range(k))))
+        else:
+            # the majority identities fix every entry but the six at points
+            # with three distinct coordinates
+            table = [sorted(t)[1] for t in itertools.product(range(3), repeat=3)]
+            for i, t in enumerate(itertools.product(range(3), repeat=3)):
+                if len(set(t)) == 3:
+                    table[i] = data.draw(st.integers(0, 2))
+            majority = OpTable(C3, 3, tuple(table))
+        # the other operations preserve one or all of the maximal-clone
+        # relations the majority preserves, so that many slices stay small
+        kept = [inv for inv in _maximal_relations(k)
+                if inv.preserved_by(np.array([majority.table], dtype=np.uint8), 3)[0]]
+        kept = data.draw(st.sampled_from([kept] + [[inv] for inv in kept]))
+        extras = []
+        for m in data.draw(st.lists(st.integers(1, 3 if k == 2 else 2), max_size=2)):
+            tables = _all_tables(k, m)
+            inside = tables[np.logical_and.reduce([inv.preserved_by(tables, m) for inv in kept])]
+            extras.append(OpTable(carrier, m, tuple(data.draw(st.sampled_from(inside.tolist())))))
+        gens = _normalized_generators([majority] + extras, carrier, False)
+        assert finite._has_majority_term(gens, carrier)
+        # the engine's fills cost about |slice|^3 operand tuples, so the budget
+        # is small; past it both must raise
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(finite, "_MAX_TABLES", 200)
+            try:
+                route = list(map(tuple, finite._majority_slice(gens, k, 4).tolist()))
+            except ResourceLimitError:
+                route = None
+            try:
+                engine = _engine_slice(gens, carrier, 4)
+            except ResourceLimitError:
+                engine = None
+        assert route == engine
+        if engine is not None and len(engine) <= 20:
+            assert set(route) == reference_slice(gens, k, 4)
+
+    def test_detection(self, monkeypatch):
+        minority3 = _op(3, 3, lambda x, y, z: (x - y + z) % 3)
+        plus3, one3 = _op(3, 2, lambda x, y: (x + y) % 3), _op(3, 1, lambda x: 1)
+        xor3 = _op(2, 3, lambda x, y, z: x ^ y ^ z)
+        arities = _closure_arities(monkeypatch)
+        # a generator is one; the lattice operations reach one in the ternary slice
+        for carrier, gens in ((C3, [_median(3)]), (C2, [AND, OR]),
+                              (C3, [_op(3, 2, min), _op(3, 2, max)])):
+            assert finite._has_majority_term(gens, carrier), gens
+        assert arities == [3, 3]
+        # affine generators answer at once; <AND> holds only conjunctions
+        for carrier, gens in ((C3, [minority3]), (C3, [plus3, one3]), (C2, [xor3]), (C2, [AND])):
+            assert not finite._has_majority_term(gens, carrier), gens
+        assert arities == [3, 3, 3]
+
+    def test_no_affine_operation_is_a_majority(self):
+        # brute force behind the affine shortcut: every a.x + b.y + c.z + d
+        # over Z_k preserves x + y = z + u, and none is a majority
+        for k in (2, 3):
+            affine = next(inv for inv in _maximal_relations(k) if inv.relation.width == 4)
+            tables = np.array([[(a * x + b * y + c * z + d) % k
+                                for x, y, z in itertools.product(range(k), repeat=3)]
+                               for a, b, c, d in itertools.product(range(k), repeat=4)],
+                              dtype=np.uint8)
+            assert affine.preserved_by(tables, 3).all()
+            assert not finite._is_majority(tables, k).any()
+        # the identities themselves: majority is the one Boolean majority operation
+        every = _all_tables(2, 3)
+        assert every[finite._is_majority(every, 2)].tolist() == [list(_median(2).table)]
+        # and the affine Pol_3 on Z_2 holds nothing else
+        assert pol(_maximal_relations(2)[4].relation, 3).counts()[3] == 16
+
+    def test_route_budget(self, monkeypatch):
+        # each level of partial tables is a projection of the slice, so the
+        # run stops at the first level past the budget: the self-dual slice at
+        # arity 6 has 2^32 tables, far too many to list before raising
+        monkeypatch.setattr(finite, "_MAX_TABLES", 1000)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="exceeded 1000 tables at arity 6"):
+            closure_slice([_median(2), NOT], C2, 6)
+        assert time.perf_counter() - start < 5
+
+
 def _count_operand_tuples(monkeypatch) -> list[int]:
     """A counter of the operand tuples unary and binary generators apply."""
     applied = [0]
