@@ -285,10 +285,20 @@ class _Invariant:
         return ok
 
 
+# Table entries and relation rows are held as bytes.
+_MAX_CARRIER = 1 << 8
+
+
+def _check_carrier(carrier: Carrier) -> None:
+    if carrier.size > _MAX_CARRIER:
+        raise ValueError(f"carrier size {carrier.size} above {_MAX_CARRIER}: table entries are bytes")
+
+
 def respects(f: OpTable, relation: RelationTable) -> bool:
     """Whether f maps tuples of the relation coordinatewise into the relation."""
     if f.carrier != relation.carrier:
         raise ValueError("carrier mismatch between operation and relation")
+    _check_carrier(f.carrier)
     table = np.asarray(f.table, dtype=np.uint8)[None]
     return bool(_Invariant(relation).preserved_by(table, f.arity)[0])
 
@@ -353,18 +363,25 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # members of the clone generated so far (a generator that is already a term
 # function adds nothing).
 #
-# A run may stop as soon as the pool reaches the subuniverse bound: the
-# number of n-ary operations preserving every subset that all generators
-# preserve (the unary relations of Rosenberg's theorem).  The slice lies
-# inside that Pol, so a pool of that size is the whole slice and no later
-# operand tuple can add a table.  With only trivial subuniverses the bound is
-# k^(k^n), the full space.  tests/closure_reference.py is a plain fixpoint
-# over tuples that the engine is cross-checked against.
+# Two relational facts serve the routes, and one kernel, _subuniverses,
+# computes both: the subuniverses of A^d that the generators generate from
+# the columns of d points of X^n.
+# - d = 1 gives the subuniverse bound: the number of n-ary operations
+#   preserving every subset that all generators preserve (the unary
+#   relations of Rosenberg's theorem).  The slice lies inside that Pol, so
+#   the engine stops as soon as its pool reaches the bound; no later operand
+#   tuple can add a table.  With only trivial subuniverses the bound is
+#   k^(k^n), the full space.
+# - d = 2 gives the pair tables of the Baker-Pixley route.
+# tests/closure_reference.py is a plain fixpoint over tuples that the engine
+# is cross-checked against, and tests/subuniverse_reference.py one over
+# pairs for the kernel.
 #
 # Whether a slice is full needs no pool at arity >= 2 on carriers 2 and 3:
 # closure_slice_is_full and closure_slice both ask whether the generators
-# escape every maximal clone.  The engine answers fullness for unary slices
-# and carriers of 4 or more.
+# escape every maximal clone.  For unary slices and carriers of 4 or more,
+# closure_slice_is_full answers False from a bound below the space, and asks
+# the engine otherwise.
 
 _BITMAP_SPACE = 1 << 20
 # Every public closure entry raises ResourceLimitError once a pool passes
@@ -441,16 +458,15 @@ class _CodeEngine:
     seen once while letting freshly found tables circulate quickly.
 
     The run stops once the pool holds bound tables, since it then is the
-    whole slice.
+    whole slice; with no bound it applies every operand tuple.
     """
 
-    def __init__(self, k: int, arity: int, stop_if_full: bool, bound: int):
+    def __init__(self, k: int, arity: int, bound: int | None):
         self.k = k
         self.arity = arity
         self.width = k**arity
         self.space = k**self.width
-        self.stop_if_full = stop_if_full
-        self.bound = bound  # no slice the generators reach holds more tables
+        self.bound = bound  # no slice the generators reach holds more tables; None sweeps
         self.widths = _limb_widths(k, self.width)
         self.scale = [k ** sum(self.widths[i + 1 :]) for i in range(len(self.widths))]
         self.bitmap = np.zeros(self.space, dtype=bool) if self.space <= _BITMAP_SPACE else None
@@ -519,7 +535,7 @@ class _CodeEngine:
 
     @property
     def done_enough(self) -> bool:
-        return self.stop_if_full and self.count == self.bound
+        return self.count == self.bound
 
     # -- generator application ----------------------------------------------
 
@@ -620,47 +636,71 @@ def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:
     return out
 
 
+def _subuniverses(
+    gens: Sequence[OpTable], k: int, arity: int, power: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The subuniverses of A^power that gens generate from the columns of
+    power points of X^arity: the i-th coordinates of points p_1..p_power form
+    a column, coded with the leftmost coordinate most significant.  Returns
+    (sets, where): sets holds subuniverses as bool rows over the k^power
+    codes, and sets[where[p_1, .., p_power]] (points by table index) is the
+    one generated by the columns of p_1..p_power.
+
+    The column sets are built one coordinate at a time: the set of a point
+    tuple is the set of its prefix plus its last column, so only distinct
+    sets are stored.  They are closed together to a fixpoint under every
+    generator, each acting on A^power through a table over its k^(power m)
+    m-tuples of columns; a set that a round leaves unchanged is closed and
+    drops out of the next.
+    """
+    size = k**power
+    sets = np.zeros((1, size), dtype=bool)
+    where = np.zeros((1,) * power, dtype=np.intp)
+    columns = np.arange(size).reshape((1, k) * power)  # the new column, by its coordinates
+    for _ in range(arity):
+        grown = (sets[:, None] | np.eye(size, dtype=bool)).reshape(-1, size)  # set d plus column c
+        _, first, inverse = np.unique(_row_keys(grown), return_index=True, return_inverse=True)
+        sets = grown[first]
+        prefix = where.reshape([n for a in where.shape for n in (a, 1)])
+        where = inverse[prefix * size + columns].reshape([a * k for a in where.shape])
+    actions = []
+    for m in sorted({g.arity for g in gens}):
+        luts = np.array([g.table for g in gens if g.arity == m], dtype=np.intp)
+        tuples = np.indices((size,) * m).reshape(m, -1).T  # m-tuples of column codes
+        image = np.zeros((len(luts), len(tuples)), dtype=np.intp)
+        for place in k ** np.arange(power - 1, -1, -1):  # one coordinate of the columns
+            image = image * k + luts[:, (tuples // place % k) @ k ** np.arange(m - 1, -1, -1)]
+        # the m-ary generators act as one: each (operand tuple, image) pair once
+        reach = np.zeros((len(tuples), size), dtype=bool)
+        reach[np.arange(len(tuples)), image] = True
+        at, image = np.nonzero(reach)
+        actions.append((tuples[at], image))
+    todo = np.arange(len(sets))
+    while len(todo):
+        grown = sets[todo]
+        for tuples, image in actions:
+            step = max(1, _BITMAP_SPACE // len(tuples))
+            for start in range(0, len(grown), step):
+                # every operand column is a member: the image column is one
+                rows, at = np.nonzero(grown[start : start + step][:, tuples].all(axis=2))
+                grown[start + rows, image[at]] = True
+        changed = (grown != sets[todo]).any(axis=1)
+        sets[todo] = grown
+        todo = todo[changed]
+    return sets, where
+
+
 def _subuniverse_bound(gens: Sequence[OpTable], k: int, arity: int) -> int:
     """|Pol_arity| of every subset that all of gens preserve.
 
     An operation f preserves every such subuniverse exactly when, at each
     point x of X^arity, f(x) lies in Sg(x_1..x_n), the subuniverse the
-    coordinates of x generate.  So the count is the product of
-    |Sg(x_1..x_n)| over the points, grouped here by coordinate set: s-element
-    sets are the coordinate sets of surj(s) points each.  Every slice the
-    generators reach lies inside that Pol.
+    coordinates of x generate.  So the count is the product of |Sg(x_1..x_n)|
+    over the points.  Every slice the generators reach lies inside that Pol.
     """
-    # reach[m][t]: bitmask of the values m-ary generators take at index t
-    reach: dict[int, list[int]] = {}
-    for g in gens:
-        values = reach.setdefault(g.arity, [0] * len(g.table))
-        for t, v in enumerate(g.table):
-            values[t] |= 1 << v
-    everything = (1 << k) - 1
-    generated: dict[int, int] = {}
-    bound = 1
-    for size in range(1, min(k, arity) + 1):
-        surj = sum((-1) ** j * math.comb(size, j) * (size - j) ** arity for j in range(size + 1))
-        for coords in itertools.combinations(range(k), size):
-            start = mask = sum(1 << x for x in coords)
-            if size > 1:  # Sg is monotone: start from what the subsets one smaller generate
-                for x in coords:
-                    mask |= generated[start & ~(1 << x)]
-            while mask != everything:
-                members = [x for x in range(k) if mask >> x & 1]
-                grown = mask
-                for m, values in reach.items():
-                    index = [0]
-                    for _ in range(m):
-                        index = [i * k + x for i in index for x in members]
-                    for i in index:
-                        grown |= values[i]
-                if grown == mask:
-                    break
-                mask = grown
-            generated[start] = mask
-            bound *= mask.bit_count() ** surj
-    return bound
+    sets, where = _subuniverses(gens, k, arity, 1)
+    points = np.bincount(where, minlength=len(sets))
+    return math.prod(int(size) ** int(n) for size, n in zip(sets.sum(axis=1), points))
 
 
 # Rosenberg's theorem on a finite carrier: every proper clone lies in a
@@ -717,25 +757,16 @@ def _escapes_every_maximal_clone(gens: Sequence[OpTable], k: int) -> bool:
 
 
 def _closure(
-    gens: list[OpTable],
-    carrier: Carrier,
-    arity: int,
-    *,
-    stop_if_full: bool = True,
-    full_only: bool = False,
+    gens: list[OpTable], carrier: Carrier, arity: int, *, sweep: bool = False
 ) -> tuple[np.ndarray, bool, list[OpTable]]:
-    """The one closure entry: (pool limb rows, full, activated generators).
+    """The engine's fill of one slice: (pool limb rows, full, activated generators).
 
-    full_only callers read only the flag: when the subuniverse bound is below
-    the space the slice cannot be full, and the run returns an empty pool
-    without applying any generator.  closure_slice_is_full sends only unary
-    slices and carriers of 4 or more here; it answers the rest from the
-    maximal clones.
+    The run stops once the pool reaches the subuniverse bound.  With sweep it
+    applies every operand tuple instead: the tests hold the bound stop
+    against that run.
     """
-    eng = _CodeEngine(carrier.size, arity, stop_if_full,
-                      _subuniverse_bound(gens, carrier.size, arity))
-    if full_only and eng.bound < eng.space:
-        return eng.limbs[:0], False, []
+    k = carrier.size
+    eng = _CodeEngine(k, arity, None if sweep else _subuniverse_bound(gens, k, arity))
     tuple_prefix = np.array(list(carrier.tuples(arity)), dtype=np.int64)
     projections = tuple_prefix.T.astype(np.uint8)
     eng.add(eng.keys_of(_pack(projections, eng.k, eng.widths)))
@@ -791,48 +822,13 @@ def _has_majority_term(gens: list[OpTable], carrier: Carrier) -> bool:
     return bool(_is_majority(_unpack(codes, k, _limb_widths(k, k**3)), k).any())
 
 
-def _pair_subuniverses(gens: Sequence[OpTable], k: int, arity: int) -> np.ndarray:
-    """For points p, q of X^arity (by table index), the subuniverse of A^2 that
-    gens generate from the column pairs (p_i, q_i).
-
-    A subset of A^2 is a bitmask over the pair codes a.k + b.  The k^(2 arity)
-    masks are built one coordinate at a time.  The distinct ones, at most
-    2^(k^2), are closed together to a fixpoint under every generator, each
-    acting on A^2 through a table over its k^(2m) m-tuples of pairs.
-    """
-    codes = np.arange(k * k, dtype=np.uint16)
-    bits = np.left_shift(1, codes, dtype=np.uint16)
-    masks = np.zeros((1, 1), dtype=np.uint16)
-    for _ in range(arity):
-        masks = (masks[:, None, :, None] | bits.reshape(1, k, 1, k)).reshape(len(masks) * k, -1)
-    distinct, where = np.unique(masks.ravel(), return_inverse=True)
-    actions = []
-    for g in gens:
-        tuples = _digits(np.arange(k ** (2 * g.arity)), k * k, g.arity)  # pair codes
-        lut, places = np.asarray(g.table, dtype=np.intp), k ** np.arange(g.arity - 1, -1, -1)
-        image = lut[(tuples // k) @ places] * k + lut[(tuples % k) @ places]
-        actions.append((tuples, bits[image]))
-    closed = distinct
-    while True:
-        grown = closed.copy()
-        for tuples, image in actions:
-            step = max(1, _BITMAP_SPACE // len(tuples))
-            for start in range(0, len(grown), step):
-                members = (grown[start : start + step, None] >> codes) & 1
-                applies = members[:, tuples].all(axis=2)  # every operand pair is a member
-                grown[start : start + step] |= np.bitwise_or.reduce(
-                    np.where(applies, image, 0), axis=1)
-        if np.array_equal(grown, closed):
-            return closed[where].reshape(masks.shape)
-        closed = grown
-
-
 def _majority_slice(gens: Sequence[OpTable], k: int, arity: int) -> np.ndarray:
     """The arity-slice of <gens>, which holds a majority operation, as digit
     rows in table order; ResourceLimitError once the partial rows pass
     _MAX_TABLES (each level is a projection of the slice, so it is no larger)."""
     width = k**arity
-    pairs = _pair_subuniverses(gens, k, arity)
+    sets, where = _subuniverses(gens, k, arity, 2)
+    pairs = (sets @ (1 << np.arange(k * k))).astype(np.uint16)[where]  # bitmasks over a.k + b
     values = np.arange(k, dtype=np.uint16)
     rows = np.zeros((1, width), dtype=np.uint8)
     for t in range(width):
@@ -855,15 +851,20 @@ def _majority_slice(gens: Sequence[OpTable], k: int, arity: int) -> np.ndarray:
 
 
 def _normalized_generators(
-    generators: Sequence[OpTable], carrier: Carrier, include_all_unary: bool
+    generators: Sequence[OpTable], carrier: Carrier, arity: int, include_all_unary: bool
 ) -> list[OpTable]:
-    """Dedup, validate and stage generators for introduction.
+    """Validate the slice and dedup and stage generators for introduction.
 
+    Every closure entry starts here, so a slice of arity below 1 or a
+    carrier above _MAX_CARRIER raises ValueError before any table is built.
     Unary generators go first (they are cheap and multiply the pool fast);
     within an arity the caller's order is kept, so callers can front-load
     the generators they expect to carry the closure.  The resulting clone
     does not depend on the order, only the work done to reach it does.
     """
+    if arity < 1:
+        raise ValueError(f"slice arity must be >= 1, got {arity}")
+    _check_carrier(carrier)
     gens = list(generators)
     if include_all_unary:
         gens.extend(all_op_tables(carrier, 1))
@@ -886,14 +887,11 @@ def closure_slice(
     carrier: Carrier,
     arity: int,
     include_all_unary: bool = False,
-    *,
-    stop_if_full: bool = True,
 ) -> tuple[list[tuple[int, ...]], bool]:
     """The arity-slice of the bounded clone closure.
 
     Returns (tables, is_full), the tables in table-lexicographic order (the
-    order of all_op_tables) on every route.  When stop_if_full is set, three
-    routes are tried in turn:
+    order of all_op_tables) on every route.  Three routes are tried in turn:
     - at arity >= 2 on carriers 2 and 3, generators that escape every
       maximal clone (closure_slice_is_full) get every table, listed without
       running the engine;
@@ -903,17 +901,16 @@ def closure_slice(
       subuniverses of A^2 (Baker-Pixley, _majority_slice);
     - otherwise the engine fills the slice and halts the moment the pool
       reaches the subuniverse bound (the number of operations preserving
-      every subset all generators preserve), skipping the final confirmation
-      sweep (sound: the slice lies inside that bound, so it cannot grow
-      further).
+      every subset all generators preserve): the slice lies inside that
+      bound, so it cannot grow further.
     Carrier 4 and above always take the engine: on the 4-chain the pair
-    route gains nothing measurable.  Without stop_if_full the engine sweeps every operand
-    tuple.  The tables are the same on every route.  More than _MAX_TABLES
-    tables raise ResourceLimitError, at once when a full slice is that large.
+    route gains nothing measurable.  More than _MAX_TABLES tables raise
+    ResourceLimitError, at once when a full slice is that large; an arity
+    below 1 or a carrier above _MAX_CARRIER raises ValueError.
     """
-    gens = _normalized_generators(generators, carrier, include_all_unary)
+    gens = _normalized_generators(generators, carrier, arity, include_all_unary)
     k, width = carrier.size, carrier.size**arity
-    if stop_if_full and arity >= 2 and k <= 3:
+    if arity >= 2 and k <= 3:
         if _escapes_every_maximal_clone(gens, k):
             if k**width > _MAX_TABLES:
                 raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {arity}")
@@ -922,7 +919,7 @@ def closure_slice(
         if arity >= 4 and k ** (2 * widest) <= _BITMAP_SPACE and _has_majority_term(gens, carrier):
             rows = _majority_slice(gens, k, arity)
             return list(map(tuple, rows.tolist())), len(rows) == k**width
-    codes, full, _ = _closure(gens, carrier, arity, stop_if_full=stop_if_full)
+    codes, full, _ = _closure(gens, carrier, arity)
     # limb rows are ordered like their digits: most significant limb first
     codes = codes[np.lexsort(codes.T[::-1])]
     rows = _unpack(codes, k, _limb_widths(k, width))
@@ -937,8 +934,9 @@ def closure_covers_slice(
 ) -> bool:
     """Whether the closure's arity-slice is everything: closure_slice_is_full.
 
-    complete_ops is accepted, arity-checked and unused until the next
-    benchmark change, which passes it: fullness no longer needs operations
+    Only the benchmark calls this wrapper, because it passes complete_ops;
+    every other caller asks closure_slice_is_full.  complete_ops is
+    arity-checked and otherwise unused: fullness needs no operations
     certified by the caller.
     """
     for op in complete_ops:
@@ -957,7 +955,7 @@ def reduce_generators(
     skipped is derivable from the kept subset, so closures agree at every
     arity up to the cap.
     """
-    gens = _normalized_generators(generators, carrier, False)
+    gens = _normalized_generators(generators, carrier, arity_cap, False)
     for g in gens:
         if g.arity > arity_cap:
             raise ValueError("arity cap below a generator arity")
@@ -976,7 +974,7 @@ def clone_closure(
     result iff it is a term function of the generators (plus every unary
     operation when include_all_unary is set).
     """
-    gens = list(generators)
+    gens = _normalized_generators(generators, carrier, arity_cap, False)
     for g in gens:
         if g.arity > arity_cap:
             raise ValueError(
@@ -999,14 +997,18 @@ def closure_slice_is_full(
     At arity >= 2 on carriers 2 and 3 the answer comes from the maximal
     clones, with no pool: full exactly when, for every relation of
     _maximal_relations, some generator fails to preserve it.  Elsewhere (unary
-    slices, carriers of 4 or more) the engine decides, answering False at
-    once, with no fill, when the generators all preserve a proper nonempty
-    subset of the carrier.
+    slices, carriers of 4 or more) the answer is False, with no fill, when the
+    subuniverse bound is below the space, that is when the generators all
+    preserve a proper nonempty subset of the carrier; otherwise the engine
+    fills the slice.  An arity below 1 or a carrier above _MAX_CARRIER
+    raises ValueError.
     """
-    gens = _normalized_generators(generators, carrier, False)
+    gens = _normalized_generators(generators, carrier, arity, False)
     if arity >= 2 and carrier.size <= 3:
         return _escapes_every_maximal_clone(gens, carrier.size)
-    return _closure(gens, carrier, arity, full_only=True)[1]
+    if _subuniverse_bound(gens, carrier.size, arity) < op_space_size(carrier, arity):
+        return False
+    return _closure(gens, carrier, arity)[1]
 
 
 def conjugate(op: OpTable, perm: Sequence[int]) -> OpTable:

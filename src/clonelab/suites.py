@@ -30,7 +30,6 @@ from .finite import (
     OpTable,
     RelationTable,
     all_op_tables,
-    closure_covers_slice,
     closure_slice_is_full,
     pol,
     reduce_generators,
@@ -143,7 +142,7 @@ def criterion_regeneration(seed):
         if preserves_ideal(f, ideal3):
             continue
         samples += 1
-        if not closure_covers_slice([f] + core, c3, 2):
+        if not closure_slice_is_full([f] + core, c3, 2):
             sampled_ok = False
             break
     passed = full_everywhere and sampled_ok

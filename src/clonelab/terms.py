@@ -298,10 +298,6 @@ class SubsetSpec:
         return cls(lambda v: v >= 1 and v % 2 == 1, lambda: itertools.count(1, 2), "odds")
 
     @classmethod
-    def from_predicate(cls, pred: Callable[[int], bool], label: str = "filtered") -> "SubsetSpec":
-        return cls(pred, lambda: (v for v in itertools.count(0) if pred(v)), label)
-
-    @classmethod
     def filtered(cls, base: "SubsetSpec", keep: Callable[[int], bool], label: str) -> "SubsetSpec":
         return cls(
             lambda v: base.contains(v) and keep(v),

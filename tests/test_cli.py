@@ -147,6 +147,16 @@ class TestFileDriven:
         assert code == 2
         assert report["error"] == "arity cap 1 below generator arity 2"
 
+    def test_closure_carrier_above_a_byte_is_usage_error(self, capsys, tmp_path):
+        # 300 values overflowed the byte tables: a traceback and exit 1
+        shift = OpTable(Carrier(300), 1, tuple((x + 1) % 300 for x in range(300)))
+        path = tmp_path / "gens.ops"
+        path.write_text(format_ops([("shift", shift)]))
+        code, report = run_cli(capsys, "closure", "--carrier", "300", "--cap", "1",
+                               "--gens", str(path))
+        assert code == 2
+        assert report["error"] == "carrier size 300 above 256: table entries are bytes"
+
     def test_pol_from_relation_file(self, capsys, tmp_path):
         rel = RelationTable.unary(Carrier(2), {0})
         path = tmp_path / "rels.rel"

@@ -28,6 +28,7 @@ from clonelab.finite import (
     format_ops,
     format_relations,
     make_projection,
+    op_space_size,
     parse_ops,
     parse_relations,
     pol,
@@ -41,9 +42,11 @@ from clonelab.finite import (
     _maximal_relations,
     _normalized_generators,
     _subuniverse_bound,
+    _subuniverses,
 )
 from closure_reference import reference_slice
 from preservation_reference import reference_pol, reference_respects
+from subuniverse_reference import reference_pair_subuniverse
 
 C2 = Carrier(2)
 C3 = Carrier(3)
@@ -86,7 +89,7 @@ def _op(k, arity, fn, perm=None):
 
 def _engine_full(gens, carrier, arity, include_all_unary=False):
     """The engine's fullness flag: a fill, never the maximal-clone lists."""
-    return _closure(_normalized_generators(gens, carrier, include_all_unary), carrier, arity)[1]
+    return _closure(_normalized_generators(gens, carrier, arity, include_all_unary), carrier, arity)[1]
 
 
 def _agreement_cases():
@@ -202,6 +205,13 @@ class TestRespects:
         order = RelationTable(C2, 2, frozenset({(0, 0), (0, 1), (1, 1)}))
         assert not respects(XOR, order)
 
+    def test_carrier_above_a_byte_is_rejected(self):
+        # table entries are held as bytes; 300 values used to overflow them
+        c300 = Carrier(300)
+        shift = OpTable(c300, 1, tuple((x + 1) % 300 for x in range(300)))
+        with pytest.raises(ValueError, match="carrier size 300 above 256"):
+            respects(shift, RelationTable.unary(c300, {0}))
+
 
 class TestPol:
     def test_full_relation_gives_everything(self):
@@ -281,12 +291,12 @@ class TestClosure:
         # the known counts are the formulas cited in clonebench/oracles.py
         for k, arity, gens, known in _agreement_cases():
             carrier = Carrier(k)
-            tables, full = closure_slice(gens, carrier, arity, stop_if_full=False)
+            tables, full = _engine_slice(gens, carrier, arity, sweep=True)
             reference = reference_slice(gens, k, arity)
             assert len(tables) == len(set(tables)) == len(reference), (k, arity, gens)
             assert set(tables) == reference
-            assert tables == sorted(tables)  # table order, as all_op_tables lists them
-            # stopping at the subuniverse bound changes neither the tables nor their order
+            # stopping at the subuniverse bound changes neither the tables nor
+            # their order, the table order all_op_tables lists them in
             assert closure_slice(gens, carrier, arity) == (tables, full)
             assert full == (len(reference) == k ** (k**arity))
             if known is not None:
@@ -347,7 +357,7 @@ class TestClosure:
         applied = _count_operand_tuples(monkeypatch)
         for arity, count in ((2, 8), (3, 128)):
             saturated = closure_slice([AND, XOR], C2, arity)
-            assert saturated == closure_slice([AND, XOR], C2, arity, stop_if_full=False)
+            assert saturated == _engine_slice([AND, XOR], C2, arity, sweep=True)
             assert len(saturated[0]) == count and not saturated[1]
         # the arity-4 sweep applies 2 * 32768^2 operand tuples, too many for a
         # unit test, so the stopped run is checked against the Pol{0} oracle
@@ -361,8 +371,8 @@ class TestClosure:
         # every operation of arity <= 2 fixing 0 generates Pol{0} on C2
         offered = [f for n in (1, 2) for f in all_op_tables(C2, n) if f.table[0] == 0]
         for cap in (2, 3):
-            swept = _closure(_normalized_generators(offered, C2, False), C2, cap,
-                             stop_if_full=False)[2]
+            swept = _closure(_normalized_generators(offered, C2, cap, False), C2, cap,
+                             sweep=True)[2]
             assert reduce_generators(offered, C2, cap) == swept
 
     def test_reduce_generators_preserves_closure(self):
@@ -370,6 +380,30 @@ class TestClosure:
         core = reduce_generators(gens, C2, 2)
         assert len(core) <= len(gens)
         assert clone_closure(core, C2, 2).signature() == clone_closure(gens, C2, 2).signature()
+
+
+class TestClosureInputs:
+    def test_arity_below_one_is_rejected(self):
+        # arity 0 used to raise IndexError in closure_slice and answer False
+        # in closure_slice_is_full; arity -1 raised TypeError
+        for arity in (0, -1):
+            for entry in (closure_slice, closure_slice_is_full, closure_covers_slice,
+                          reduce_generators, clone_closure):
+                with pytest.raises(ValueError, match=f"slice arity must be >= 1, got {arity}"):
+                    entry([NOT], C2, arity)
+
+    def test_carrier_above_a_byte_is_rejected(self):
+        c300 = Carrier(300)
+        shift = OpTable(c300, 1, tuple((x + 1) % 300 for x in range(300)))
+        for entry in (closure_slice, closure_slice_is_full, closure_covers_slice,
+                      reduce_generators, clone_closure):
+            with pytest.raises(ValueError, match="carrier size 300 above 256"):
+                entry([shift], c300, 1)
+        # the largest carrier the bytes hold is served
+        c256 = Carrier(256)
+        shift = OpTable(c256, 1, tuple((x + 1) % 256 for x in range(256)))
+        tables, full = closure_slice([shift], c256, 1)
+        assert len(tables) == 256 and not full
 
 
 class TestFullSlicesFromTheMaximalClones:
@@ -385,7 +419,7 @@ class TestFullSlicesFromTheMaximalClones:
             tables, full = closure_slice(gens, Carrier(k), n)
             assert tables == list(itertools.product(range(k), repeat=k**n)) and full, (k, n)
         assert applied == [0]
-        assert closure_slice([NAND], C2, 3) == closure_slice([NAND], C2, 3, stop_if_full=False)
+        assert closure_slice([NAND], C2, 3) == _engine_slice([NAND], C2, 3, sweep=True)
         assert applied[0] > 0
 
     def test_a_full_slice_past_the_budget_raises_at_once(self):
@@ -411,11 +445,13 @@ def _median(k, perm=None):
     return _op(k, 3, lambda a, b, c: sorted((a, b, c))[1], perm)
 
 
-def _engine_slice(gens, carrier, arity):
-    """The slice as the engine fills it: _closure called directly, in table order."""
-    codes = _closure(_normalized_generators(gens, carrier, False), carrier, arity)[0]
+def _engine_slice(gens, carrier, arity, *, sweep=False):
+    """The slice as the engine fills it, (tables in table order, full): _closure
+    called directly, stopped at the subuniverse bound or, with sweep, not."""
+    codes, full, _ = _closure(_normalized_generators(gens, carrier, arity, False), carrier, arity,
+                              sweep=sweep)
     rows = finite._unpack(codes, carrier.size, finite._limb_widths(carrier.size, carrier.size**arity))
-    return sorted(map(tuple, rows.tolist()))
+    return sorted(map(tuple, rows.tolist())), full
 
 
 def _closure_arities(monkeypatch) -> list[int]:
@@ -493,7 +529,7 @@ class TestBakerPixleyRoute:
             tables = _all_tables(k, m)
             inside = tables[np.logical_and.reduce([inv.preserved_by(tables, m) for inv in kept])]
             extras.append(OpTable(carrier, m, tuple(data.draw(st.sampled_from(inside.tolist())))))
-        gens = _normalized_generators([majority] + extras, carrier, False)
+        gens = _normalized_generators([majority] + extras, carrier, 4, False)
         assert finite._has_majority_term(gens, carrier)
         # the engine's fills cost about |slice|^3 operand tuples, so the budget
         # is small; past it both must raise
@@ -504,7 +540,7 @@ class TestBakerPixleyRoute:
             except ResourceLimitError:
                 route = None
             try:
-                engine = _engine_slice(gens, carrier, 4)
+                engine = _engine_slice(gens, carrier, 4)[0]
             except ResourceLimitError:
                 engine = None
         assert route == engine
@@ -584,7 +620,7 @@ def ideal_core():
     return reduce_generators(offered, C3, 2)
 
 
-# the generators the full introduction sweep (stop_if_full=False) keeps
+# the generators the full introduction sweep (_closure with sweep) keeps
 IDEAL_CORE_TABLES = [
     (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 2),
     (0, 0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 0, 0, 0, 1, 0),
@@ -604,7 +640,7 @@ class TestSubuniverseBound:
         applied = _count_operand_tuples(monkeypatch)
         saturated = closure_slice(gens, C3, 2)
         stopped_work, applied[0] = applied[0], 0
-        swept = closure_slice(gens, C3, 2, stop_if_full=False)
+        swept = _engine_slice(gens, C3, 2, sweep=True)
         assert saturated == swept
         assert len(saturated[0]) == 3888 and not saturated[1]
         assert stopped_work <= applied[0] // 4
@@ -621,7 +657,7 @@ class TestSubuniverseBound:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_bound_equals_brute_force_pol_count(self, data):
-        k, arity = data.draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+        k, arity = data.draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]))
         # generators drawn to preserve a chosen subset, so nontrivial
         # invariants are common; the oracle finds every invariant itself
         chosen = data.draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1))
@@ -634,6 +670,40 @@ class TestSubuniverseBound:
                     table[i] = min(chosen)
             gens.append(OpTable(Carrier(k), m, tuple(table)))
         assert _subuniverse_bound(gens, k, arity) == _brute_force_pol_count(gens, k, arity)
+
+    def test_bounds_stay_exact_past_64_points(self):
+        # a subset of 65 points needs more than 64 bits
+        c65 = Carrier(65)
+        constant = OpTable(c65, 1, (0,) * 65)  # Sg{x} = {x, 0}
+        assert _subuniverse_bound([constant], 65, 1) == 2**64
+        cycle = OpTable(c65, 1, tuple((x + 1) % 65 for x in range(65)))
+        assert _subuniverse_bound([cycle], 65, 1) == 65**65 == op_space_size(c65, 1)
+
+    def test_pair_tables_match_the_reference(self):
+        # half the generator sets lie inside the Pol of one maximal-clone
+        # relation of width <= 2, so proper pair subuniverses are common
+        rng = random.Random(3)
+        proper = checked = 0
+        for _ in range(60):
+            k, arity = rng.choice([2, 3]), rng.choice([1, 2])
+            kept = [inv for inv in _maximal_relations(k) if inv.relation.width <= 2]
+            inv = rng.choice(kept) if rng.random() < 0.5 else None
+            gens = []
+            for _ in range(rng.randint(0, 2)):
+                m = rng.randint(1, 3 if k == 2 else 2)
+                tables = _all_tables(k, m)
+                if inv is not None:
+                    tables = tables[inv.preserved_by(tables, m)]
+                gens.append(OpTable(Carrier(k), m, tuple(rng.choice(tables.tolist()))))
+            sets, where = _subuniverses(gens, k, arity, 2)
+            points = list(itertools.product(range(k), repeat=arity))
+            for i, p in enumerate(points):
+                for j, q in enumerate(points):
+                    got = {divmod(int(c), k) for c in np.flatnonzero(sets[where[i, j]])}
+                    assert got == reference_pair_subuniverse(gens, k, p, q), (k, arity, gens, p, q)
+                    proper += len(got) < k * k
+                    checked += 1
+        assert 0.1 < proper / checked < 0.9
 
 
 def _brute_force_pol_count(gens, k, arity):
@@ -889,7 +959,7 @@ class TestConjugation:
         ]
         perm = data.draw(st.permutations(range(3)))
         mirrored = [conjugate(g, perm) for g in gens]
-        tables = closure_slice(gens, C3, 1, stop_if_full=False)[0]
+        tables = _engine_slice(gens, C3, 1, sweep=True)[0]
         expected = {conjugate(OpTable(C3, 1, t), perm).table for t in tables}
-        assert set(closure_slice(mirrored, C3, 1, stop_if_full=False)[0]) == expected
+        assert set(_engine_slice(mirrored, C3, 1, sweep=True)[0]) == expected
         assert closure_slice_is_full(mirrored, C3, 1) == closure_slice_is_full(gens, C3, 1)
