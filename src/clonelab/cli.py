@@ -115,7 +115,13 @@ def _parse_colors(text: str) -> frozenset[int]:
         raise UsageError(f"bad color list {text!r}; expected e.g. 0,2,5") from None
 
 
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise UsageError(f"arity cap must be >= 1, got {cap}")
+
+
 def cmd_closure(args) -> tuple[int, dict]:
+    _check_cap(args.cap)
     carrier = Carrier(args.carrier)
     gens = []
     if args.gens:
@@ -140,7 +146,7 @@ def cmd_closure(args) -> tuple[int, dict]:
 
 
 def cmd_pol(args) -> tuple[int, dict]:
-    rels = []
+    _check_cap(args.cap)
     p = Path(args.rel)
     if not p.exists():
         raise UsageError(f"relation file not found: {args.rel}")

@@ -356,9 +356,10 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # k^(2c) <= 2^16: a limb fits in a byte, and a unary or binary generator acts
 # limb by limb through a lookup table of at most 2^16 entries.  Generators of
 # arity >= 3 act digit by digit on digit rows, unpacked from the limbs once
-# per block.  Dedup is exact: table spaces of at most 2^20 use a bitmap over
-# the packed code, larger ones a set of keys (the int64 code below 2^63, the
-# limb bytes above).
+# per block.  Dedup is exact and keyed by the limb bytes.  Two limbs are
+# exactly the spaces of at most 2^16 tables (carrier 2 up to arity 4, carrier
+# 3 up to arity 2, carriers 4 to 6 at arity 1): their key, read as a uint16,
+# indexes a 2^16-entry bitmap.  Every larger space keeps its keys in a set.
 # Generators are introduced one at a time and skipped when they are already
 # members of the clone generated so far (a generator that is already a term
 # function adds nothing).
@@ -468,15 +469,15 @@ class _CodeEngine:
         self.space = k**self.width
         self.bound = bound  # no slice the generators reach holds more tables; None sweeps
         self.widths = _limb_widths(k, self.width)
-        self.scale = [k ** sum(self.widths[i + 1 :]) for i in range(len(self.widths))]
-        self.bitmap = np.zeros(self.space, dtype=bool) if self.space <= _BITMAP_SPACE else None
-        self.seen: set = set()
-        if self.space < 1 << 63:
-            self.key_dtype = np.dtype(np.int32 if self.bitmap is not None else np.int64)
+        if len(self.widths) == 2:
+            self.key_dtype = np.dtype("<u2")
+            self.bitmap = np.zeros(1 << 16, dtype=bool)
             self.key_bytes = self.key_dtype.itemsize
         else:
             self.key_dtype = np.dtype((np.void, len(self.widths)))
+            self.bitmap = None
             self.key_bytes = len(self.widths) + sys.getsizeof(b"")  # held as bytes objects
+        self.seen: set[bytes] = set()
         self.limbs = np.empty((64, len(self.widths)), dtype=np.uint8)
         self.count = 0
         self.appliers: list = []  # (arity, payload)
@@ -484,17 +485,8 @@ class _CodeEngine:
 
     # -- keys and storage ---------------------------------------------------
 
-    @property
-    def packed(self) -> bool:
-        return self.key_dtype.kind == "i"
-
     def keys_of(self, limbs: np.ndarray) -> np.ndarray:
-        if not self.packed:
-            return np.ascontiguousarray(limbs).view(self.key_dtype).ravel()
-        keys = limbs[:, 0].astype(self.key_dtype) * self.scale[0]
-        for i in range(1, len(self.widths)):
-            keys += limbs[:, i].astype(self.key_dtype) * self.scale[i]
-        return keys
+        return np.ascontiguousarray(limbs).view(self.key_dtype).ravel()
 
     def key_of_row(self, row: np.ndarray):
         return self.keys_of(_pack(row.reshape(1, -1), self.k, self.widths)).tolist()[0]
@@ -508,17 +500,12 @@ class _CodeEngine:
             fresh = _sorted_unique(keys[~self.bitmap[keys]])
             self.bitmap[fresh] = True
         else:
-            distinct = _sorted_unique(keys).tolist() if self.packed else dict.fromkeys(keys.tolist())
-            new = [key for key in distinct if key not in self.seen]
+            new = [key for key in dict.fromkeys(keys.tolist()) if key not in self.seen]
             self.seen.update(new)
             fresh = np.array(new, dtype=self.key_dtype)
         if not len(fresh):
             return
-        if self.packed:
-            limbs = np.stack([(fresh // s) % self.k**w for s, w in zip(self.scale, self.widths)], axis=1)
-        else:
-            limbs = fresh.view(np.uint8).reshape(len(fresh), -1)
-        self.append(limbs.astype(np.uint8))
+        self.append(fresh.view(np.uint8).reshape(len(fresh), -1))
         if self.count > _MAX_TABLES:
             raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {self.arity}")
 
@@ -555,8 +542,6 @@ class _CodeEngine:
                     by_width[w] = (by_width[w - 1][hi[:, None], hi[None, :]] * k
                                    + by_width[1][lo[:, None], lo[None, :]])
             payload = [by_width[w] for w in self.widths]
-            if self.packed:
-                payload = [t.astype(self.key_dtype) * s for t, s in zip(payload, self.scale)]
         self.appliers.append((g.arity, payload))
         self.cursors.append(0)
 
@@ -567,11 +552,6 @@ class _CodeEngine:
         else:
             a, b = operands
             shape, index = (len(a), len(b)), lambda i: (a[:, i, None], b[None, :, i])
-        if self.packed:
-            keys = payload[0][index(0)]
-            for i in range(1, len(payload)):
-                keys += payload[i][index(i)]
-            return keys.ravel()
         out = np.empty(shape + (len(payload),), dtype=np.uint8)
         for i, table in enumerate(payload):
             out[..., i] = table[index(i)]
@@ -757,16 +737,16 @@ def _escapes_every_maximal_clone(gens: Sequence[OpTable], k: int) -> bool:
 
 
 def _closure(
-    gens: list[OpTable], carrier: Carrier, arity: int, *, sweep: bool = False
+    gens: list[OpTable], carrier: Carrier, arity: int, bound: int | None
 ) -> tuple[np.ndarray, bool, list[OpTable]]:
     """The engine's fill of one slice: (pool limb rows, full, activated generators).
 
-    The run stops once the pool reaches the subuniverse bound.  With sweep it
-    applies every operand tuple instead: the tests hold the bound stop
-    against that run.
+    The run stops once the pool reaches bound, the caller's _subuniverse_bound
+    of gens.  With None it applies every operand tuple instead: the tests hold
+    the bound stop against that run.
     """
     k = carrier.size
-    eng = _CodeEngine(k, arity, None if sweep else _subuniverse_bound(gens, k, arity))
+    eng = _CodeEngine(k, arity, bound)
     tuple_prefix = np.array(list(carrier.tuples(arity)), dtype=np.int64)
     projections = tuple_prefix.T.astype(np.uint8)
     eng.add(eng.keys_of(_pack(projections, eng.k, eng.widths)))
@@ -818,7 +798,7 @@ def _has_majority_term(gens: list[OpTable], carrier: Carrier) -> bool:
     affine = next(inv for inv in _maximal_relations(k) if inv.relation.width == 4)
     if all(affine.preserved_by(np.asarray(g.table, dtype=np.uint8)[None], g.arity)[0] for g in gens):
         return False
-    codes = _closure(gens, carrier, 3)[0]
+    codes = _closure(gens, carrier, 3, _subuniverse_bound(gens, k, 3))[0]
     return bool(_is_majority(_unpack(codes, k, _limb_widths(k, k**3)), k).any())
 
 
@@ -919,7 +899,7 @@ def closure_slice(
         if arity >= 4 and k ** (2 * widest) <= _BITMAP_SPACE and _has_majority_term(gens, carrier):
             rows = _majority_slice(gens, k, arity)
             return list(map(tuple, rows.tolist())), len(rows) == k**width
-    codes, full, _ = _closure(gens, carrier, arity)
+    codes, full, _ = _closure(gens, carrier, arity, _subuniverse_bound(gens, k, arity))
     # limb rows are ordered like their digits: most significant limb first
     codes = codes[np.lexsort(codes.T[::-1])]
     rows = _unpack(codes, k, _limb_widths(k, width))
@@ -959,7 +939,7 @@ def reduce_generators(
     for g in gens:
         if g.arity > arity_cap:
             raise ValueError("arity cap below a generator arity")
-    return _closure(gens, carrier, arity_cap)[2]
+    return _closure(gens, carrier, arity_cap, _subuniverse_bound(gens, carrier.size, arity_cap))[2]
 
 
 def clone_closure(
@@ -1006,9 +986,10 @@ def closure_slice_is_full(
     gens = _normalized_generators(generators, carrier, arity, False)
     if arity >= 2 and carrier.size <= 3:
         return _escapes_every_maximal_clone(gens, carrier.size)
-    if _subuniverse_bound(gens, carrier.size, arity) < op_space_size(carrier, arity):
+    bound = _subuniverse_bound(gens, carrier.size, arity)
+    if bound < op_space_size(carrier, arity):
         return False
-    return _closure(gens, carrier, arity)[1]
+    return _closure(gens, carrier, arity, bound)[1]
 
 
 def conjugate(op: OpTable, perm: Sequence[int]) -> OpTable:

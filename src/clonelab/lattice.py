@@ -133,8 +133,11 @@ def unary_interval_chain(
     exhaustive up to carrier-permutation orbits; larger S are reached by the
     add-one-generator fixpoint, which covers every finite S because closures
     compose stepwise.  The resulting family is closed under conjugation and
-    checked for linear ordering by inclusion.
+    checked for linear ordering by inclusion.  An arity_cap below 1 raises
+    ValueError.
     """
+    if arity_cap < 1:
+        raise ValueError(f"arity_cap must be >= 1, got {arity_cap}")
     working_cap = arity_cap + 1 if working_cap is None else working_cap
     for n in range(1, working_cap + 1):
         if op_space_size(carrier, n) > _MAX_SLICE:

@@ -58,7 +58,6 @@ from .symbolic import (
     standard_merge,
 )
 from .terms import (
-    Registry,
     SubsetSpec,
     agreement_holds,
     bounded_term_search,
@@ -250,7 +249,7 @@ def criterion_pairings(seed):
     return all(results.values()), {**results, "box": box.spec()}
 
 
-def _term_corpus(registry: Registry) -> list:
+def _term_corpus() -> list:
     """Fixed corpus of 54 terms over gates, max, min and the unary library."""
     unary = ["id", "succ", "double"]
     binary = ["gateA", "gateB", "max", "min"]
@@ -291,7 +290,7 @@ def criterion_partial_eval(seed):
     registry = default_registry()
     registry.register(color_gated_pairing({0, 1}, coloring, pr, name="gateA"))
     registry.register(color_gated_pairing({2, 3}, coloring, pr, name="gateB"))
-    corpus = _term_corpus(registry)
+    corpus = _term_corpus()
     naturals = SubsetSpec.naturals()
 
     shapes = {CONST: 0, UNARY_X: 0, UNARY_Y: 0}

@@ -747,7 +747,6 @@ def bounded_term_search(
     unary_syms: Mapping[str, SymbolicFn],
     max_depth: int,
     box: Box,
-    consts: Sequence[int] = (),
 ) -> SearchResult:
     """Iterative-deepening search for a term matching the target on the box.
 
@@ -755,7 +754,7 @@ def bounded_term_search(
     sound and complete for box agreement: a term's box behavior is
     determined pointwise by its subterms' box behaviors.  A returned term
     agrees with the target on every box point; None means no term over the
-    declared symbols and constants matches within the depth bound.
+    declared symbols matches within the depth bound.
     """
     points = list(box.pairs())
     target_sig = tuple(target(a, b) for a, b in points)
@@ -777,7 +776,7 @@ def bounded_term_search(
     base_terms: list[tuple[Term, Callable[[int, int], int]]] = [
         (VarX(), lambda a, b: a),
         (VarY(), lambda a, b: b),
-    ] + [(Const(c), lambda a, b, _c=c: _c) for c in consts]
+    ]
     for term, fn in base_terms:
         sig = tuple(fn(a, b) for a, b in points)
         hit = offer(sig, term, level0)

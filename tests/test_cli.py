@@ -147,6 +147,18 @@ class TestFileDriven:
         assert code == 2
         assert report["error"] == "arity cap 1 below generator arity 2"
 
+    @pytest.mark.parametrize("argv, error", [
+        (["closure", "--carrier", "2", "--cap", "0"], "arity cap must be >= 1, got 0"),
+        (["closure", "--carrier", "2", "--cap", "-1"], "arity cap must be >= 1, got -1"),
+        (["chain", "--carrier", "2", "--cap", "0"], "arity_cap must be >= 1, got 0"),
+        # a file with no relation: only the command itself sees the cap
+        (["pol", "--rel", os.devnull, "--cap", "0"], "arity cap must be >= 1, got 0"),
+    ], ids=["closure", "closure-negative", "chain", "pol"])
+    def test_cap_below_1_is_usage_error(self, capsys, argv, error):
+        code, report = run_cli(capsys, *argv)
+        assert code == 2
+        assert report["error"] == error
+
     def test_closure_carrier_above_a_byte_is_usage_error(self, capsys, tmp_path):
         # 300 values overflowed the byte tables: a traceback and exit 1
         shift = OpTable(Carrier(300), 1, tuple((x + 1) % 300 for x in range(300)))

@@ -89,15 +89,19 @@ def _op(k, arity, fn, perm=None):
 
 def _engine_full(gens, carrier, arity, include_all_unary=False):
     """The engine's fullness flag: a fill, never the maximal-clone lists."""
-    return _closure(_normalized_generators(gens, carrier, arity, include_all_unary), carrier, arity)[1]
+    gens = _normalized_generators(gens, carrier, arity, include_all_unary)
+    return _closure(gens, carrier, arity, _subuniverse_bound(gens, carrier.size, arity))[1]
 
 
 def _agreement_cases():
     """(carrier size, slice arity, generators, known slice size or None).
 
     Random generators where the whole table space is small, then small
-    clones, conjugated by seeded permutations, on slices that reach every
-    dedup path: bitmap (up to 2^20 tables), int64 keys and byte keys.
+    clones, conjugated by seeded permutations, on slices that reach both of
+    the engine's stores: the 2^16-entry bitmap (two limbs, the spaces of at
+    most 2^16 tables) and the set of limb bytes (more limbs).  Random unary
+    sets on carriers 5 to 7 sit at the boundary: two limbs on 5 and 6, four
+    on 7.
     """
     rng = random.Random(7)
 
@@ -135,7 +139,8 @@ def _agreement_cases():
     cases += [
         # bitmap: <AND, OR> gives the free distributive lattice, D(n) - 2
         (2, 4, [AND, OR], dedekind[4] - 2),
-        # int64 keys; conjunctions of nonempty variable sets, odd parities
+        # set, 4 to 17 limbs; conjunctions of nonempty variable sets, odd
+        # parities
         (2, 5, [_op(2, 2, lambda x, y: x & y, perm2)], 2**5 - 1),
         (2, 5, [_op(2, 3, lambda x, y, z: x ^ y ^ z)], 2 ** (5 - 1)),
         (2, 5, [_op(2, 2, lambda x, y: x ^ y), _op(2, 1, lambda x: 1 - x)], None),
@@ -143,8 +148,8 @@ def _agreement_cases():
         (3, 3, lattice(3, perm3), None),
         (3, 3, affine(3, perm3), None),
         (3, 3, [rand_op(3, 1), rand_op(3, 1)], None),
-        # byte keys; x - y + z gives every sum a.x with sum a = 1, <x + y, 1>
-        # every a.x + c
+        # x - y + z gives every sum a.x with sum a = 1, <x + y, 1> every
+        # a.x + c
         (3, 4, minority(3, None), 3 ** (4 - 1)),
         (3, 4, affine(3, None), 3 ** (4 + 1)),
         (4, 3, lattice(4, perm4), None),
@@ -155,7 +160,13 @@ def _agreement_cases():
         # with a + b = 1
         (2, 3, [NOT, _op(2, 3, lambda x, y, z: int(x + y + z >= 2))], 2 ** 4),
         (3, 2, [_op(3, 1, lambda x: (x + 1) % 3)] + minority(3, None), 3**2),
+        # a 7-cycle and a transposition generate the symmetric group S_7
+        (7, 1, [_op(7, 1, lambda x: (x + 1) % 7), _op(7, 1, lambda x: {0: 1, 1: 0}.get(x, x))],
+         math.factorial(7)),
     ]
+    for k in (5, 6, 7):
+        for _ in range(4):
+            cases.append((k, 1, [rand_op(k, 1) for _ in range(rng.randrange(1, 4))], None))
     return cases
 
 
@@ -371,8 +382,7 @@ class TestClosure:
         # every operation of arity <= 2 fixing 0 generates Pol{0} on C2
         offered = [f for n in (1, 2) for f in all_op_tables(C2, n) if f.table[0] == 0]
         for cap in (2, 3):
-            swept = _closure(_normalized_generators(offered, C2, cap, False), C2, cap,
-                             sweep=True)[2]
+            swept = _closure(_normalized_generators(offered, C2, cap, False), C2, cap, None)[2]
             assert reduce_generators(offered, C2, cap) == swept
 
     def test_reduce_generators_preserves_closure(self):
@@ -448,8 +458,9 @@ def _median(k, perm=None):
 def _engine_slice(gens, carrier, arity, *, sweep=False):
     """The slice as the engine fills it, (tables in table order, full): _closure
     called directly, stopped at the subuniverse bound or, with sweep, not."""
-    codes, full, _ = _closure(_normalized_generators(gens, carrier, arity, False), carrier, arity,
-                              sweep=sweep)
+    gens = _normalized_generators(gens, carrier, arity, False)
+    bound = None if sweep else _subuniverse_bound(gens, carrier.size, arity)
+    codes, full, _ = _closure(gens, carrier, arity, bound)
     rows = finite._unpack(codes, carrier.size, finite._limb_widths(carrier.size, carrier.size**arity))
     return sorted(map(tuple, rows.tolist())), full
 
@@ -459,9 +470,9 @@ def _closure_arities(monkeypatch) -> list[int]:
     arities = []
     closure = finite._closure
 
-    def recorded(gens, carrier, arity, **kwargs):
+    def recorded(gens, carrier, arity, bound):
         arities.append(arity)
-        return closure(gens, carrier, arity, **kwargs)
+        return closure(gens, carrier, arity, bound)
 
     monkeypatch.setattr(finite, "_closure", recorded)
     return arities
@@ -620,7 +631,7 @@ def ideal_core():
     return reduce_generators(offered, C3, 2)
 
 
-# the generators the full introduction sweep (_closure with sweep) keeps
+# the generators the full introduction sweep (_closure with no bound) keeps
 IDEAL_CORE_TABLES = [
     (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 2),
     (0, 0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0, 0, 2), (0, 0, 0, 0, 0, 0, 0, 1, 0),
@@ -644,6 +655,23 @@ class TestSubuniverseBound:
         assert saturated == swept
         assert len(saturated[0]) == 3888 and not saturated[1]
         assert stopped_work <= applied[0] // 4
+
+    def test_a_carrier_4_fill_computes_the_bound_once(self, monkeypatch):
+        # the bound of the whole space, 4^4, lets closure_slice_is_full fall
+        # through to a fill, which takes the bound from it
+        calls = []
+        bound = finite._subuniverse_bound
+
+        def counted(gens, k, arity):
+            calls.append((k, arity))
+            return bound(gens, k, arity)
+
+        monkeypatch.setattr(finite, "_subuniverse_bound", counted)
+        c4 = Carrier(4)
+        cycle = OpTable(c4, 1, (1, 2, 3, 0))
+        swap, merge = OpTable(c4, 1, (1, 0, 2, 3)), OpTable(c4, 1, (0, 0, 2, 3))
+        assert closure_slice_is_full([cycle, swap, merge], c4, 1)
+        assert calls == [(4, 1)]
 
     def test_trivial_subuniverses_bound_the_full_space(self):
         assert _subuniverse_bound([NAND], 2, 3) == 2**8
