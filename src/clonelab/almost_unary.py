@@ -80,17 +80,25 @@ def depends_heavily(f: SymbolicFn, coordinate: int, box: Box) -> bool:
     """
     if not 1 <= coordinate <= f.arity:
         raise ValueError(f"coordinate {coordinate} out of range 1..{f.arity}")
-    others = [k for k in range(f.arity) if k != coordinate - 1]
+    return _spreads(f, [coordinate - 1], box, box.width)
+
+
+def _spreads(f: SymbolicFn, varying: Sequence[int], box: Box, threshold: int) -> bool:
+    """Some assignment of the other coordinates, from the lower half of the
+    box, makes f take >= threshold distinct values as the varying
+    coordinates (0-based) range over the whole box."""
+    fixed = [k for k in range(f.arity) if k not in varying]
     interior = range(box.lo, box.lo + box.width // 2)
-    for rest in itertools.product(interior, repeat=len(others)):
+    args = [0] * f.arity
+    for rest in itertools.product(interior, repeat=len(fixed)):
+        for pos, val in zip(fixed, rest):
+            args[pos] = val
         values = set()
-        for x in box.points():
-            args = [0] * f.arity
-            args[coordinate - 1] = x
-            for pos, val in zip(others, rest):
+        for xs in itertools.product(box.points(), repeat=len(varying)):
+            for pos, val in zip(varying, xs):
                 args[pos] = val
             values.add(f(*args))
-        if len(values) == box.width:
+        if len(values) >= threshold:
             return True
     return False
 
@@ -110,32 +118,19 @@ def spread_supports(g: SymbolicFn, box: Box, threshold: int) -> SpreadSupportRep
     ranges over the box.  Complement assignments range over the lower half
     of the box only: a fixed value near the box top can drag a fiber to
     full width by accident of the window, which is exactly the boundary
-    artifact the half rule suppresses.
+    artifact the half rule suppresses.  The threshold lies in 1..box width.
     """
+    if threshold < 1:
+        raise ValueError("threshold below 1")
     if threshold > box.width:
         raise ValueError("threshold above the box width")
     n = g.arity
-    interior = range(box.lo, box.lo + box.width // 2)
-    supports = set()
-    for r in range(0, n + 1):
-        for subset in itertools.combinations(range(1, n + 1), r):
-            varying = [k - 1 for k in subset]
-            fixed = [k for k in range(n) if k not in varying]
-            best = 0
-            for rest in itertools.product(interior, repeat=len(fixed)) if fixed else [()]:
-                values = set()
-                for xs in itertools.product(box.points(), repeat=len(varying)):
-                    args = [0] * n
-                    for pos, val in zip(fixed, rest):
-                        args[pos] = val
-                    for pos, val in zip(varying, xs):
-                        args[pos] = val
-                    values.add(g(*args))
-                best = max(best, len(values))
-                if best >= threshold:
-                    break
-            if best >= threshold:
-                supports.add(frozenset(subset))
+    supports = {
+        frozenset(subset)
+        for r in range(n + 1)
+        for subset in itertools.combinations(range(1, n + 1), r)
+        if _spreads(g, [k - 1 for k in subset], box, threshold)
+    }
     intersecting = all(a & b for a in supports for b in supports)
     return SpreadSupportReport(frozenset(supports), intersecting, threshold)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import ChainMap
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -67,21 +68,21 @@ def _admissible_quads(sample: Sequence[int]):
             yield quad
 
 
+def _first_clash(f: SymbolicFn, quads, buckets):
+    """The first quad whose pattern sits in buckets with another outcome,
+    as (that bucket's quad, quad); each new pattern goes into buckets."""
+    for quad in quads:
+        outcome = _sign(f(quad[0], quad[1]) - f(quad[2], quad[3]))
+        prior_outcome, prior_quad = buckets.setdefault(tuple_pattern(quad), (outcome, quad))
+        if prior_outcome != outcome:
+            return (prior_quad, quad)
+    return None
+
+
 def is_canonical(f: SymbolicFn, sample: Sequence[int]):
     """None when f is canonical on the sample; otherwise the first pair of
     similar quadruples with differently ordered values."""
-    sample = sorted(set(sample))
-    buckets: dict[OrderPattern, tuple[int, tuple[int, ...]]] = {}
-    for quad in _admissible_quads(sample):
-        pattern = tuple_pattern(quad)
-        outcome = _sign(f(quad[0], quad[1]) - f(quad[2], quad[3]))
-        if pattern in buckets:
-            prior_outcome, prior_quad = buckets[pattern]
-            if prior_outcome != outcome:
-                return (prior_quad, quad)
-        else:
-            buckets[pattern] = (outcome, quad)
-    return None
+    return _first_clash(f, _admissible_quads(sorted(set(sample))), {})
 
 
 @dataclass(frozen=True)
@@ -100,21 +101,9 @@ def canonical_subset(f: SymbolicFn, box: Box) -> CanonicalSubsetReport:
     selected: list[int] = []
     buckets: dict[OrderPattern, tuple[int, tuple[int, ...]]] = {}
     for p in box.points():
-        trial = selected + [p]
         additions: dict[OrderPattern, tuple[int, tuple[int, ...]]] = {}
-        ok = True
-        for quad in _admissible_quads(trial):
-            if p not in quad:
-                continue
-            pattern = tuple_pattern(quad)
-            outcome = _sign(f(quad[0], quad[1]) - f(quad[2], quad[3]))
-            prior = buckets.get(pattern) or additions.get(pattern)
-            if prior is None:
-                additions[pattern] = (outcome, quad)
-            elif prior[0] != outcome:
-                ok = False
-                break
-        if ok:
+        quads = (q for q in _admissible_quads(selected + [p]) if p in q)
+        if _first_clash(f, quads, ChainMap(additions, buckets)) is None:
             selected.append(p)
             buckets.update(additions)
     return CanonicalSubsetReport(tuple(selected), box, len(selected) / box.width)

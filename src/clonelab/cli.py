@@ -522,6 +522,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
+    if args.out and not Path(args.out).parent.is_dir():
+        _emit({"error": f"output directory not found: {Path(args.out).parent}"}, None)
+        return USAGE
     t0 = time.perf_counter()
     try:
         status, report = args.handler(args)

@@ -119,6 +119,8 @@ def format_coloring_table(name: str, mu: int, table: Sequence[Sequence[int]]) ->
 def parse_coloring_table(text: str) -> Coloring:
     """A coloring given explicitly on a bounded domain 0..size-1."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("coloring table has no header line")
     m = _COLORING_HEADER.match(lines[0])
     if not m:
         raise ValueError(f"bad coloring header: {lines[0]!r}")

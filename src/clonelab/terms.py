@@ -396,8 +396,8 @@ class PartialResult:
     """Outcome of reducing a term relative to a subset.
 
     Defined results are a constant or a one-variable map claimed injective
-    on the sampled prefix; maps and consts record what every subterm
-    reduced to, which is what the agreement search needs.
+    on the sampled prefix; maps records every such map a subterm reduced
+    to, which is what the agreement search needs.
     """
 
     kind: str
@@ -407,7 +407,6 @@ class PartialResult:
     path: tuple[int, ...] | None = None
     offending_map: Callable[[int], int] | None = None
     maps: tuple[Callable[[int], int], ...] = ()
-    consts: tuple[int, ...] = ()
     probes: int = 0
 
     @property
@@ -425,6 +424,14 @@ class PartialResult:
             assert self.map is not None
             return self.map(y)
         raise ValueError("undefined reduction has no value")
+
+
+class _Undefined(Exception):
+    """Carries an undefined reduction from the subterm that failed to the top."""
+
+    def __init__(self, result: PartialResult):
+        super().__init__(result.reason)
+        self.result = result
 
 
 def classify_on(
@@ -461,83 +468,56 @@ def partial_eval(
 ) -> PartialResult:
     """Reduce the term to a constant or a one-variable map relative to subset."""
     maps: list[Callable[[int], int]] = []
-    consts: list[int] = []
 
     def classified(h, path, side):
         verdict, detail = classify_on(h, subset, probe_budget)
         if verdict == "injective":
             maps.append(h)
-            return PartialResult(side, map=h, probes=probe_budget)
+            return side, h
         if verdict == "constant":
-            consts.append(detail)
-            return PartialResult(CONST, value=detail, probes=probe_budget)
-        return PartialResult(
+            return CONST, detail
+        raise _Undefined(PartialResult(
             UNDEFINED, reason="neither injective nor constant on the subset",
             path=path, offending_map=h, probes=probe_budget,
-        )
+        ))
 
-    def go(node: Term, path: tuple[int, ...]) -> PartialResult:
-        if isinstance(node, VarX):
+    def go(node: Term, path: tuple[int, ...]):
+        """(CONST, value) or (side, map); raises _Undefined."""
+        if isinstance(node, (VarX, VarY)):
             ident = lambda v: v  # noqa: E731
             maps.append(ident)
-            return PartialResult(UNARY_X, map=ident)
-        if isinstance(node, VarY):
-            ident = lambda v: v  # noqa: E731
-            maps.append(ident)
-            return PartialResult(UNARY_Y, map=ident)
+            return (UNARY_X if isinstance(node, VarX) else UNARY_Y), ident
         if isinstance(node, Const):
-            consts.append(node.value)
-            return PartialResult(CONST, value=node.value)
+            return CONST, node.value
         if isinstance(node, UnaryApp):
-            sub = go(node.arg, path + (0,))
-            if not sub.defined:
-                return sub
+            kind, g = go(node.arg, path + (0,))
             f = registry.get_unary(node.symbol)
-            if sub.kind == CONST:
-                value = f(sub.value)
-                consts.append(value)
-                return PartialResult(CONST, value=value)
-            g = sub.map
-            return classified(lambda v, _f=f, _g=g: _f(_g(v)), path, sub.kind)
+            if kind == CONST:
+                return CONST, f(g)
+            return classified(lambda v: f(g(v)), path, kind)
         if isinstance(node, BinaryApp):
-            left = go(node.left, path + (0,))
-            if not left.defined:
-                return left
-            right = go(node.right, path + (1,))
-            if not right.defined:
-                return right
+            lkind, left = go(node.left, path + (0,))
+            rkind, right = go(node.right, path + (1,))
             b = registry.get_binary(node.symbol)
-            if left.kind == CONST and right.kind == CONST:
-                value = b(left.value, right.value)
-                consts.append(value)
-                return PartialResult(CONST, value=value)
-            if left.kind == CONST:
-                g = right.map
-                return classified(
-                    lambda v, _b=b, _c=left.value, _g=g: _b(_c, _g(v)), path, right.kind
-                )
-            if right.kind == CONST:
-                g = left.map
-                return classified(
-                    lambda v, _b=b, _c=right.value, _g=g: _b(_g(v), _c), path, left.kind
-                )
-            if left.kind == right.kind:
-                f1, f2 = left.map, right.map
-                return classified(
-                    lambda v, _b=b, _f1=f1, _f2=f2: _b(_f1(v), _f2(v)), path, left.kind
-                )
+            if lkind == CONST and rkind == CONST:
+                return CONST, b(left, right)
+            if lkind == CONST:
+                return classified(lambda v: b(left, right(v)), path, rkind)
+            if rkind == CONST:
+                return classified(lambda v: b(left(v), right), path, lkind)
+            if lkind == rkind:
+                return classified(lambda v: b(left(v), right(v)), path, lkind)
             # cross case: one side rides x, the other rides y
-            consts.append(0)
-            return PartialResult(CONST, value=0)
+            return CONST, 0
         raise TypeError(f"not a term: {node!r}")
 
-    result = go(t, ())
-    if not result.defined:
-        return result
-    return PartialResult(
-        kind=result.kind, value=result.value, map=result.map,
-        maps=tuple(maps), consts=tuple(consts), probes=probe_budget,
-    )
+    try:
+        kind, reduced = go(t, ())
+    except _Undefined as undefined:
+        return undefined.result
+    if kind == CONST:
+        return PartialResult(CONST, value=reduced, maps=tuple(maps), probes=probe_budget)
+    return PartialResult(kind, map=reduced, maps=tuple(maps), probes=probe_budget)
 
 
 # -- thinning ----------------------------------------------------------------
@@ -613,7 +593,7 @@ def thin_for(
 
 
 def thin_disjoint_images(
-    subset: SubsetSpec, fns: Sequence[Callable[[int], int]], label: str = "disjoint"
+    subset: SubsetSpec, fns: Sequence[Callable[[int], int]]
 ) -> SubsetSpec:
     """Keep points whose images under all fns avoid previously kept images."""
     used: set[int] = set()
@@ -625,7 +605,7 @@ def thin_disjoint_images(
         used.update(image)
         return True
 
-    return SubsetSpec.greedy(subset, accept, f"{subset.label}|{label}")
+    return SubsetSpec.greedy(subset, accept, f"{subset.label}|disjoint")
 
 
 def thin_avoid_pairing_collisions(
@@ -758,45 +738,21 @@ def bounded_term_search(
     """
     points = list(box.pairs())
     target_sig = tuple(target(a, b) for a, b in points)
-
-    seen: dict[tuple, Term] = {}
     levels: list[list[tuple[tuple, Term]]] = []
-    checked = 0
 
-    def offer(sig: tuple, term: Term, level: list) -> Term | None:
-        nonlocal checked
-        checked += 1
-        if sig in seen:
-            return None
-        seen[sig] = term
-        level.append((sig, term))
-        return term if sig == target_sig else None
-
-    level0: list[tuple[tuple, Term]] = []
-    base_terms: list[tuple[Term, Callable[[int, int], int]]] = [
-        (VarX(), lambda a, b: a),
-        (VarY(), lambda a, b: b),
-    ]
-    for term, fn in base_terms:
-        sig = tuple(fn(a, b) for a, b in points)
-        hit = offer(sig, term, level0)
-        if hit is not None:
-            return SearchResult(hit, SearchStats((len(level0),), checked))
-    levels.append(level0)
-
-    for depth in range(1, max_depth + 1):
-        level: list[tuple[tuple, Term]] = []
+    def candidates(depth: int) -> Iterator[tuple[tuple, Term]]:
+        """x and y at depth 0; deeper, every symbol over the previous level,
+        in sorted symbol order, each binary one with an operand from it."""
+        if depth == 0:
+            yield tuple(a for a, _ in points), VarX()
+            yield tuple(b for _, b in points), VarY()
+            return
         prev = levels[depth - 1]
         earlier = [entry for lv in levels[: depth - 1] for entry in lv]
         for name in sorted(unary_syms):
             fn = unary_syms[name]
             for sig, term in prev:
-                new_sig = tuple(fn(v) for v in sig)
-                hit = offer(new_sig, UnaryApp(name, term), level)
-                if hit is not None:
-                    return SearchResult(
-                        hit, SearchStats(tuple(len(lv) for lv in levels) + (len(level),), checked)
-                    )
+                yield tuple(fn(v) for v in sig), UnaryApp(name, term)
         for name in sorted(binary_syms):
             fn = binary_syms[name]
             pairs = itertools.chain(
@@ -805,12 +761,23 @@ def bounded_term_search(
                 itertools.product(prev, prev),
             )
             for (lsig, lterm), (rsig, rterm) in pairs:
-                new_sig = tuple(fn(u, v) for u, v in zip(lsig, rsig))
-                hit = offer(new_sig, BinaryApp(name, lterm, rterm), level)
-                if hit is not None:
-                    return SearchResult(
-                        hit, SearchStats(tuple(len(lv) for lv in levels) + (len(level),), checked)
-                    )
-        levels.append(level)
+                yield tuple(fn(u, v) for u, v in zip(lsig, rsig)), BinaryApp(name, lterm, rterm)
 
-    return SearchResult(None, SearchStats(tuple(len(lv) for lv in levels), checked))
+    seen: set[tuple] = set()
+    checked = 0
+    hit = None
+    for depth in range(max_depth + 1):
+        level: list[tuple[tuple, Term]] = []
+        levels.append(level)
+        for sig, term in candidates(depth):
+            checked += 1
+            if sig in seen:
+                continue
+            seen.add(sig)
+            level.append((sig, term))
+            if sig == target_sig:
+                hit = term
+                break
+        if hit is not None:
+            break
+    return SearchResult(hit, SearchStats(tuple(len(lv) for lv in levels), checked))

@@ -122,6 +122,10 @@ class TestSpreadSupports:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             spread_supports(min_fn(), Box(0, 8, "full"), 9)
+        for box, threshold in ((Box(0, 8, "full"), 0), (Box(0, 8, "full"), -1),
+                               (Box(0, 1, "full"), 0)):
+            with pytest.raises(ValueError, match="below 1"):
+                spread_supports(min_fn(), box, threshold)
 
 
 class TestWitnessedSpread:

@@ -29,6 +29,7 @@ from clonelab.terms import default_registry, parse_term
 PR = cantor_pairing()
 PD = delta_pairing(PR)
 PARITY = SymbolicFn("par", 2, lambda x, y: (x + y) % 2)
+PR_MOD_7 = SymbolicFn("pair_mod_7", 2, lambda x, y: PR(x, y) % 7)
 SPARSE = [3**i for i in range(8)]  # geometric gaps keep the pair code order-driven
 
 
@@ -98,6 +99,20 @@ class TestCanonicalSubset:
             report = canonical_subset(fn, Box(0, 14, "full"))
             assert report.selected
             assert is_canonical(fn, report.selected) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 20), st.integers(1, 8),
+        st.sampled_from([PARITY, PR, PR_MOD_7, max_fn()]),
+    )
+    def test_selection_equals_the_greedy_reference(self, lo, width, fn):
+        # keep p exactly when the selection stays canonical with it
+        box = Box(lo, lo + width, "full")
+        selected: list[int] = []
+        for p in box.points():
+            if is_canonical(fn, selected + [p]) is None:
+                selected.append(p)
+        assert canonical_subset(fn, box).selected == tuple(selected)
 
     def test_singleton_box(self):
         report = canonical_subset(PARITY, Box(5, 6, "full"))

@@ -59,6 +59,22 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_empty_coloring_file_is_usage_error(self, capsys, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code, report = run_cli(capsys, "prtest", "--coloring", f"file:{empty}", "--mu", "2",
+                               "--blocks", "0,1;2,3", "--c0", "0")
+        assert code == 2
+        assert "no header line" in report["error"]
+
+    def test_out_into_a_missing_directory_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "nodir" / "r.json"
+        code, report = run_cli(capsys, "--out", str(out),
+                               "ramsey", "--n", "3", "--m", "2", "--r", "2", "--c", "2")
+        assert code == 2
+        assert "output directory not found" in report["error"]
+        assert not out.parent.exists()
+
     def test_full_is_not_a_suite(self, capsys):
         # "full" was an alias of "acceptance"; only the two batteries remain
         code = main(["suite", "full"])

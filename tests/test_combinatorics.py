@@ -41,6 +41,11 @@ class TestColorings:
         with pytest.raises(ValueError):
             coloring(0, 5)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_table_without_header_rejected(self, text):
+        with pytest.raises(ValueError, match="no header line"):
+            parse_coloring_table(text)
+
     def test_asymmetric_table_rejected(self):
         with pytest.raises(InvalidColoringError):
             parse_coloring_table(format_coloring_table("bad", 2, [[0, 1], [0, 0]]))

@@ -150,6 +150,13 @@ class TestPartialEval:
         assert res.kind == UNDEFINED
         assert res.path == (0,)
 
+    def test_symbol_is_looked_up_after_its_subterm_reduces(self):
+        res = partial_eval(
+            parse_term("(u:nosuch (b:min x 3))"), SubsetSpec.naturals(), default_registry()
+        )
+        assert res.kind == UNDEFINED
+        assert res.path == (0,)
+
     def test_soundness_probes_on_defined_results(self):
         rng = random.Random(11)
         registry = gated_registry(sum_coloring(4))
@@ -424,6 +431,21 @@ class TestBoundedSearch:
         )
         assert res.term is None
         assert res.stats.candidates_checked > 0
+
+    @pytest.mark.parametrize("target,term,per_depth,checked", [
+        (lambda x, y: x, "x", (1,), 1),
+        (lambda x, y: y, "y", (2,), 2),
+        (max, "(b:max x y)", (2, 1), 6),
+    ])
+    def test_exact_stats(self, target, term, per_depth, checked):
+        registry = default_registry()
+        res = bounded_term_search(
+            SymbolicFn("target", 2, target), {"max": registry.get_binary("max")},
+            {"id": registry.get_unary("id")}, 1, Box(0, 5, "full"),
+        )
+        assert format_term(res.term) == term
+        assert res.stats.per_depth == per_depth
+        assert res.stats.candidates_checked == checked
 
 
 terms_strategy = st.deferred(
