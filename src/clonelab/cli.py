@@ -525,6 +525,9 @@ def main(argv=None) -> int:
     if args.out and not Path(args.out).parent.is_dir():
         _emit({"error": f"output directory not found: {Path(args.out).parent}"}, None)
         return USAGE
+    if args.out and Path(args.out).is_dir():
+        _emit({"error": f"output path is a directory: {args.out}"}, None)
+        return USAGE
     t0 = time.perf_counter()
     try:
         status, report = args.handler(args)

@@ -3,13 +3,20 @@
 Every construction returns a SymbolicFn and, where a premise is needed,
 verifies it on an explicit box; a failed premise raises
 ConstructionRefuted with the offending points.  The normalizing unary
-maps required by the asymmetric constructions are built lazily over the
+maps required by the asymmetric constructions are built over the
 verification box, which is the only place they are ever consulted.
+
+The builds over a box evaluate their argument once per point of the box's
+square, into a row-major table of w² values that every premise scan reads
+and that the returned composite keeps: its calls at in-square arguments
+read the table, and only arguments outside the square evaluate the
+argument again.  This rests on evaluators being functions of their
+arguments (see `clonelab.symbolic`).
 """
 
 from __future__ import annotations
 
-from typing import Collection, Iterable
+from typing import Callable, Collection, Iterable, Iterator
 
 from .combinatorics import Coloring, IndependentFamily
 from .symbolic import (
@@ -19,6 +26,7 @@ from .symbolic import (
     cantor_pairing,
     check_injective_on,
     delta_pairing,
+    first_collision,
 )
 
 
@@ -43,11 +51,13 @@ def color_gated_pairing(
     if any(c < 0 or c >= coloring.mu for c in gate):
         raise ValueError(f"gate colors {sorted(gate)} outside 0..{coloring.mu - 1}")
 
+    color, code = coloring.fn, pr.evaluator(2)
+
     def fn(a: int, b: int) -> int:
         if a == 0 or b == 0 or a == b:
             return max(a, b)
-        if coloring(a, b) in gate:
-            return pr(a, b)
+        if color(a, b) in gate:
+            return code(a, b)
         return 0
 
     label = name or f"gate{{{','.join(str(c) for c in sorted(gate))}}}"
@@ -72,8 +82,8 @@ def recovered_pairing(
     missing = set(range(coloring.mu)) - (a_set | b_set)
     if missing:
         raise ValueError(f"gate sets do not cover colors {sorted(missing)}")
-    first = color_gated_pairing(a_set, coloring, pr)
-    second = color_gated_pairing(b_set, coloring, pr)
+    first = color_gated_pairing(a_set, coloring, pr).fn
+    second = color_gated_pairing(b_set, coloring, pr).fn
 
     def fn(a: int, b: int) -> int:
         return first(first(a, b), second(a, b))
@@ -105,7 +115,7 @@ def two_sided_pairing(
     argument; the two halves then land in distinct residue classes mod 4.
     """
     pr = pr or cantor_pairing()
-    below = delta_pairing(pr)
+    below = delta_pairing(pr).fn
 
     if check_box is not None:
         # the all-markers cell merge(left 0, right 0) is deliberately free:
@@ -144,6 +154,38 @@ def marked_merge() -> SymbolicFn:
     return SymbolicFn("marked_merge", 2, fn)
 
 
+class _Square:
+    """f evaluated once per point of a box's square, row-major."""
+
+    def __init__(self, f: SymbolicFn, box: Box):
+        self.fn = f.evaluator(2)
+        self.box = box.with_region("full")
+        pts = box.points()
+        self.table = [self.fn(x, y) for x in pts for y in pts]
+
+    def scan(self, region: str) -> Iterator[tuple[tuple[int, int], int]]:
+        """(point, value) over a region of the box, in lexicographic order."""
+        if region == "full":
+            return zip(self.box.pairs(), self.table)
+        lo, w, table = self.box.lo, self.box.width, self.table
+        return (((x, y), table[(x - lo) * w + y - lo])
+                for x, y in self.box.with_region(region).pairs())
+
+    def value(self, x: int, y: int) -> int:
+        return self.table[(x - self.box.lo) * self.box.width + y - self.box.lo]
+
+    def evaluator(self) -> Callable[[int, int], int]:
+        """f itself, reading the table on the square."""
+        lo, hi, w, table, fn = self.box.lo, self.box.hi, self.box.width, self.table, self.fn
+
+        def at(x: int, y: int) -> int:
+            if lo <= x < hi and lo <= y < hi:
+                return table[(x - lo) * w + y - lo]
+            return fn(x, y)
+
+        return at
+
+
 def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
     """Pairing (x, y) -> F(x, F(x, y)) from a symmetric F injective below the
     diagonal.
@@ -154,18 +196,17 @@ def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
     The composite is then verified injective on the box's off-diagonal part;
     any collision refutes the construction.
     """
-    square = Box(box.lo, box.hi, "full")
-    for x, y in square.pairs():
-        if f(x, y) != f(y, x):
+    square = _Square(f, box)
+    for (x, y), v in square.scan("nabla"):
+        if v != square.value(y, x):
             raise ConstructionRefuted("argument not symmetric", ((x, y), (y, x)))
-    collision = check_injective_on(f, box.with_region("delta"))
+    collision = first_collision(square.scan("delta"))
     if collision is not None:
         raise ConstructionRefuted("argument not injective below the diagonal", collision)
 
-    needs_shift = any(f(x, y) <= max(x, y) for x, y in square.pairs())
-    if needs_shift:
-        seen = sorted({f(x, y) for x, y in square.pairs()})
-        ranks = {v: i for i, v in enumerate(seen)}
+    at = square.evaluator()
+    if any(v <= max(p) for p, v in square.scan("full")):
+        ranks = {v: i for i, v in enumerate(sorted(set(square.table)))}
         base = box.hi
 
         def shift(v: int) -> int:
@@ -173,9 +214,10 @@ def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
                 return base + ranks[v]
             return base + len(ranks) + v
 
-        g = SymbolicFn(f"{f.name}_lifted", 2, lambda x, y: shift(f(x, y)))
+        def g(x: int, y: int) -> int:
+            return shift(at(x, y))
     else:
-        g = f
+        g = at
 
     def fn(x: int, y: int) -> int:
         return g(x, g(x, y))
@@ -196,14 +238,15 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
     merge identities then route the surviving half through unchanged, and
     the two halves end up with opposite parities.
     """
-    below_vals = {f(x, y) for x, y in box.with_region("delta").pairs()}
-    above_vals = {f(x, y) for x, y in box.with_region("nabla").pairs()}
+    square = _Square(f, box)
+    below_vals = {v for _, v in square.scan("delta")}
+    above_vals = {v for _, v in square.scan("nabla")}
     overlap = below_vals & above_vals
     if overlap:
         raise ConstructionRefuted(
             "triangle images are not disjoint", sorted(overlap)[:4]
         )
-    collision = check_injective_on(f, box.with_region("nabla"))
+    collision = first_collision(square.scan("nabla"))
     if collision is not None:
         raise ConstructionRefuted("argument not injective above the diagonal", collision)
 
@@ -217,7 +260,10 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
             return evens[v]
         return spare + 2 * v  # odd, so it never shadows a normalized even
 
-    g = SymbolicFn(f"{f.name}_norm", 2, lambda x, y: normalize(f(x, y)))
+    at = square.evaluator()
+
+    def g(x: int, y: int) -> int:
+        return normalize(at(x, y))
 
     for e in evens.values():
         if merge(e, 1) != e:

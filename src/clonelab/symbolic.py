@@ -1,15 +1,23 @@
 """Computable operations on the naturals with box-based verification.
 
 A SymbolicFn wraps a total evaluator together with optional metadata: an
-almost-unary witness and trait flags.  All verification is relative to an
-explicit Box; no verdict here claims anything about all of the naturals.
+almost-unary witness.  All verification is relative to an explicit Box; no
+verdict here claims anything about all of the naturals.
+
+An evaluator is a function of its arguments: equal arguments give equal
+values, and a call has no effect that a later call could see.  The box
+scans rely on this.  Value-vector dedup in term search, the box-built
+normalizing maps of the pairings, the square table a pairing build keeps
+and the operand memo of term search all evaluate each symbol once per
+distinct argument and reuse the value.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 REGIONS = ("delta", "nabla", "offdiag", "full")
 
@@ -43,15 +51,14 @@ class Box:
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Region pairs in lexicographic order."""
-        for a in self.points():
-            for b in self.points():
-                if self.region == "delta" and not a > b:
-                    continue
-                if self.region == "nabla" and not a < b:
-                    continue
-                if self.region == "offdiag" and a == b:
-                    continue
-                yield (a, b)
+        lo, hi, pts = self.lo, self.hi, self.points()
+        if self.region == "full":
+            return itertools.product(pts, pts)
+        if self.region == "delta":
+            return ((a, b) for a in pts for b in range(lo, a))
+        if self.region == "nabla":
+            return ((a, b) for a in pts for b in range(a + 1, hi))
+        return ((a, b) for a in pts for b in pts if a != b)
 
     def with_region(self, region: str) -> "Box":
         return Box(self.lo, self.hi, region)
@@ -102,8 +109,18 @@ class SymbolicFn:
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
-            raise ValueError(f"{self.name}: expected {self.arity} args, got {len(args)}")
+            raise self._arity_error(len(args))
         return self.fn(*args)
+
+    def evaluator(self, nargs: int) -> Callable[..., int]:
+        """The bare evaluator, for a hot loop that passes `nargs` arguments:
+        the arity check a call makes, made once."""
+        if nargs != self.arity:
+            raise self._arity_error(nargs)
+        return self.fn
+
+    def _arity_error(self, nargs: int) -> ValueError:
+        return ValueError(f"{self.name}: expected {self.arity} args, got {nargs}")
 
     def __repr__(self):
         return f"SymbolicFn({self.name}, arity={self.arity})"
@@ -118,7 +135,8 @@ def cantor_pairing() -> SymbolicFn:
     even numbers >= 2, so 0 is avoided and the complement is infinite."""
 
     def pair(x: int, y: int) -> int:
-        return 2 * (_triangle(x + y) + y) + 2
+        s = x + y
+        return s * (s + 1) + 2 * y + 2  # 2 * (_triangle(s) + y) + 2
 
     return SymbolicFn("pair", 2, pair)
 
@@ -130,9 +148,10 @@ def delta_pairing(pr: SymbolicFn | None = None) -> SymbolicFn:
     pairing values plus 0 to hit, and the attached witness says so.
     """
     pr = pr or cantor_pairing()
+    code = pr.evaluator(2)
 
     def fn(x: int, y: int) -> int:
-        return pr(x, y) if x > y else 0
+        return code(x, y) if x > y else 0
 
     witness = AlmostUnaryWitness(
         coordinate=1,
@@ -186,16 +205,22 @@ def compose_fn(outer: SymbolicFn, inner: list[SymbolicFn], name: str | None = No
     return SymbolicFn(label, arity, fn)
 
 
+def first_collision(scan: Iterable[tuple[tuple[int, int], int]]):
+    """The first two points of a (point, value) scan that share a value, as
+    (earlier point, later point); None when the values are distinct."""
+    seen: dict[int, tuple[int, int]] = {}
+    for p, v in scan:
+        q = seen.setdefault(v, p)
+        if q != p:
+            return (q, p)
+    return None
+
+
 def check_injective_on(f: SymbolicFn, box: Box):
     """None when f is injective on the box region; otherwise the first
     colliding pair of pairs in the lexicographic scan."""
-    seen: dict[int, tuple[int, int]] = {}
-    for p in box.pairs():
-        v = f(*p)
-        if v in seen and seen[v] != p:
-            return (seen[v], p)
-        seen.setdefault(v, p)
-    return None
+    fn = f.evaluator(2)
+    return first_collision((p, fn(*p)) for p in box.pairs())
 
 
 def injective_on(f: SymbolicFn, box: Box) -> bool:

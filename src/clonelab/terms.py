@@ -721,6 +721,18 @@ class SearchResult:
     stats: SearchStats
 
 
+class _Memo(dict):
+    """Values of a binary evaluator by operand pair, each computed once."""
+
+    def __init__(self, fn: Callable[[int, int], int]):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        value = self[key] = self.fn(*key)
+        return value
+
+
 def bounded_term_search(
     target: SymbolicFn,
     binary_syms: Mapping[str, SymbolicFn],
@@ -735,7 +747,17 @@ def bounded_term_search(
     determined pointwise by its subterms' box behaviors.  A returned term
     agrees with the target on every box point; None means no term over the
     declared symbols matches within the depth bound.
+
+    Each binary symbol is evaluated once per distinct (left value, right
+    value) pair of one left operand: the memo lives while that operand
+    meets its right operands, and is dropped after.  Raises ValueError,
+    before any work, for a negative depth or a symbol whose arity does not
+    match its mapping.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    unary = {name: unary_syms[name].evaluator(1) for name in sorted(unary_syms)}
+    binary = {name: binary_syms[name].evaluator(2) for name in sorted(binary_syms)}
     points = list(box.pairs())
     target_sig = tuple(target(a, b) for a, b in points)
     levels: list[list[tuple[tuple, Term]]] = []
@@ -749,19 +771,16 @@ def bounded_term_search(
             return
         prev = levels[depth - 1]
         earlier = [entry for lv in levels[: depth - 1] for entry in lv]
-        for name in sorted(unary_syms):
-            fn = unary_syms[name]
+        for name, fn in unary.items():
             for sig, term in prev:
-                yield tuple(fn(v) for v in sig), UnaryApp(name, term)
-        for name in sorted(binary_syms):
-            fn = binary_syms[name]
-            pairs = itertools.chain(
-                itertools.product(prev, earlier),
-                itertools.product(earlier, prev),
-                itertools.product(prev, prev),
-            )
-            for (lsig, lterm), (rsig, rterm) in pairs:
-                yield tuple(fn(u, v) for u, v in zip(lsig, rsig)), BinaryApp(name, lterm, rterm)
+                yield tuple(map(fn, sig)), UnaryApp(name, term)
+        for name, fn in binary.items():
+            for lefts, rights in ((prev, earlier), (earlier, prev), (prev, prev)):
+                for lsig, lterm in lefts:
+                    memo = _Memo(fn)
+                    for rsig, rterm in rights:
+                        yield (tuple(map(memo.__getitem__, zip(lsig, rsig))),
+                               BinaryApp(name, lterm, rterm))
 
     seen: set[tuple] = set()
     checked = 0

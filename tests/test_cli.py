@@ -75,6 +75,14 @@ class TestExitCodes:
         assert "output directory not found" in report["error"]
         assert not out.parent.exists()
 
+    def test_out_naming_a_directory_is_usage_error(self, capsys, tmp_path):
+        code, report = run_cli(capsys, "--out", str(tmp_path),
+                               "ramsey", "--n", "3", "--m", "2", "--r", "2", "--c", "2")
+        assert code == 2
+        assert "is a directory" in report["error"]
+        assert "verdict" not in report
+        assert list(tmp_path.iterdir()) == []
+
     def test_full_is_not_a_suite(self, capsys):
         # "full" was an alias of "acceptance"; only the two batteries remain
         code = main(["suite", "full"])
@@ -322,6 +330,15 @@ class TestTermsCommand:
         assert code == 0
         assert report["found"] is None
         assert len(report["frontier_sizes"]) == 3
+
+    def test_search_at_a_negative_depth_is_usage_error(self, capsys):
+        code, report = run_cli(
+            capsys, "terms", "--search", "gate-a", "--gate-a", "0,1",
+            "--gate-b", "2,3", "--depth", "-1", "--box", "1..16:full",
+        )
+        assert code == 2
+        assert "max_depth" in report["error"]
+        assert "found" not in report
 
     def test_search_requires_gates(self, capsys):
         code, report = run_cli(capsys, "terms", "--search", "recovered")

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import pairing_reference as ref
 
 from clonelab.combinatorics import (
     constant_coloring,
@@ -23,6 +26,7 @@ from clonelab.symbolic import (
     ConstructionRefuted,
     SymbolicFn,
     cantor_pairing,
+    check_injective_on,
     delta_pairing,
     injective_on,
     max_fn,
@@ -164,3 +168,158 @@ class TestFamilyGenerators:
         coloring = constant_coloring(len(fam.base), 0)
         gens = family_generators(fam, {0, 1, 2}, coloring, PR)
         assert all(g.name.startswith("gate+") for g in gens)
+
+
+def counting(name, fn):
+    """A SymbolicFn that records each argument pair it is evaluated at."""
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return fn(x, y)
+
+    return SymbolicFn(name, 2, counted), calls
+
+
+class TestEvaluatedOncePerPoint:
+    @pytest.mark.parametrize("lo,w", [(1, 12), (5, 33), (40, 64)])
+    def test_nested_build_evaluates_the_square_and_one_outer_call_per_point(self, lo, w):
+        bump, calls = counting(
+            "bump", lambda x, y: max(x, y) + 1 + PR(min(x, y), max(x, y)))
+        box = Box(lo, lo + w, "offdiag")
+        out = nested_pairing(bump, box)
+        assert len(calls) <= w * w + w * (w - 1)
+        assert len(set(calls)) == len(calls)
+        built = len(calls)
+        assert check_injective_on(out, box) is None
+        assert len(calls) - built <= w * (w - 1)
+
+    @pytest.mark.parametrize("lo,w", [(0, 8), (3, 40)])
+    def test_split_merge_build_evaluates_the_square_once(self, lo, w):
+        below_t, calls = counting("below_t", lambda x, y: PD(y, x))
+        box = Box(lo, lo + w, "offdiag")
+        out = split_merge_pairing(below_t, standard_merge(), box)
+        assert len(calls) == w * w
+        for x, y in box.with_region("full").pairs():
+            out(x, y)
+        assert len(calls) == w * w
+        out(lo + w, lo)  # outside the square the argument is evaluated again
+        assert len(calls) == w * w + 2
+
+
+def _noise(seed, r):
+    def fn(x, y):
+        return random.Random(seed * 1_000_003 + 7919 * x + y).randrange(r)
+    return fn
+
+
+_BASES = {
+    "pair": lambda x, y: PR(x, y),
+    "symmetric-pair": lambda x, y: PR(min(x, y), max(x, y)),
+    "triangular": lambda x, y: max(x, y) * (max(x, y) + 1) // 2 + min(x, y),
+    "below": lambda x, y: PD(y, x),
+    "coarse-above": lambda x, y: y // 2 + 1 if x < y else 0,
+    "max": max,
+    "min": min,
+    "sum": lambda x, y: x + y,
+    "product-mod": lambda x, y: (x * y) % 7,
+}
+
+
+@st.composite
+def binary_fns(draw):
+    """Plain binary callables: symmetric or not, injective on a triangle or
+    not, dominating max or not, and arbitrary noise."""
+    kind = draw(st.sampled_from(sorted(_BASES) + ["noise", "symmetric-noise"]))
+    if kind == "noise":
+        base = _noise(draw(st.integers(0, 999)), draw(st.integers(2, 400)))
+    elif kind == "symmetric-noise":
+        noise = _noise(draw(st.integers(0, 999)), draw(st.integers(2, 400)))
+        base = lambda x, y: noise(min(x, y), max(x, y))  # noqa: E731
+    else:
+        base = _BASES[kind]
+    scale, offset = draw(st.integers(1, 3)), draw(st.integers(-6, 6))
+    modulus = draw(st.sampled_from([None, None, 5, 97]))
+
+    def fn(x, y):
+        v = scale * base(x, y) + offset
+        return v % modulus if modulus else v
+
+    return fn
+
+
+_MERGES = {
+    "standard": standard_merge().fn,
+    "max": max,
+    "sum": lambda a, b: a + b,
+    "first-even": lambda a, b: b if a == 0 else (a if b == 1 or a % 4 else 0),
+}
+
+boxes = st.builds(lambda lo, w: Box(lo, lo + w, "offdiag"), st.integers(0, 12), st.integers(1, 9))
+
+
+def outcome(build, *args):
+    """('built', composite), ('refuted', message, witness) or ('merge', message),
+    for clonelab and the reference alike."""
+    try:
+        return ("built", build(*args))
+    except (ConstructionRefuted, ref.Refuted) as exc:
+        return ("refuted", str(exc), exc.witness)
+    except (InvalidMergeError, ref.InvalidMerge) as exc:
+        return ("merge", str(exc))
+
+
+def assert_same_outcome(got, want, box):
+    assert got[0] == want[0]
+    if got[0] != "built":
+        assert got[1:] == want[1:]
+        return
+    grid = range(max(0, box.lo - 3), box.hi + 4)
+    for x in grid:
+        for y in grid:
+            assert got[1](x, y) == want[1](x, y), (x, y)
+
+
+class TestAgainstTheScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(binary_fns(), boxes)
+    def test_nested_pairing(self, fn, box):
+        got = outcome(nested_pairing, SymbolicFn("f", 2, fn), box)
+        want = outcome(ref.nested, fn, (box.lo, box.hi, box.region))
+        assert_same_outcome(got, want, box)
+
+    @settings(max_examples=150, deadline=None)
+    @given(binary_fns(), st.sampled_from(sorted(_MERGES)), boxes)
+    def test_split_merge_pairing(self, fn, merge, box):
+        got = outcome(split_merge_pairing, SymbolicFn("f", 2, fn),
+                      SymbolicFn("merge", 2, _MERGES[merge]), box)
+        want = outcome(ref.split_merge, fn, _MERGES[merge], (box.lo, box.hi, box.region))
+        assert_same_outcome(got, want, box)
+
+    @settings(max_examples=100, deadline=None)
+    @given(binary_fns(), boxes, st.sampled_from(["delta", "nabla", "offdiag", "full"]))
+    def test_check_injective_on(self, fn, box, region):
+        box = box.with_region(region)
+        assert check_injective_on(SymbolicFn("f", 2, fn), box) == ref.collision(
+            fn, (box.lo, box.hi, region))
+
+    def test_every_outcome_is_drawn(self):
+        """The strategies reach each refutation and both builds."""
+        seen = set()
+        rng = random.Random(5)
+        for _ in range(400):
+            lo = rng.randrange(0, 12)
+            box = (lo, lo + rng.randrange(2, 9), "offdiag")
+            fn = _BASES[rng.choice(sorted(_BASES))]
+            merge = _MERGES[rng.choice(sorted(_MERGES))]
+            for got in (outcome(ref.nested, fn, box), outcome(ref.split_merge, fn, merge, box)):
+                seen.add(got[1] if got[0] != "built" else "built")
+        assert "built" in seen
+        assert {
+            "argument not symmetric",
+            "argument not injective below the diagonal",
+            "triangle images are not disjoint",
+            "argument not injective above the diagonal",
+            "composite not injective off the diagonal",
+            "merge(2, 1) != 2",
+        } <= seen

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clonelab
+import pairing_reference
 import thinning_reference as ref
 from clonelab.combinatorics import constant_coloring, sum_coloring
 from clonelab.pairings import color_gated_pairing
@@ -444,6 +445,93 @@ class TestBoundedSearch:
             {"id": registry.get_unary("id")}, 1, Box(0, 5, "full"),
         )
         assert format_term(res.term) == term
+        assert res.stats.per_depth == per_depth
+        assert res.stats.candidates_checked == checked
+
+
+    def test_negative_depth_is_rejected_before_any_work(self):
+        calls = []
+        target = SymbolicFn("t", 2, lambda x, y: calls.append((x, y)) or x)
+        with pytest.raises(ValueError, match="max_depth"):
+            bounded_term_search(target, {}, {}, -1, Box(0, 4, "full"))
+        assert calls == []
+
+    @pytest.mark.parametrize("binary,unary", [
+        ({"succ": SymbolicFn("succ", 1, lambda x: x + 1)}, {}),
+        ({}, {"max": SymbolicFn("max", 2, max)}),
+    ])
+    def test_misplaced_symbol_is_rejected_before_any_work(self, binary, unary):
+        calls = []
+        target = SymbolicFn("t", 2, lambda x, y: calls.append((x, y)) or x + y)
+        with pytest.raises(ValueError, match="expected . args, got ."):
+            bounded_term_search(target, binary, unary, 2, Box(0, 4, "full"))
+        assert calls == []
+
+    @pytest.mark.parametrize("box", [Box(0, 5, "full"), Box(2, 9, "offdiag")])
+    def test_a_binary_symbol_is_evaluated_once_per_operand_pair_of_a_left_operand(self, box):
+        calls = []
+
+        def gate(x, y):
+            calls.append((x, y))
+            return PR(x, y) if (x + y) % 3 else max(x, y)
+
+        succ = default_registry().get_unary("succ")
+        target = SymbolicFn("plus", 2, lambda x, y: x + y)
+        res = bounded_term_search(target, {"g": SymbolicFn("g", 2, gate)}, {"succ": succ}, 2, box)
+        assert res.term is None
+
+        levels = []
+        pairing_reference.term_search(
+            target.fn, {"g": gate}, {"succ": succ.fn}, 2, (box.lo, box.hi, box.region), levels)
+        memoised = naive = 0
+        for depth in (1, 2):
+            prev, earlier = levels[depth - 1], [e for lv in levels[: depth - 1] for e in lv]
+            for lefts, rights in ((prev, earlier), (earlier, prev), (prev, prev)):
+                for lsig, _ in lefts:
+                    memoised += len({p for rsig, _ in rights for p in zip(lsig, rsig)})
+                    naive += len(rights) * len(lsig)
+        searched = len(calls) - naive  # the reference made the naive number of calls
+        assert 0 < searched <= memoised < naive
+
+
+def small_fns(arity):
+    names = {
+        1: {"id": lambda x: x, "succ": lambda x: x + 1, "double": lambda x: 2 * x,
+            "half": lambda x: x // 2, "zero": lambda x: 0},
+        2: {"max": max, "min": min, "pair": lambda x, y: PR(x, y),
+            "plus-mod": lambda x, y: (x + y) % 5,
+            "gate": lambda x, y: PR(x, y) if (x + y) % 4 < 2 else 0,
+            "first": lambda x, y: x},
+    }[arity]
+    return st.sets(st.sampled_from(sorted(names)), max_size=3).map(
+        lambda chosen: {n: names[n] for n in chosen})
+
+
+class TestSearchAgainstTheScalarReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        small_fns(2).filter(bool),
+        small_fns(1),
+        st.sampled_from(["max", "plus", "pair", "gate-of-succ", "first"]),
+        st.integers(0, 2),
+        st.integers(0, 4), st.integers(1, 5), st.sampled_from(["delta", "nabla", "offdiag", "full"]),
+    )
+    def test_term_and_stats_match(self, binary, unary, target, depth, lo, w, region):
+        target = {
+            "max": max, "plus": lambda x, y: x + y, "pair": lambda x, y: PR(x, y),
+            "gate-of-succ": lambda x, y: PR(x + 1, y) if (x + 1 + y) % 4 < 2 else 0,
+            "first": lambda x, y: x,
+        }[target]
+        box = Box(lo, lo + w, region)
+        res = bounded_term_search(
+            SymbolicFn("t", 2, target),
+            {n: SymbolicFn(n, 2, f) for n, f in binary.items()},
+            {n: SymbolicFn(n, 1, f) for n, f in unary.items()},
+            depth, box,
+        )
+        term, per_depth, checked = pairing_reference.term_search(
+            target, binary, unary, depth, (box.lo, box.hi, region))
+        assert (format_term(res.term) if res.term else None) == term
         assert res.stats.per_depth == per_depth
         assert res.stats.candidates_checked == checked
 
