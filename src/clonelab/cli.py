@@ -223,13 +223,14 @@ def cmd_pairing(args) -> tuple[int, dict]:
         if args.which == "two-sided":
             fn = two_sided_pairing(marked_merge(), pr, check_box=Box(box.lo, box.hi, "offdiag"))
         elif args.which == "nested":
+            code = pr.evaluator(2)
             base = SymbolicFn(
-                "bump", 2, lambda x, y: max(x, y) + 1 + pr(min(x, y), max(x, y))
+                "bump", 2, lambda x, y: max(x, y) + 1 + code(min(x, y), max(x, y))
             )
             fn = nested_pairing(base, box)
         elif args.which == "split-merge":
-            pd = delta_pairing(pr)
-            base = SymbolicFn("below_t", 2, lambda x, y: pd(y, x))
+            below = delta_pairing(pr).evaluator(2)
+            base = SymbolicFn("below_t", 2, lambda x, y: below(y, x))
             fn = split_merge_pairing(base, standard_merge(), box)
         elif args.which == "recovered":
             coloring = _coloring(args.coloring, args.mu)

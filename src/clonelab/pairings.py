@@ -10,8 +10,10 @@ The builds over a box evaluate their argument once per point of the box's
 square, into a row-major table of w² values that every premise scan reads
 and that the returned composite keeps: its calls at in-square arguments
 read the table, and only arguments outside the square evaluate the
-argument again.  This rests on evaluators being functions of their
-arguments (see `clonelab.symbolic`).
+argument again.  The composite also keeps the table it was verified on,
+its own values at the box's off-diagonal points, so an injectivity check
+on that box evaluates nothing.  This rests on evaluators being functions
+of their arguments (see `clonelab.symbolic`).
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .combinatorics import Coloring, IndependentFamily
 from .symbolic import (
     Box,
     ConstructionRefuted,
+    OffdiagTable,
     SymbolicFn,
     cantor_pairing,
-    check_injective_on,
     delta_pairing,
     first_collision,
 )
@@ -163,16 +165,36 @@ class _Square:
         pts = box.points()
         self.table = [self.fn(x, y) for x in pts for y in pts]
 
+    def values(self, region: str) -> list[int]:
+        """The values on a region of the box, in lexicographic order."""
+        t, w = self.table, self.box.width
+        if region == "full":
+            return t
+        if region == "delta":
+            return [v for i in range(w) for v in t[i * w:i * w + i]]
+        if region == "nabla":
+            return [v for i in range(w) for v in t[i * w + i + 1:(i + 1) * w]]
+        return [v for i in range(w) for v in t[i * w:i * w + i] + t[i * w + i + 1:(i + 1) * w]]
+
     def scan(self, region: str) -> Iterator[tuple[tuple[int, int], int]]:
         """(point, value) over a region of the box, in lexicographic order."""
-        if region == "full":
-            return zip(self.box.pairs(), self.table)
-        lo, w, table = self.box.lo, self.box.width, self.table
-        return (((x, y), table[(x - lo) * w + y - lo])
-                for x, y in self.box.with_region(region).pairs())
+        return zip(self.box.with_region(region).pairs(), self.values(region))
 
-    def value(self, x: int, y: int) -> int:
-        return self.table[(x - self.box.lo) * self.box.width + y - self.box.lo]
+    def collision(self, region: str):
+        """first_collision over the region's points."""
+        return first_collision(self.box.with_region(region).pairs(), self.values(region))
+
+    def asymmetry(self) -> tuple[int, int] | None:
+        """The first point (x, y) in lexicographic order with
+        f(x, y) != f(y, x), or None.  It has x < y: a mismatch at (x, y)
+        with y < x shows first at (y, x), in an earlier row."""
+        t, w, lo = self.table, self.box.width, self.box.lo
+        for i in range(w):
+            row = t[i * w:(i + 1) * w]
+            if row != t[i::w]:
+                j = next(j for j in range(i + 1, w) if row[j] != t[j * w + i])
+                return (lo + i, lo + j)
+        return None
 
     def evaluator(self) -> Callable[[int, int], int]:
         """f itself, reading the table on the square."""
@@ -186,6 +208,18 @@ class _Square:
         return at
 
 
+def _verified_composite(
+    name: str, fn: Callable[[int, int], int], box: Box, values: list[int]
+) -> SymbolicFn:
+    """The composite fn, refuted unless its values at the box's off-diagonal
+    points (lexicographic order) are distinct, and reading them there."""
+    collision = first_collision(box.with_region("offdiag").pairs(), values)
+    if collision is not None:
+        raise ConstructionRefuted("composite not injective off the diagonal", collision)
+    table = OffdiagTable(box.lo, box.hi, values)
+    return SymbolicFn(name, 2, table.reader(fn), table=table)
+
+
 def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
     """Pairing (x, y) -> F(x, F(x, y)) from a symmetric F injective below the
     diagonal.
@@ -197,14 +231,16 @@ def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
     any collision refutes the construction.
     """
     square = _Square(f, box)
-    for (x, y), v in square.scan("nabla"):
-        if v != square.value(y, x):
-            raise ConstructionRefuted("argument not symmetric", ((x, y), (y, x)))
-    collision = first_collision(square.scan("delta"))
+    asymmetry = square.asymmetry()
+    if asymmetry is not None:
+        x, y = asymmetry
+        raise ConstructionRefuted("argument not symmetric", ((x, y), (y, x)))
+    collision = square.collision("delta")
     if collision is not None:
         raise ConstructionRefuted("argument not injective below the diagonal", collision)
 
     at = square.evaluator()
+    scan = square.scan("offdiag")
     if any(v <= max(p) for p, v in square.scan("full")):
         ranks = {v: i for i, v in enumerate(sorted(set(square.table)))}
         base = box.hi
@@ -216,17 +252,16 @@ def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
 
         def g(x: int, y: int) -> int:
             return shift(at(x, y))
+
+        values = [g(x, shift(v)) for (x, _), v in scan]
     else:
         g = at
+        values = [g(x, v) for (x, _), v in scan]
 
     def fn(x: int, y: int) -> int:
         return g(x, g(x, y))
 
-    out = SymbolicFn("nested_pair", 2, fn)
-    collision = check_injective_on(out, box.with_region("offdiag"))
-    if collision is not None:
-        raise ConstructionRefuted("composite not injective off the diagonal", collision)
-    return out
+    return _verified_composite("nested_pair", fn, box, values)
 
 
 def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicFn:
@@ -239,14 +274,14 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
     the two halves end up with opposite parities.
     """
     square = _Square(f, box)
-    below_vals = {v for _, v in square.scan("delta")}
-    above_vals = {v for _, v in square.scan("nabla")}
+    below_vals = set(square.values("delta"))
+    above_vals = set(square.values("nabla"))
     overlap = below_vals & above_vals
     if overlap:
         raise ConstructionRefuted(
             "triangle images are not disjoint", sorted(overlap)[:4]
         )
-    collision = first_collision(square.scan("nabla"))
+    collision = square.collision("nabla")
     if collision is not None:
         raise ConstructionRefuted("argument not injective above the diagonal", collision)
 
@@ -274,11 +309,8 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
     def fn(x: int, y: int) -> int:
         return merge(g(x, y), g(y, x) + 1)
 
-    out = SymbolicFn("split_merge_pair", 2, fn)
-    collision = check_injective_on(out, box.with_region("offdiag"))
-    if collision is not None:
-        raise ConstructionRefuted("composite not injective off the diagonal", collision)
-    return out
+    values = [fn(x, y) for x, y in box.with_region("offdiag").pairs()]
+    return _verified_composite("split_merge_pair", fn, box, values)
 
 
 def family_generators(

@@ -229,7 +229,7 @@ def criterion_recovered_pairing(seed):
 @_result(6, "pairing-constructions-injective")
 def criterion_pairings(seed):
     pr = cantor_pairing()
-    pd = delta_pairing(pr)
+    code, below = pr.evaluator(2), delta_pairing(pr).evaluator(2)
     box = Box(0, 128, "offdiag")
     results = {}
 
@@ -237,12 +237,12 @@ def criterion_pairings(seed):
     results["two_sided"] = check_injective_on(two_sided, box) is None
 
     bump = SymbolicFn(
-        "bump", 2, lambda x, y: max(x, y) + 1 + pr(min(x, y), max(x, y))
+        "bump", 2, lambda x, y: max(x, y) + 1 + code(min(x, y), max(x, y))
     )
     nested = nested_pairing(bump, box)
     results["nested"] = check_injective_on(nested, box) is None
 
-    transposed = SymbolicFn("below_t", 2, lambda x, y: pd(y, x))
+    transposed = SymbolicFn("below_t", 2, lambda x, y: below(y, x))
     split = split_merge_pairing(transposed, standard_merge(), box)
     results["split_merge"] = check_injective_on(split, box) is None
 
@@ -396,7 +396,8 @@ def criterion_canonical(seed):
 
     box = Box(0, 24, "full")
     interactions = {}
-    symmetric_pair = SymbolicFn("symp", 2, lambda x, y: pr(min(x, y), max(x, y)))
+    code = pr.evaluator(2)
+    symmetric_pair = SymbolicFn("symp", 2, lambda x, y: code(min(x, y), max(x, y)))
     for f in (pr, pd, symmetric_pair):
         verdict = canon.region_interaction(f, box).verdict
         interactions[f.name] = verdict

@@ -9,7 +9,10 @@ values, and a call has no effect that a later call could see.  The box
 scans rely on this.  Value-vector dedup in term search, the box-built
 normalizing maps of the pairings, the square table a pairing build keeps
 and the operand memo of term search all evaluate each symbol once per
-distinct argument and reuse the value.
+distinct argument and reuse the value.  A pairing composite also keeps the
+table it was verified on, its values at the off-diagonal points of the
+box (an `OffdiagTable`): its calls there read the table, and an
+injectivity check on that box reads the values and calls nothing.
 """
 
 from __future__ import annotations
@@ -101,11 +104,46 @@ class SpreadWitness:
 
 
 @dataclass(frozen=True, eq=False)
+class OffdiagTable:
+    """Values of a binary function at the off-diagonal points of the
+    square [lo, hi)², in the lexicographic order of the offdiag region:
+    row x holds its y < x entries, then its y > x entries."""
+
+    lo: int
+    hi: int
+    values: list[int]
+
+    def region_values(self, box: Box) -> list[int] | None:
+        """The values on the box's region in its scan order; None unless the
+        box has this window and a region without the diagonal."""
+        if (box.lo, box.hi) != (self.lo, self.hi) or box.region == "full":
+            return None
+        if box.region == "offdiag":
+            return self.values
+        w1, vals = box.width - 1, self.values
+        if box.region == "delta":
+            return [v for i in range(box.width) for v in vals[i * w1:i * w1 + i]]
+        return [v for i in range(box.width) for v in vals[i * w1 + i:(i + 1) * w1]]
+
+    def reader(self, fn: Callable[[int, int], int]) -> Callable[[int, int], int]:
+        """fn itself, reading the table at in-window off-diagonal arguments."""
+        lo, hi, w1, vals = self.lo, self.hi, self.hi - self.lo - 1, self.values
+
+        def at(x: int, y: int) -> int:
+            if lo <= x < hi and lo <= y < hi and x != y:
+                return vals[(x - lo) * w1 + y - lo - (y > x)]
+            return fn(x, y)
+
+        return at
+
+
+@dataclass(frozen=True, eq=False)
 class SymbolicFn:
     name: str
     arity: int
     fn: Callable[..., int]
     witness: AlmostUnaryWitness | None = None
+    table: OffdiagTable | None = None  # values of fn on a box, read instead of calling fn
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
@@ -205,11 +243,14 @@ def compose_fn(outer: SymbolicFn, inner: list[SymbolicFn], name: str | None = No
     return SymbolicFn(label, arity, fn)
 
 
-def first_collision(scan: Iterable[tuple[tuple[int, int], int]]):
-    """The first two points of a (point, value) scan that share a value, as
-    (earlier point, later point); None when the values are distinct."""
+def first_collision(pairs: Iterable[tuple[int, int]], values: list[int]):
+    """The first two of the pairs whose values (listed in the same order)
+    are equal, as (earlier pair, later pair); None when the values are
+    distinct.  The pairs are walked only when a collision is certain."""
+    if len(set(values)) == len(values):
+        return None
     seen: dict[int, tuple[int, int]] = {}
-    for p, v in scan:
+    for p, v in zip(pairs, values):
         q = seen.setdefault(v, p)
         if q != p:
             return (q, p)
@@ -218,9 +259,13 @@ def first_collision(scan: Iterable[tuple[tuple[int, int], int]]):
 
 def check_injective_on(f: SymbolicFn, box: Box):
     """None when f is injective on the box region; otherwise the first
-    colliding pair of pairs in the lexicographic scan."""
-    fn = f.evaluator(2)
-    return first_collision((p, fn(*p)) for p in box.pairs())
+    colliding pair of pairs in the lexicographic scan.  A table f keeps
+    for the box is read instead of calling f."""
+    values = f.table.region_values(box) if f.table is not None else None
+    if values is None:
+        fn = f.evaluator(2)
+        values = [fn(*p) for p in box.pairs()]
+    return first_collision(box.pairs(), values)
 
 
 def injective_on(f: SymbolicFn, box: Box) -> bool:

@@ -193,6 +193,12 @@ class TestEvaluatedOncePerPoint:
         built = len(calls)
         assert check_injective_on(out, box) is None
         assert len(calls) - built <= w * (w - 1)
+        assert len(calls) == built  # the check reads the verified table
+        top = lo + w - 1
+        out(top, top)  # the composite's diagonal is not in the table
+        assert len(calls) == built + 1
+        out(lo + w, lo)
+        assert len(calls) > built + 1
 
     @pytest.mark.parametrize("lo,w", [(0, 8), (3, 40)])
     def test_split_merge_build_evaluates_the_square_once(self, lo, w):
@@ -200,6 +206,8 @@ class TestEvaluatedOncePerPoint:
         box = Box(lo, lo + w, "offdiag")
         out = split_merge_pairing(below_t, standard_merge(), box)
         assert len(calls) == w * w
+        for region in ("delta", "nabla", "offdiag"):
+            assert check_injective_on(out, box.with_region(region)) is None
         for x, y in box.with_region("full").pairs():
             out(x, y)
         assert len(calls) == w * w
@@ -223,6 +231,9 @@ _BASES = {
     "min": min,
     "sum": lambda x, y: x + y,
     "product-mod": lambda x, y: (x * y) % 7,
+    # symmetric and injective on every drawn box, whose hi is below 24, and
+    # 0 wherever the nested composite's outer call lands
+    "box-capped": lambda x, y: PR(min(x, y), max(x, y)) + 24 if max(x, y) < 24 else 0,
 }
 
 
@@ -278,6 +289,11 @@ def assert_same_outcome(got, want, box):
     for x in grid:
         for y in grid:
             assert got[1](x, y) == want[1](x, y), (x, y)
+    # the verified table on the box, and the reader on a wider window
+    for lo, hi in ((box.lo, box.hi), (max(0, box.lo - 1), box.hi + 1)):
+        for region in ("delta", "nabla", "offdiag", "full"):
+            assert check_injective_on(got[1], Box(lo, hi, region)) == ref.collision(
+                want[1], (lo, hi, region)), (lo, hi, region)
 
 
 class TestAgainstTheScalarReference:
@@ -303,6 +319,14 @@ class TestAgainstTheScalarReference:
         assert check_injective_on(SymbolicFn("f", 2, fn), box) == ref.collision(
             fn, (box.lo, box.hi, region))
 
+    @settings(max_examples=40, deadline=None)
+    @given(boxes.filter(lambda b: b.width >= 2))
+    def test_a_composite_collision_has_the_reference_witness(self, box):
+        fn = _BASES["box-capped"]
+        got = outcome(nested_pairing, SymbolicFn("f", 2, fn), box)
+        assert got[:2] == ("refuted", "composite not injective off the diagonal")
+        assert got == outcome(ref.nested, fn, (box.lo, box.hi, box.region))
+
     def test_every_outcome_is_drawn(self):
         """The strategies reach each refutation and both builds."""
         seen = set()
@@ -312,14 +336,16 @@ class TestAgainstTheScalarReference:
             box = (lo, lo + rng.randrange(2, 9), "offdiag")
             fn = _BASES[rng.choice(sorted(_BASES))]
             merge = _MERGES[rng.choice(sorted(_MERGES))]
-            for got in (outcome(ref.nested, fn, box), outcome(ref.split_merge, fn, merge, box)):
-                seen.add(got[1] if got[0] != "built" else "built")
-        assert "built" in seen
+            for build, got in (("nested", outcome(ref.nested, fn, box)),
+                               ("split", outcome(ref.split_merge, fn, merge, box))):
+                seen.add((build, got[1] if got[0] != "built" else "built"))
         assert {
-            "argument not symmetric",
-            "argument not injective below the diagonal",
-            "triangle images are not disjoint",
-            "argument not injective above the diagonal",
-            "composite not injective off the diagonal",
-            "merge(2, 1) != 2",
+            ("nested", "built"),
+            ("nested", "argument not symmetric"),
+            ("nested", "argument not injective below the diagonal"),
+            ("nested", "composite not injective off the diagonal"),
+            ("split", "built"),
+            ("split", "triangle images are not disjoint"),
+            ("split", "argument not injective above the diagonal"),
+            ("split", "merge(2, 1) != 2"),
         } <= seen

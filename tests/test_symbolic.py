@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from clonelab.symbolic import (
     Box,
     ConstructionRefuted,
+    OffdiagTable,
     SymbolicFn,
     cantor_pairing,
     check_injective_on,
@@ -124,3 +125,42 @@ class TestInjectivityChecker:
 
     def test_empty_region_vacuous(self):
         assert check_injective_on(max_fn(), Box(0, 1, "offdiag")) is None
+
+
+def _tabled(fn, lo, hi):
+    """fn with its values at the off-diagonal points of [lo, hi)² kept."""
+    values = [fn(*p) for p in Box(lo, hi, "offdiag").pairs()]
+    table = OffdiagTable(lo, hi, values)
+    return SymbolicFn("tabled", 2, table.reader(fn), table=table)
+
+
+class TestOffdiagTable:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10), st.integers(1, 8), st.integers(1, 30), st.integers(0, 99),
+           st.sampled_from(["delta", "nabla", "offdiag", "full"]))
+    def test_same_verdict_as_calling(self, lo, w, r, salt, region):
+        def fn(x, y):
+            return (x * 31 + y * 17 + salt) * 2654435761 % 2**32 % r
+
+        tabled = _tabled(fn, lo, lo + w)
+        for box in (Box(lo, lo + w, region), Box(max(0, lo - 1), lo + w + 2, region)):
+            assert check_injective_on(tabled, box) == check_injective_on(
+                SymbolicFn("f", 2, fn), box)
+        grid = range(max(0, lo - 2), lo + w + 2)
+        assert all(tabled(x, y) == fn(x, y) for x in grid for y in grid)
+
+    def test_check_on_its_box_calls_nothing(self):
+        calls = []
+
+        def fn(x, y):
+            calls.append((x, y))
+            return (x + y) % 5
+
+        tabled = _tabled(fn, 3, 12)
+        calls.clear()
+        for region in ("delta", "nabla", "offdiag"):
+            assert check_injective_on(tabled, Box(3, 12, region)) == check_injective_on(
+                SymbolicFn("f", 2, lambda x, y: (x + y) % 5), Box(3, 12, region))
+        assert calls == []
+        check_injective_on(tabled, Box(3, 12, "full"))
+        assert calls == [(x, x) for x in range(3, 12)]
