@@ -257,14 +257,26 @@ def first_collision(pairs: Iterable[tuple[int, int]], values: list[int]):
     return None
 
 
+_CHUNK = 1024  # points check_injective_on evaluates between collision tests
+
+
 def check_injective_on(f: SymbolicFn, box: Box):
     """None when f is injective on the box region; otherwise the first
     colliding pair of pairs in the lexicographic scan.  A table f keeps
-    for the box is read instead of calling f."""
+    for the box is read instead of calling f.  Otherwise f is called on
+    _CHUNK points at a time, and the scan stops after the first chunk
+    whose values are not all new."""
     values = f.table.region_values(box) if f.table is not None else None
     if values is None:
         fn = f.evaluator(2)
-        values = [fn(*p) for p in box.pairs()]
+        pairs, values, seen = box.pairs(), [], set()
+        while chunk := [fn(*p) for p in itertools.islice(pairs, _CHUNK)]:
+            values += chunk
+            seen.update(chunk)
+            if len(seen) < len(values):
+                break
+        else:
+            return None
     return first_collision(box.pairs(), values)
 
 

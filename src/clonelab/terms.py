@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -709,9 +710,18 @@ def agreement_holds(
 
 # -- bounded term search -------------------------------------------------------
 
+_MAX_CANDIDATES = 1 << 16  # bounded_term_search raises before a larger level
+
+
 @dataclass(frozen=True)
 class SearchStats:
-    per_depth: tuple[int, ...]        # distinct box behaviors discovered per depth
+    """per_depth counts the distinct box behaviors (value vectors) first met
+    at each depth; candidates_checked counts the candidates up to and
+    including the hit, or all of them when there is none.  The last depth's
+    count is exact, by partition refinement, though its vectors are never
+    stored."""
+
+    per_depth: tuple[int, ...]
     candidates_checked: int
 
 
@@ -733,6 +743,63 @@ class _Memo(dict):
         return value
 
 
+# A candidate term, not yet evaluated: (evaluator, operand signatures,
+# symbol, operand terms).  A unary evaluator maps over its operand's
+# signature, a binary one (its left operand's memo) over the pairs of its
+# operands' signatures.
+_Candidate = tuple[Callable, tuple[tuple, ...], str, tuple[Term, ...]]
+
+
+def _values(cand: _Candidate, start: int = 0, stop: int | None = None) -> Iterator[int]:
+    """The candidate's values at the points start..stop-1, lazily."""
+    fn, operands = cand[0], cand[1]
+    if len(operands) == 1:
+        return map(fn, operands[0][start:stop])
+    left, right = operands
+    return map(fn, zip(left[start:stop], right[start:stop]))
+
+
+def _term(cand: _Candidate) -> Term:
+    name, args = cand[2], cand[3]
+    return UnaryApp(name, *args) if len(args) == 1 else BinaryApp(name, *args)
+
+
+def _count_new(cands: list[_Candidate], earlier: Iterable[tuple], n_points: int) -> int:
+    """The number of distinct value vectors among the candidates that are
+    not among the earlier signatures, by partition refinement.
+
+    One group holds everything at first.  Each round splits every group by
+    its members' values on the next block of points, blocks doubling in
+    width from one point.  A group left with one candidate and no earlier
+    signature counts 1 and one without candidates is dropped; a group that
+    survives every point is a true class, and counts 1 unless it holds an
+    earlier signature.  A candidate is evaluated only on the blocks its
+    group survives, so a distinct vector that parts at point i costs at
+    most 2i + 1 values."""
+    count = 0
+    groups = [(cands, list(earlier))]
+    start, width = 0, 1
+    while start < n_points and groups:
+        stop = start + width
+        refined = []
+        for members, olds in groups:
+            split: dict[tuple, tuple[list, list]] = {}
+            for cand in members:
+                split.setdefault(tuple(_values(cand, start, stop)), ([], []))[0].append(cand)
+            for sig in olds:
+                part = split.get(sig[start:stop])
+                if part is not None:
+                    part[1].append(sig)
+            for part in split.values():
+                if len(part[0]) == 1 and not part[1]:
+                    count += 1
+                else:
+                    refined.append(part)
+        groups = refined
+        start, width = stop, 2 * width
+    return count + sum(not olds for _, olds in groups)
+
+
 def bounded_term_search(
     target: SymbolicFn,
     binary_syms: Mapping[str, SymbolicFn],
@@ -748,11 +815,20 @@ def bounded_term_search(
     agrees with the target on every box point; None means no term over the
     declared symbols matches within the depth bound.
 
+    Every level below max_depth stores the signature of each new vector.
+    The last level stores none: its candidates are compared with the
+    target first, point by point, and the first full match is the hit,
+    the same term the dedup would return.  Its entry in per_depth, the
+    distinct new vectors up to the hit, stays exact by partition
+    refinement against the earlier levels (see _count_new).
+
     Each binary symbol is evaluated once per distinct (left value, right
     value) pair of one left operand: the memo lives while that operand
-    meets its right operands, and is dropped after.  Raises ValueError,
-    before any work, for a negative depth or a symbol whose arity does not
-    match its mapping.
+    meets its right operands, and is dropped after (on the last level,
+    with the level).  Raises ValueError, before any work, for a negative
+    depth or a symbol whose arity does not match its mapping, and
+    InconclusiveError, before a level is evaluated, when the level would
+    hold more than _MAX_CANDIDATES candidates.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -762,33 +838,52 @@ def bounded_term_search(
     target_sig = tuple(target(a, b) for a, b in points)
     levels: list[list[tuple[tuple, Term]]] = []
 
-    def candidates(depth: int) -> Iterator[tuple[tuple, Term]]:
-        """x and y at depth 0; deeper, every symbol over the previous level,
-        in sorted symbol order, each binary one with an operand from it."""
-        if depth == 0:
-            yield tuple(a for a, _ in points), VarX()
-            yield tuple(b for _, b in points), VarY()
-            return
+    def candidates(depth: int) -> Iterator[_Candidate]:
+        """Every symbol over the previous level, in sorted symbol order,
+        each binary one with an operand from it."""
         prev = levels[depth - 1]
         earlier = [entry for lv in levels[: depth - 1] for entry in lv]
         for name, fn in unary.items():
             for sig, term in prev:
-                yield tuple(map(fn, sig)), UnaryApp(name, term)
+                yield fn, (sig,), name, (term,)
         for name, fn in binary.items():
             for lefts, rights in ((prev, earlier), (earlier, prev), (prev, prev)):
                 for lsig, lterm in lefts:
-                    memo = _Memo(fn)
+                    get = _Memo(fn).__getitem__
                     for rsig, rterm in rights:
-                        yield (tuple(map(memo.__getitem__, zip(lsig, rsig))),
-                               BinaryApp(name, lterm, rterm))
+                        yield get, (lsig, rsig), name, (lterm, rterm)
 
     seen: set[tuple] = set()
     checked = 0
     hit = None
     for depth in range(max_depth + 1):
+        if depth == 0:
+            stream: Iterable[tuple[tuple, Term]] = (
+                (tuple(a for a, _ in points), VarX()), (tuple(b for _, b in points), VarY()))
+        else:
+            # each unary symbol over the level below, each binary one over
+            # (below, earlier), (earlier, below) and (below, below)
+            prev = len(levels[-1])
+            size = len(unary) * prev + len(binary) * (2 * prev * (len(seen) - prev) + prev * prev)
+            if size > _MAX_CANDIDATES:
+                raise InconclusiveError(
+                    f"term search level {depth} has {size} candidates, "
+                    f"more than the budget of {_MAX_CANDIDATES}")
+            if depth == max_depth:
+                prefix = []
+                for cand in candidates(depth):
+                    prefix.append(cand)
+                    if all(map(operator.eq, _values(cand), target_sig)):
+                        hit = _term(cand)
+                        break
+                checked += len(prefix)
+                new = _count_new(prefix, seen, len(points))
+                return SearchResult(hit, SearchStats(
+                    tuple(len(lv) for lv in levels) + (new,), checked))
+            stream = ((tuple(_values(cand)), _term(cand)) for cand in candidates(depth))
         level: list[tuple[tuple, Term]] = []
         levels.append(level)
-        for sig, term in candidates(depth):
+        for sig, term in stream:
             checked += 1
             if sig in seen:
                 continue

@@ -340,6 +340,15 @@ class TestTermsCommand:
         assert "max_depth" in report["error"]
         assert "found" not in report
 
+    def test_search_past_the_candidate_budget_exits_3(self):
+        # depth 3 on the default box 1..24 gives per_depth (2, 4, 32, 1377), so
+        # depth 4 would meet 2 * 1377 + 2 * 1377 * 38 + 1377 ** 2 candidates
+        proc = run_cli_child("terms", "--search", "gate-a", "--gate-a", "0,1",
+                             "--gate-b", "2,3", "--depth", "4", timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "level 4 has 2003535 candidates" in json.loads(proc.stdout)["error"]
+
     def test_search_requires_gates(self, capsys):
         code, report = run_cli(capsys, "terms", "--search", "recovered")
         assert code == 2

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pairing_reference
+from clonelab import symbolic
 from clonelab.symbolic import (
     Box,
     ConstructionRefuted,
@@ -125,6 +127,27 @@ class TestInjectivityChecker:
 
     def test_empty_region_vacuous(self):
         assert check_injective_on(max_fn(), Box(0, 1, "offdiag")) is None
+
+    def test_an_untabled_scan_stops_after_the_chunk_of_its_first_collision(self):
+        # max collides at the 400th of 159,600 points: (0, 1) and (1, 0)
+        calls = []
+        fn = max_fn().fn
+        counted = SymbolicFn("max", 2, lambda x, y: calls.append((x, y)) or fn(x, y))
+        box = Box(0, 400, "offdiag")
+        witness = check_injective_on(counted, box)
+        assert witness == pairing_reference.collision(max, (0, 400, "offdiag"))
+        assert witness == ((0, 1), (1, 0))
+        assert 400 <= len(calls) <= symbolic._CHUNK
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 60), st.integers(1, 4000), st.integers(0, 99),
+           st.sampled_from(["delta", "nabla", "offdiag", "full"]))
+    def test_chunked_scan_matches_the_reference(self, lo, w, r, salt, region):
+        def fn(x, y):
+            return (x * 31 + y * 17 + salt) * 2654435761 % 2**32 % r
+
+        assert check_injective_on(SymbolicFn("f", 2, fn), Box(lo, lo + w, region)) == (
+            pairing_reference.collision(fn, (lo, lo + w, region)))
 
 
 def _tabled(fn, lo, hi):

@@ -23,6 +23,7 @@ from clonelab.terms import (
     Const,
     InconclusiveError,
     RegistryError,
+    SearchStats,
     SubsetSpec,
     UnaryApp,
     VarX,
@@ -493,18 +494,104 @@ class TestBoundedSearch:
         searched = len(calls) - naive  # the reference made the naive number of calls
         assert 0 < searched <= memoised < naive
 
+    def test_the_last_level_computes_no_vector_in_full(self):
+        # the target differs from every candidate at the first point, and the
+        # last level's eight vectors part from each other and from the six
+        # below within the first rows: it evaluates a small share of the
+        # 8 * 10,000 points a stored level would
+        calls = []
+
+        def counted(f):
+            return lambda v: calls.append(v) or f(v)
+
+        unary = {"succ": lambda v: v + 1, "double": lambda v: 2 * v}
+        box = Box(0, 100, "full")
+        res = bounded_term_search(
+            SymbolicFn("t", 2, lambda x, y: -1), {},
+            {n: SymbolicFn(n, 1, counted(f)) for n, f in unary.items()}, 2, box,
+        )
+        term, per_depth, checked = pairing_reference.term_search(
+            lambda x, y: -1, {}, unary, 2, (box.lo, box.hi, box.region))
+        assert (res.term, term) == (None, None)
+        assert (res.stats.per_depth, res.stats.candidates_checked) == (per_depth, checked)
+        assert per_depth == (2, 4, 8)
+        stored = 4 * 100 * 100  # level 1 is below the last level: four full vectors
+        assert len(calls) - stored < 100 * 100
+
+    def test_a_level_over_the_budget_raises_before_it_is_evaluated(self, monkeypatch):
+        calls = []
+
+        def succ(x):
+            calls.append(x)
+            return x + 1
+
+        def g(x, y):
+            calls.append((x, y))
+            return 7 * x + y
+
+        # level 1 has 1 * 2 + 1 * (2 * 2 * 0 + 2 * 2) = 6 candidates and six
+        # distinct vectors, level 2 has 1 * 6 + 1 * (2 * 6 * 2 + 6 * 6) = 66
+        monkeypatch.setattr(clonelab.terms, "_MAX_CANDIDATES", 10)
+        with pytest.raises(InconclusiveError, match="level 2 has 66 candidates"):
+            bounded_term_search(
+                SymbolicFn("t", 2, lambda x, y: x * y), {"g": SymbolicFn("g", 2, g)},
+                {"succ": SymbolicFn("succ", 1, succ)}, 2, Box(0, 6, "full"),
+            )
+        # level 1 only: succ at the 36 points of x and of y, and g at the 36
+        # distinct operand pairs of each left operand (x, y)
+        assert len(calls) == 2 * 36 + 2 * 36
+
+    def test_bench_scale_stats(self):
+        from clonelab.pairings import recovered_pairing
+
+        coloring = sum_coloring(4)
+        registry = gated_registry(coloring)
+        gate_a, gate_b = registry.get_binary("gateA"), registry.get_binary("gateB")
+        box = Box(1, 24, "full")
+        negative = bounded_term_search(
+            gate_a, {"gateB": gate_b},
+            {"id": registry.get_unary("id"), "succ": registry.get_unary("succ")}, 3, box,
+        )
+        assert negative.term is None
+        assert negative.stats == SearchStats((2, 4, 32, 1377), 1522)
+        target = recovered_pairing({0, 1}, {2, 3}, coloring, PR)
+        positive = bounded_term_search(
+            target, {"gateA": gate_a, "gateB": gate_b}, {"id": registry.get_unary("id")}, 2, box,
+        )
+        assert positive.stats == SearchStats((2, 4, 18), 35)
+        assert positive.term is not None
+        assert all(eval_term(positive.term, x, y, registry) == target(x, y) for x, y in box.pairs())
+
+
+_SMALL_FNS = {
+    1: {"id": lambda x: x, "succ": lambda x: x + 1, "double": lambda x: 2 * x,
+        "half": lambda x: x // 2, "zero": lambda x: 0},
+    2: {"max": max, "min": min, "pair": lambda x, y: PR(x, y),
+        "plus-mod": lambda x, y: (x + y) % 5,
+        "gate": lambda x, y: PR(x, y) if (x + y) % 4 < 2 else 0,
+        "first": lambda x, y: x},
+}
+
 
 def small_fns(arity):
-    names = {
-        1: {"id": lambda x: x, "succ": lambda x: x + 1, "double": lambda x: 2 * x,
-            "half": lambda x: x // 2, "zero": lambda x: 0},
-        2: {"max": max, "min": min, "pair": lambda x, y: PR(x, y),
-            "plus-mod": lambda x, y: (x + y) % 5,
-            "gate": lambda x, y: PR(x, y) if (x + y) % 4 < 2 else 0,
-            "first": lambda x, y: x},
-    }[arity]
+    names = _SMALL_FNS[arity]
     return st.sets(st.sampled_from(sorted(names)), max_size=3).map(
         lambda chosen: {n: names[n] for n in chosen})
+
+
+def _compare_with_reference(binary, unary, target, depth, box):
+    """The search and the scalar reference on the same inputs; returns the
+    reference's (term, per_depth, checked)."""
+    res = bounded_term_search(
+        SymbolicFn("t", 2, target),
+        {n: SymbolicFn(n, 2, f) for n, f in binary.items()},
+        {n: SymbolicFn(n, 1, f) for n, f in unary.items()},
+        depth, box,
+    )
+    want = pairing_reference.term_search(target, binary, unary, depth, (box.lo, box.hi, box.region))
+    assert ((format_term(res.term) if res.term else None),
+            res.stats.per_depth, res.stats.candidates_checked) == want
+    return want
 
 
 class TestSearchAgainstTheScalarReference:
@@ -522,18 +609,51 @@ class TestSearchAgainstTheScalarReference:
             "gate-of-succ": lambda x, y: PR(x + 1, y) if (x + 1 + y) % 4 < 2 else 0,
             "first": lambda x, y: x,
         }[target]
-        box = Box(lo, lo + w, region)
-        res = bounded_term_search(
-            SymbolicFn("t", 2, target),
-            {n: SymbolicFn(n, 2, f) for n, f in binary.items()},
-            {n: SymbolicFn(n, 1, f) for n, f in unary.items()},
-            depth, box,
-        )
-        term, per_depth, checked = pairing_reference.term_search(
-            target, binary, unary, depth, (box.lo, box.hi, region))
-        assert (format_term(res.term) if res.term else None) == term
-        assert res.stats.per_depth == per_depth
-        assert res.stats.candidates_checked == checked
+        _compare_with_reference(binary, unary, target, depth, Box(lo, lo + w, region))
+
+
+_gate = _SMALL_FNS[2]["gate"]
+_DEEP_TARGETS = {
+    "x": lambda x, y: x,
+    "max": max,
+    "plus": lambda x, y: x + y,
+    "succ3": lambda x, y: x + 3,
+    "pair3": lambda x, y: PR(PR(PR(x, y), x), y),
+    "gate3": lambda x, y: _gate(_gate(x, y), _gate(y, x)) + 1,
+}
+
+
+class TestDeepSearchAgainstTheScalarReference:
+    """Depth 0, and depth 3 with its last level over three stored levels.
+    One binary symbol and at most one unary one keep a depth-3 level under
+    about 5,500 candidates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        small_fns(2).filter(lambda chosen: len(chosen) == 1),
+        small_fns(1).filter(lambda chosen: len(chosen) <= 1),
+        st.sampled_from(sorted(_DEEP_TARGETS)),
+        st.sampled_from([0, 3]),
+        st.integers(0, 4), st.integers(1, 4), st.sampled_from(["delta", "nabla", "offdiag", "full"]),
+    )
+    def test_term_and_stats_match(self, binary, unary, target, depth, lo, w, region):
+        _compare_with_reference(binary, unary, _DEEP_TARGETS[target], depth, Box(lo, lo + w, region))
+
+    @pytest.mark.parametrize("binary,unary,target,hit_depth", [
+        ("pair", "succ", "pair3", 3),
+        ("pair", "id", "pair3", 3),
+        ("gate", "succ", "gate3", 3),
+        ("first", "succ", "succ3", 3),
+        ("max", "succ", "max", 1),
+        ("pair", "zero", "x", 0),
+        ("max", "double", "plus", None),
+        ("pair", "succ", "plus", None),
+    ])
+    def test_each_outcome_at_depth_three(self, binary, unary, target, hit_depth):
+        term, per_depth, checked = _compare_with_reference(
+            {binary: _SMALL_FNS[2][binary]}, {unary: _SMALL_FNS[1][unary]}, _DEEP_TARGETS[target], 3, Box(1, 5, "full"))
+        assert (term is None) == (hit_depth is None)
+        assert len(per_depth) == (4 if hit_depth is None else hit_depth + 1)
 
 
 terms_strategy = st.deferred(
