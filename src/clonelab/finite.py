@@ -64,7 +64,7 @@ class OpTable:
             raise ValueError(
                 f"table length {len(self.table)} != {k}^{self.arity}"
             )
-        if any(v < 0 or v >= k for v in self.table):
+        if min(self.table) < 0 or max(self.table) >= k:
             raise ValueError("table entry outside carrier")
 
     @classmethod
@@ -354,12 +354,17 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # The engine.  An n-ary table is a row of k^n digits,
 # cut into at least two near-equal limbs of at most c digits, where
 # k^(2c) <= 2^16: a limb fits in a byte, and a unary or binary generator acts
-# limb by limb through a lookup table of at most 2^16 entries.  Generators of
-# arity >= 3 act digit by digit on digit rows, unpacked from the limbs once
-# per block.  Dedup is exact and keyed by the limb bytes.  Two limbs are
+# limb by limb through a lookup table of at most 2^16 entries.  A binary
+# generator builds each limb of a block of results with one contiguous
+# gather: its table's rows for the left operands, taken along the right
+# operands' limbs.  Generators of arity >= 3 act digit by digit on digit
+# rows, unpacked from the limbs once per block.  Dedup is exact and keyed by the limb bytes.  Two limbs are
 # exactly the spaces of at most 2^16 tables (carrier 2 up to arity 4, carrier
 # 3 up to arity 2, carriers 4 to 6 at arity 1): their key, read as a uint16,
-# indexes a 2^16-entry bitmap.  Every larger space keeps its keys in a set.
+# indexes a 2^16-entry bitmap.  A batch of keys is marked in a scratch
+# bitmap of the same size, and the marks that are not yet members are the
+# new tables, sorted and unique with no sort.  Every larger space keeps its
+# keys in a set.
 # Generators are introduced one at a time and skipped when they are already
 # members of the clone generated so far (a generator that is already a term
 # function adds nothing).
@@ -469,14 +474,18 @@ class _CodeEngine:
         self.space = k**self.width
         self.bound = bound  # no slice the generators reach holds more tables; None sweeps
         self.widths = _limb_widths(k, self.width)
-        if len(self.widths) == 2:
+        limbs = len(self.widths)
+        # bytes per candidate of a unary or binary application: the key rows
+        # and one limb's gather, and on the set path the keys as bytes objects
+        self.candidate_bytes = limbs + 1
+        if limbs == 2:
             self.key_dtype = np.dtype("<u2")
             self.bitmap = np.zeros(1 << 16, dtype=bool)
-            self.key_bytes = self.key_dtype.itemsize
+            self.hit = np.zeros(1 << 16, dtype=bool)  # scratch of add: the keys of one call
         else:
-            self.key_dtype = np.dtype((np.void, len(self.widths)))
+            self.key_dtype = np.dtype((np.void, limbs))
             self.bitmap = None
-            self.key_bytes = len(self.widths) + sys.getsizeof(b"")  # held as bytes objects
+            self.candidate_bytes += limbs + sys.getsizeof(b"")
         self.seen: set[bytes] = set()
         self.limbs = np.empty((64, len(self.widths)), dtype=np.uint8)
         self.count = 0
@@ -497,8 +506,12 @@ class _CodeEngine:
     def add(self, keys: np.ndarray) -> None:
         """Insert candidate keys; genuinely new tables go to the end of the pool."""
         if self.bitmap is not None:
-            fresh = _sorted_unique(keys[~self.bitmap[keys]])
-            self.bitmap[fresh] = True
+            # mark the keys, then scan the marks for unseen ones: sorted and unique
+            self.hit[keys] = True
+            np.greater(self.hit, self.bitmap, out=self.hit)  # marked and not yet a member
+            fresh = np.flatnonzero(self.hit).astype(self.key_dtype)
+            self.bitmap |= self.hit
+            self.hit.fill(False)
         else:
             new = [key for key in dict.fromkeys(keys.tolist()) if key not in self.seen]
             self.seen.update(new)
@@ -546,15 +559,19 @@ class _CodeEngine:
         self.cursors.append(0)
 
     def _limbwise(self, payload: list[np.ndarray], operands: list[np.ndarray]) -> np.ndarray:
-        """Keys of a unary or binary generator applied limb by limb."""
-        if len(operands) == 1:
-            shape, index = (len(operands[0]),), lambda i: operands[0][:, i]
-        else:
-            a, b = operands
-            shape, index = (len(a), len(b)), lambda i: (a[:, i, None], b[None, :, i])
-        out = np.empty(shape + (len(payload),), dtype=np.uint8)
+        """Keys of a unary or binary generator applied limb by limb.
+
+        Each limb is gathered contiguously before it is written into the key
+        rows: a binary generator's table rows for the left operands, taken
+        along the right operands' limbs.
+        """
+        a, rest = operands[0], operands[1:]
+        out = np.empty((len(a),) + tuple(len(b) for b in rest) + (len(payload),), dtype=np.uint8)
         for i, table in enumerate(payload):
-            out[..., i] = table[index(i)]
+            limb = table[a[:, i]]
+            if rest:
+                limb = np.take(limb, rest[0][:, i], axis=1)
+            out[..., i] = limb
         return self.keys_of(out.reshape(-1, len(payload)))
 
     def _pointwise(self, lut: np.ndarray, operands: list[np.ndarray]) -> np.ndarray:
@@ -571,7 +588,7 @@ class _CodeEngine:
         hi = min(done + _BLOCK, self.count)
         pool = _unpack(self.limbs[:hi], self.k, self.widths) if m >= 3 else self.limbs
         older, block, upto = pool[:done], pool[done:hi], pool[:hi]
-        per_candidate = 8 * self.width if m >= 3 else self.key_bytes  # intp index cells
+        per_candidate = 8 * self.width if m >= 3 else self.candidate_bytes  # intp index cells
         # slot p holds the block, earlier slots strictly older rows, later
         # slots anything up to hi: covers every operand tuple once
         for p in range(m):
@@ -600,14 +617,6 @@ class _CodeEngine:
                 self.process_block(i)
                 if self.done_enough:
                     return
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    a = np.sort(a)
-    keep = np.empty(len(a), dtype=bool)
-    keep[:1] = True
-    keep[1:] = a[1:] != a[:-1]
-    return a[keep]
 
 
 def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:

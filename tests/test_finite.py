@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,15 @@ class TestProjections:
             make_projection(2, 3, C2)
         with pytest.raises(ValueError):
             make_projection(2, 0, C2)
+
+
+class TestOpTable:
+    def test_entries_outside_the_carrier_are_rejected(self):
+        # a negative entry and an entry equal to the carrier size, anywhere in the table
+        for table in ((-1, 0, 1), (0, 1, 3), (0, 3, 1), (-5, 2, 2)):
+            with pytest.raises(ValueError, match="table entry outside carrier"):
+                OpTable(C3, 1, table)
+        assert OpTable(C3, 1, (0, 2, 1)).table == (0, 2, 1)
 
 
 AND = OpTable(C2, 2, (0, 0, 0, 1))
@@ -651,6 +661,8 @@ class TestSubuniverseBound:
         applied = _count_operand_tuples(monkeypatch)
         saturated = closure_slice(gens, C3, 2)
         stopped_work, applied[0] = applied[0], 0
+        # a faster kernel makes each operand tuple cheaper; it applies the same ones
+        assert stopped_work == 24_511_210
         swept = _engine_slice(gens, C3, 2, sweep=True)
         assert saturated == swept
         assert len(saturated[0]) == 3888 and not saturated[1]
@@ -732,6 +744,106 @@ class TestSubuniverseBound:
                     proper += len(got) < k * k
                     checked += 1
         assert 0.1 < proper / checked < 0.9
+
+
+def _scalar_limbs(table, k):
+    """The limb values of a digit table, each limb read by Horner's rule."""
+    limbs, start = [], 0
+    for w in finite._limb_widths(k, len(table)):
+        value = 0
+        for digit in table[start : start + w]:
+            value = value * k + digit
+        limbs.append(value)
+        start += w
+    return limbs
+
+
+def _scalar_key(table, k):
+    """The engine's key of a digit table: a uint16 on two limbs, the limb bytes on more."""
+    limbs = _scalar_limbs(table, k)
+    return limbs[0] | limbs[1] << 8 if len(limbs) == 2 else bytes(limbs)
+
+
+class TestEngineKernel:
+    # (carrier, slice arity): two limbs for the first two, more for the rest
+    KERNEL_SLICES = [(3, 2), (2, 4), (2, 5), (3, 3), (4, 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_limbwise_keys_match_a_scalar_composition(self, data):
+        k, n = data.draw(st.sampled_from(self.KERNEL_SLICES))
+        m = data.draw(st.integers(1, 2))
+        carrier, width = Carrier(k), k**n
+        digits = st.integers(0, k - 1)
+        g = OpTable(carrier, m, tuple(data.draw(st.lists(digits, min_size=k**m, max_size=k**m))))
+        operands = [
+            [OpTable(carrier, n, tuple(t))
+             for t in data.draw(st.lists(st.lists(digits, min_size=width, max_size=width),
+                                         min_size=1, max_size=6))]
+            for _ in range(m)
+        ]
+        eng = _CodeEngine(k, n, None)
+        eng.activate(g)
+        limb_rows = [np.array([_scalar_limbs(f.table, k) for f in fs], dtype=np.uint8)
+                     for fs in operands]
+        keys = eng._limbwise(eng.appliers[0][1], limb_rows).tolist()
+        # row-major over the operand tuples: the left operand varies slowest
+        expected = [_scalar_key(compose(g, list(fs)).table, k) for fs in itertools.product(*operands)]
+        assert keys == expected
+
+    # (carrier, slice arity, generators): two limbs, binary and unary, then
+    # more limbs, binary and unary; the unary ones grow blocks past the tile:
+    # all 6^6 maps of 6 points, and S_7
+    TILE_CASES = [
+        (2, 4, [AND, OR]),
+        (6, 1, [_op(6, 1, lambda x: (x + 1) % 6), _op(6, 1, lambda x: {0: 1, 1: 0}.get(x, x)),
+                _op(6, 1, lambda x: max(x, 1))]),
+        (3, 3, [_op(3, 2, min), _op(3, 2, max)]),
+        (7, 1, [_op(7, 1, lambda x: (x + 1) % 7), _op(7, 1, lambda x: {0: 1, 1: 0}.get(x, x))]),
+    ]
+
+    def test_unary_and_binary_applications_stay_inside_the_tile(self, monkeypatch):
+        tile = 1 << 11
+        limbwise = _CodeEngine._limbwise
+        for k, n, gens in self.TILE_CASES:
+            limbs = len(finite._limb_widths(k, k**n))
+            # the key rows and one limb's gather; on the set path also the
+            # keys as bytes objects, which add builds
+            per_candidate = limbs + 1 + (0 if limbs == 2 else limbs + sys.getsizeof(b""))
+            calls = []
+
+            def measured(self, payload, operands):
+                candidates = math.prod(len(o) for o in operands)
+                # arrays of one row per left operand or per right operand
+                rows = len(operands[0]) * max(t[0].size for t in payload) + 8 * len(operands[-1])
+                tracing = tracemalloc.is_tracing()
+                tracemalloc.start()
+                tracemalloc.reset_peak()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    keys = limbwise(self, payload, operands)
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    if not tracing:
+                        tracemalloc.stop()
+                calls.append((len(operands[0]), candidates, peak, rows))
+                return keys
+
+            monkeypatch.setattr(_CodeEngine, "_limbwise", measured)
+            expected = _engine_slice(gens, Carrier(k), n, sweep=True)
+            untiled = calls[:]
+            calls.clear()
+            monkeypatch.setattr(finite, "_TILE_BYTES", tile)
+            assert _engine_slice(gens, Carrier(k), n, sweep=True) == expected
+            monkeypatch.undo()
+            assert len(calls) > len(untiled), (k, n)  # the tile splits some applications
+            for left, candidates, peak, rows in calls:
+                # a tile of candidates, or one left operand when a row alone is more
+                assert left == 1 or candidates * per_candidate <= tile, (k, n, left, candidates)
+            for left, candidates, peak, rows in untiled + calls:
+                # the kernel builds no array per candidate beyond the ones
+                # counted; numpy's array headers and iterators take about 4 kB
+                assert peak <= (limbs + 1) * candidates + rows + 8192, (k, n, candidates, peak)
 
 
 def _brute_force_pol_count(gens, k, arity):
