@@ -165,43 +165,108 @@ class RelationTable:
         return cls(carrier, carrier.size**arity, frozenset(o.table for o in ops))
 
 
-@dataclass(frozen=True)
 class OpSet:
-    """A deduplicated set of operations of arity <= arity_cap on one carrier."""
+    """A deduplicated set of operations of arity <= arity_cap on one carrier.
 
-    carrier: Carrier
-    arity_cap: int
-    ops: frozenset[OpTable]
+    Each arity n is held as one read-only uint8 array of digit rows, k^n
+    entries per row, sorted in table order (the order of all_op_tables).
+    Counting, comparing and membership read the rows; OpTables are built
+    only when the set is iterated, and ops, the frozenset of them, only on
+    first use.  Two OpSets are equal when they share carrier, cap and
+    tables.
+    """
 
-    def __post_init__(self):
-        for op in self.ops:
-            if op.carrier != self.carrier:
+    def __init__(self, carrier: Carrier, arity_cap: int, ops: Iterable[OpTable]):
+        ops = list(ops)
+        for op in ops:
+            if op.carrier != carrier:
                 raise ValueError("operation on a different carrier")
-            if op.arity > self.arity_cap:
+            if op.arity > arity_cap:
                 raise ValueError("operation arity above the cap")
+        _check_carrier(carrier)
+        k, slices = carrier.size, {}
+        for n in range(1, arity_cap + 1):
+            rows = np.array([op.table for op in ops if op.arity == n], dtype=np.uint8)
+            rows = rows.reshape(len(rows), k**n)
+            slices[n] = rows[np.unique(_row_keys(rows), return_index=True)[1]]  # table order
+        self._set_rows(carrier, arity_cap, slices)
+
+    @classmethod
+    def _from_rows(cls, carrier: Carrier, arity_cap: int, slices: dict[int, np.ndarray]) -> "OpSet":
+        """An OpSet over digit rows that are already unique and in table order."""
+        out = cls.__new__(cls)
+        out._set_rows(carrier, arity_cap, slices)
+        return out
+
+    def _set_rows(self, carrier: Carrier, arity_cap: int, slices: dict[int, np.ndarray]) -> None:
+        """Validate each arity's rows at once: uint8, width k^n, entries below k."""
+        if not set(slices) <= set(range(1, arity_cap + 1)):
+            raise ValueError("operation arity above the cap")
+        k = carrier.size
+        self.carrier, self.arity_cap, self._rows = carrier, arity_cap, {}
+        for n in range(1, arity_cap + 1):
+            rows = slices.get(n, np.empty((0, k**n), dtype=np.uint8))
+            if rows.dtype != np.uint8 or rows.ndim != 2 or rows.shape[1] != k**n:
+                raise ValueError(f"arity-{n} rows must be uint8 rows of {k}^{n} entries")
+            if len(rows) and rows.max() >= k:
+                raise ValueError("table entry outside carrier")
+            rows.flags.writeable = False
+            self._rows[n] = rows
+
+    def rows(self, arity: int) -> np.ndarray:
+        """The arity slice as read-only digit rows in table order."""
+        return self._rows[arity]
+
+    @functools.cached_property
+    def ops(self) -> frozenset[OpTable]:
+        """The tables as OpTables, built on first use."""
+        return frozenset(self)
 
     def slice(self, arity: int) -> tuple[OpTable, ...]:
-        return tuple(sorted((o for o in self.ops if o.arity == arity),
-                            key=OpTable.sort_key))
+        if arity not in self._rows:
+            return ()
+        return tuple(OpTable(self.carrier, arity, t) for t in _row_tuples(self._rows[arity]))
 
     def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {n: 0 for n in range(1, self.arity_cap + 1)}
-        for o in self.ops:
-            out[o.arity] += 1
-        return out
+        return {n: len(rows) for n, rows in self._rows.items()}
 
     def signature(self) -> tuple:
         """Canonical identity of the bounded slice set (for clone comparison)."""
-        return tuple(sorted((o.arity, o.table) for o in self.ops))
+        return tuple((n, len(rows), rows.tobytes()) for n, rows in self._rows.items() if len(rows))
 
     def __contains__(self, op: OpTable) -> bool:
-        return op in self.ops
+        if not isinstance(op, OpTable) or op.carrier != self.carrier or op.arity > self.arity_cap:
+            return False
+        key = _row_keys(np.array(op.table, dtype=np.uint8))
+        return bool(_sorted_member(_row_keys(self._rows[op.arity]), key))
 
-    def __iter__(self):
-        return iter(sorted(self.ops, key=OpTable.sort_key))
+    def __le__(self, other: "OpSet") -> bool:
+        """Whether every table of this set is in other."""
+        if not isinstance(other, OpSet):
+            return NotImplemented
+        return all(
+            not len(rows) or (other.carrier == self.carrier and n in other._rows and
+                              _sorted_member(_row_keys(other._rows[n]), _row_keys(rows)).all())
+            for n, rows in self._rows.items())
+
+    def __iter__(self) -> Iterator[OpTable]:
+        for n in self._rows:
+            yield from self.slice(n)
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return sum(len(rows) for rows in self._rows.values())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OpSet):
+            return NotImplemented
+        return (self.carrier == other.carrier and self.arity_cap == other.arity_cap
+                and all(np.array_equal(rows, other._rows[n]) for n, rows in self._rows.items()))
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.arity_cap, self.signature()))
+
+    def __repr__(self) -> str:
+        return f"OpSet(carrier={self.carrier!r}, arity_cap={self.arity_cap}, counts={self.counts()})"
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +290,30 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[-1])))[..., 0]
 
 
+def _row_tuples(rows: np.ndarray) -> Iterator[tuple[int, ...]]:
+    """The digit rows as tuples of ints, read off their bytes."""
+    return zip(*[iter(rows.tobytes())] * rows.shape[1])
+
+
+def _sorted_member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which keys occur in the sorted array sorted_keys."""
+    if not len(sorted_keys):
+        return np.zeros(np.shape(keys), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
+
+
+def _tuple_codes(tuples: np.ndarray, k: int) -> np.ndarray:
+    """Each tuple along the last axis as its base-k code, by Horner's rule."""
+    if not tuples.shape[-1]:
+        return np.zeros(tuples.shape[:-1], dtype=np.intp)
+    codes = tuples[..., 0].astype(np.intp)
+    for j in range(1, tuples.shape[-1]):
+        codes *= k
+        codes += tuples[..., j]
+    return codes
+
+
 class _Invariant:
     """A relation prepared for vectorised preservation checks."""
 
@@ -233,9 +322,8 @@ class _Invariant:
         self.relation = relation
         self.rows = np.array(sorted(relation.tuples), dtype=np.intp).reshape(len(relation.tuples), h)
         if k**h <= _BITMAP_SPACE:
-            self.places = k ** np.arange(h - 1, -1, -1)
             self.member = np.zeros(k**h, dtype=bool)  # by code of the tuple
-            self.member[self.rows @ self.places] = True
+            self.member[_tuple_codes(self.rows, k)] = True
         else:
             self.member = None
             self.keys = _row_keys(self.rows)  # sorted, as the rows are
@@ -244,10 +332,8 @@ class _Invariant:
     def _contains(self, images: np.ndarray) -> np.ndarray:
         """Which tuples along the last axis of images are rows of the relation."""
         if self.member is not None:
-            return self.member[images @ self.places]
-        keys = _row_keys(images)
-        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        return self.keys[at] == keys
+            return self.member[_tuple_codes(images, self.relation.carrier.size)]
+        return _sorted_member(self.keys, _row_keys(images))
 
     def _tail_indices(self, tail: int) -> np.ndarray:
         """Table indices over every choice of the last tail operands, h per choice."""
@@ -321,19 +407,19 @@ def _check_candidate_budget(carrier: Carrier, arity_cap: int) -> None:
 def pol(relation: RelationTable, arity_cap: int) -> OpSet:
     """All operations of arity <= arity_cap that respect the relation.
 
-    Every candidate table of an arity goes through the kernel in one stack.
+    Every candidate table of an arity goes through the kernel in one stack,
+    and the rows it keeps, still in table order, are the OpSet's slice.
     """
     if arity_cap < 1:
         raise ValueError("arity_cap must be >= 1")
     carrier, k = relation.carrier, relation.carrier.size
     _check_candidate_budget(carrier, arity_cap)
     inv = _Invariant(relation)
-    keep: list[OpTable] = []
+    slices = {}
     for n in range(1, arity_cap + 1):
-        tables = _digits(np.arange(op_space_size(carrier, n)), k, k**n)
-        kept = tables[inv.preserved_by(tables, n)].tolist()
-        keep += (OpTable(carrier, n, tuple(t)) for t in kept)
-    return OpSet(carrier, arity_cap, frozenset(keep))
+        tables = _all_rows(k, k**n)
+        slices[n] = tables[inv.preserved_by(tables, n)]
+    return OpSet._from_rows(carrier, arity_cap, slices)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +496,10 @@ def _cylinder_row(g: OpTable, tuple_prefix: np.ndarray) -> np.ndarray:
     return lut[idx]
 
 
-def _digits(codes: np.ndarray, k: int, width: int) -> np.ndarray:
-    out = np.empty((len(codes), width), dtype=np.uint8)
-    rest = codes.astype(np.int64)
-    for j in range(width - 1, -1, -1):
-        out[:, j] = rest % k
-        rest //= k
-    return out
+def _all_rows(k: int, width: int) -> np.ndarray:
+    """Every row of width digits below k, in table order: row i holds the
+    base-k digits of i."""
+    return np.ascontiguousarray(np.indices((k,) * width, dtype=np.uint8).reshape(width, -1).T)
 
 
 def _limb_widths(k: int, width: int) -> list[int]:
@@ -434,7 +517,7 @@ def _unpack(limbs: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
     parts, col = [], 0
     for w in sorted(set(widths), reverse=True):
         n = widths.count(w)
-        digits = _digits(np.arange(k**w), k, w)[limbs[:, col : col + n]]
+        digits = _all_rows(k, w)[limbs[:, col : col + n]]
         parts.append(digits.reshape(len(limbs), n * w))
         col += n
     return np.concatenate(parts, axis=1)
@@ -732,10 +815,14 @@ def _maximal_relations(k: int) -> tuple[_Invariant, ...]:
 
 
 def _kept_maximal_relations(gens: Sequence[OpTable], k: int) -> Iterator[_Invariant]:
-    """The maximal-clone relations every generator preserves, lazily, in list order."""
-    tables = [(np.asarray(g.table, dtype=np.uint8)[None], g.arity) for g in gens]
+    """The maximal-clone relations every generator preserves, lazily, in list order.
+
+    The generators of one arity go through the kernel as one stack.
+    """
+    stacks = [(np.array([g.table for g in gens if g.arity == m], dtype=np.uint8), m)
+              for m in sorted({g.arity for g in gens})]
     for inv in _maximal_relations(k):
-        if all(inv.preserved_by(table, m)[0] for table, m in tables):
+        if all(inv.preserved_by(stack, m).all() for stack, m in stacks):
             yield inv
 
 
@@ -898,21 +985,26 @@ def closure_slice(
     below 1 or a carrier above _MAX_CARRIER raises ValueError.
     """
     gens = _normalized_generators(generators, carrier, arity, include_all_unary)
+    rows, full = _slice_rows(gens, carrier, arity)
+    return list(_row_tuples(rows)), full
+
+
+def _slice_rows(gens: list[OpTable], carrier: Carrier, arity: int) -> tuple[np.ndarray, bool]:
+    """closure_slice on normalized generators: (digit rows in table order, is_full)."""
     k, width = carrier.size, carrier.size**arity
     if arity >= 2 and k <= 3:
         if _escapes_every_maximal_clone(gens, k):
             if k**width > _MAX_TABLES:
                 raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {arity}")
-            return list(itertools.product(range(k), repeat=width)), True
+            return _all_rows(k, width), True
         widest = max([arity] + [g.arity for g in gens])
         if arity >= 4 and k ** (2 * widest) <= _BITMAP_SPACE and _has_majority_term(gens, carrier):
             rows = _majority_slice(gens, k, arity)
-            return list(map(tuple, rows.tolist())), len(rows) == k**width
+            return rows, len(rows) == k**width
     codes, full, _ = _closure(gens, carrier, arity, _subuniverse_bound(gens, k, arity))
     # limb rows are ordered like their digits: most significant limb first
     codes = codes[np.lexsort(codes.T[::-1])]
-    rows = _unpack(codes, k, _limb_widths(k, width))
-    return list(map(tuple, rows.tolist())), full
+    return _unpack(codes, k, _limb_widths(k, width)), full
 
 
 def closure_covers_slice(
@@ -961,19 +1053,17 @@ def clone_closure(
 
     All slices of arity <= arity_cap are exact: an n-ary operation is in the
     result iff it is a term function of the generators (plus every unary
-    operation when include_all_unary is set).
+    operation when include_all_unary is set).  Each slice's digit rows
+    become the OpSet's rows as they are.
     """
-    gens = _normalized_generators(generators, carrier, arity_cap, False)
+    gens = _normalized_generators(generators, carrier, arity_cap, include_all_unary)
     for g in gens:
         if g.arity > arity_cap:
             raise ValueError(
                 f"arity cap {arity_cap} below generator arity {g.arity}"
             )
-    ops: set[OpTable] = set()
-    for n in range(1, arity_cap + 1):
-        tables, _ = closure_slice(gens, carrier, n, include_all_unary)
-        ops.update(OpTable(carrier, n, t) for t in tables)
-    return OpSet(carrier, arity_cap, frozenset(ops))
+    slices = {n: _slice_rows(gens, carrier, n)[0] for n in range(1, arity_cap + 1)}
+    return OpSet._from_rows(carrier, arity_cap, slices)
 
 
 def closure_slice_is_full(

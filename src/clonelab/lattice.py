@@ -63,8 +63,7 @@ def precompleteness_evidence(
     """
     if working_cap < arity_cap + 1:
         raise ValueError("working_cap must be at least arity_cap + 1")
-    gens = sorted(generators if isinstance(generators, list) else generators.ops,
-                  key=OpTable.sort_key)
+    gens = sorted(generators, key=OpTable.sort_key)
     for g in gens:
         if g.arity > working_cap:
             raise ValueError(f"working cap {working_cap} below generator arity {g.arity}")
@@ -121,6 +120,20 @@ def _orbit_representatives(carrier: Carrier, arity_cap: int) -> list[OpTable]:
     return reps
 
 
+def _conjugated(clone: OpSet, perm: tuple[int, ...]) -> OpSet:
+    """Every table of clone conjugated by perm (see conjugate), one gather per
+    arity: the entry at x̄ is perm applied to the entry at perm^{-1}(x̄)."""
+    k = clone.carrier.size
+    inverse = np.argsort(perm)
+    slices = {}
+    for n in range(1, clone.arity_cap + 1):
+        shape = (k,) * n  # np.indices(shape) lists every x̄ in table order
+        at = np.ravel_multi_index(tuple(inverse[np.indices(shape)]), shape).ravel()
+        rows = np.asarray(perm, dtype=np.uint8)[clone.rows(n)][:, at]
+        slices[n] = rows[np.lexsort(rows.T[::-1])]  # a bijection: unique, now in table order
+    return OpSet._from_rows(clone.carrier, clone.arity_cap, slices)
+
+
 def unary_interval_chain(
     carrier: Carrier,
     arity_cap: int,
@@ -158,7 +171,7 @@ def unary_interval_chain(
     while frontier:
         fresh: list[OpSet] = []
         for clone in frontier:
-            gens = sorted(clone.ops, key=OpTable.sort_key)
+            gens = list(clone)
             candidates = list(reps)
             for cand in candidates:
                 if cand in clone:
@@ -168,15 +181,12 @@ def unary_interval_chain(
                     found[grown.signature()] = grown
                     fresh.append(grown)
             for p in perms[1:]:
-                mirrored_ops = frozenset(conjugate(op, p) for op in clone.ops)
-                mirrored = OpSet(carrier, working_cap, mirrored_ops)
+                mirrored = _conjugated(clone, p)
                 if mirrored.signature() not in found:
                     found[mirrored.signature()] = mirrored
                     fresh.append(mirrored)
         frontier = fresh
 
     clones = sorted(found.values(), key=len)
-    is_chain = all(
-        clones[i].ops <= clones[i + 1].ops for i in range(len(clones) - 1)
-    )
+    is_chain = all(clones[i] <= clones[i + 1] for i in range(len(clones) - 1))
     return ChainReport(carrier, arity_cap, working_cap, tuple(clones), is_chain)

@@ -37,9 +37,11 @@ from clonelab.finite import (
     respects,
 )
 from clonelab.finite import (
+    OpSet,
     _closure,
     _CodeEngine,
     _Invariant,
+    _kept_maximal_relations,
     _maximal_relations,
     _normalized_generators,
     _subuniverse_bound,
@@ -284,6 +286,96 @@ class TestPol:
         assume(sum(k ** k**n * len(tuples) ** n for n in range(1, cap + 1)) * max(width, 1) <= 1 << 19)
         rel = RelationTable(Carrier(k), width, tuples)
         assert pol(rel, cap).ops == reference_pol(rel, cap)
+
+
+    def test_zero_fixing_operations_up_to_arity_4(self):
+        # f(0, .., 0) = 0 fixes one of the 2^n entries: 2^(2^n - 1) tables
+        assert pol(RelationTable.unary(C2, {0}), 4).counts() == {1: 2, 2: 8, 3: 128, 4: 32768}
+
+
+class TestOpSetRows:
+    """OpSet holds each arity as one digit-row array in table order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ops_and_rows_agree(self, data):
+        k = data.draw(st.sampled_from([2, 3]))
+        cap = data.draw(st.integers(1, 3 if k == 2 else 2))
+        carrier = Carrier(k)
+        tables = {n: data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * k**n), max_size=12))
+                  for n in range(1, cap + 1)}
+        ops = [OpTable(carrier, n, t) for n, ts in tables.items() for t in ts]
+        # the public constructor takes ops in any order, with repeats
+        from_ops = OpSet(carrier, cap, data.draw(st.permutations(ops + ops[:3])))
+        from_rows = OpSet._from_rows(carrier, cap, {
+            n: np.array(sorted(set(ts)), dtype=np.uint8).reshape(-1, k**n) for n, ts in tables.items()})
+        in_order = sorted(set(ops), key=OpTable.sort_key)
+        for got in (from_ops, from_rows):
+            assert list(got) == in_order
+            assert got.ops == frozenset(ops)
+            assert len(got) == len(in_order)
+            assert got.counts() == {n: len(set(ts)) for n, ts in tables.items()}
+            for n in range(1, cap + 2):
+                assert got.slice(n) == tuple(op for op in in_order if op.arity == n)
+            others = [OpTable(carrier, n, t) for n in range(1, cap + 1)
+                      for t in itertools.islice(itertools.product(range(k), repeat=k**n), 40)]
+            for op in ops + others:
+                assert (op in got) == (op in set(ops))
+            assert OpTable(carrier, cap + 1, (0,) * k ** (cap + 1)) not in got
+            assert OpTable(Carrier(k + 1), 1, (0,) * (k + 1)) not in got
+        assert from_ops == from_rows
+        assert hash(from_ops) == hash(from_rows)
+        assert from_ops.signature() == from_rows.signature()
+        assert from_ops <= from_rows <= from_ops
+        if ops:
+            fewer = OpSet(carrier, cap, ops[1:])
+            assert fewer <= from_ops
+            assert (fewer == from_ops) == (ops[0] in fewer)
+            assert (from_ops <= fewer) == (ops[0] in fewer)
+        assert from_ops != OpSet(carrier, cap + 1, ops)
+
+    def test_rows_are_read_only_and_in_table_order(self):
+        got = pol(RelationTable.unary(C3, {0, 1}), 2)
+        rows = got.rows(2)
+        assert rows.dtype == np.uint8 and rows.shape == (3888, 9)
+        assert [tuple(r) for r in rows.tolist()] == sorted(tuple(r) for r in rows.tolist())
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+
+    def test_rows_outside_the_carrier_or_of_the_wrong_width_are_rejected(self):
+        good = np.array([[0, 1]], dtype=np.uint8)
+        assert OpSet._from_rows(C2, 2, {1: good}).counts() == {1: 1, 2: 0}
+        for rows, match in ((np.array([[0, 2]], dtype=np.uint8), "table entry outside carrier"),
+                            (np.zeros((1, 3), dtype=np.uint8), "rows of 2\\^1 entries"),
+                            (np.zeros(2, dtype=np.uint8), "rows of 2\\^1 entries"),
+                            (np.zeros((1, 2), dtype=np.int64), "uint8 rows")):
+            with pytest.raises(ValueError, match=match):
+                OpSet._from_rows(C2, 2, {1: rows})
+        with pytest.raises(ValueError, match="arity above the cap"):
+            OpSet._from_rows(C2, 1, {2: np.zeros((1, 4), dtype=np.uint8)})
+        with pytest.raises(ValueError, match="arity above the cap"):
+            OpSet(C2, 1, [AND])
+        with pytest.raises(ValueError, match="different carrier"):
+            OpSet(C3, 2, [AND])
+
+    def test_counting_builds_no_optable(self, monkeypatch):
+        built = []
+        post_init = OpTable.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(OpTable, "__post_init__", counting)
+        assert pol(RelationTable.unary(C2, {0}), 4).counts()[4] == 32768
+        assert pol(_maximal_relations(3)[6].relation, 2).counts() == {1: 10, 2: 175}
+        assert clone_closure([NAND], C2, 3).counts() == {1: 4, 2: 16, 3: 256}  # listed
+        assert clone_closure([AND], C2, 3).counts() == {1: 1, 2: 3, 3: 7}  # engine
+        # Baker-Pixley: the monotone maps that fix both constants, D(4) - 2
+        assert clone_closure([AND, OR], C2, 4).counts()[4] == 166
+        assert built == []
+        assert len(list(clone_closure([AND], C2, 2))) == 4
+        assert len(built) == 4
 
 
 class TestClosure:
@@ -895,6 +987,29 @@ def _outside_witness(inv):
 
 
 class TestMaximalClones:
+    def test_stacked_kept_relations_equal_a_per_generator_loop(self):
+        rng = random.Random(21)
+        cases = []
+        for k in (2, 3):
+            tables = {m: _all_tables(k, m) for m in (1, 2)}
+            for _ in range(40):
+                gens = [OpTable(Carrier(k), m, tuple(rng.randrange(k) for _ in range(k**m)))
+                        for m in (rng.choice([1, 2, 3]) for _ in range(rng.randrange(5)))]
+                # generators inside one maximal clone keep at least that relation
+                inside = rng.choice(_maximal_relations(k))
+                for m in (1, 2):
+                    kept = tables[m][inside.preserved_by(tables[m], m)]
+                    gens += [OpTable(Carrier(k), m, tuple(kept[i].tolist()))
+                             for i in rng.sample(range(len(kept)), min(len(kept), rng.randrange(4)))]
+                cases.append((k, rng.sample(gens, len(gens))))
+            cases.append((k, []))
+        sizes = []
+        for k, gens in cases:
+            loop = [inv for inv in _maximal_relations(k) if all(respects(g, inv.relation) for g in gens)]
+            assert list(_kept_maximal_relations(gens, k)) == loop, (k, gens)
+            sizes.append(len(loop))
+        assert min(sizes) == 0 and max(sizes) == len(_maximal_relations(3))
+
     def test_one_relation_per_maximal_clone(self):
         # Post (1941) for k = 2, Jablonskij (1958) for k = 3
         assert len(_maximal_relations(2)) == 5
