@@ -451,6 +451,16 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # bitmap of the same size, and the marks that are not yet members are the
 # new tables, sorted and unique with no sort.  Every larger space keeps its
 # keys in a set.
+# The n-ary slice of a clone is closed under permuting variables (Mal'cev's
+# ζ and τ are clone operations), and so is the engine's pool: each new table
+# enters with its whole orbit under the n! permutations σ, read off with one
+# gather along _variable_permutations, and one table per orbit is flagged as
+# its representative.  Generators take their first operand from the
+# representatives only, every other operand from the whole pool.  Nothing
+# is lost, since g(a∘σ, b_2, ..) = g(a, b_2∘σ⁻¹, ..)∘σ and the pool holds
+# both b_2∘σ⁻¹ and the image under σ.  Unary slices (n! = 1), and slices
+# whose permutation table would pass _ORBIT_CELLS, skip the orbit work:
+# there every table represents itself.
 # Generators are introduced one at a time and skipped when they are already
 # members of the clone generated so far (a generator that is already a term
 # function adds nothing).
@@ -484,6 +494,10 @@ _MAX_TABLES = 1 << 22
 _LIMB_SPACE = 1 << 8
 _BLOCK = 1024
 _TILE_BYTES = 16 << 20
+# cells (n! times k^n) of the largest permutation table the engine builds,
+# 8 MB of point indices: carrier 2 keeps orbits up to arity 7, carrier 3 up
+# to arity 6 and carrier 4 up to arity 5
+_ORBIT_CELLS = 1 << 20
 
 
 def _cylinder_row(g: OpTable, tuple_prefix: np.ndarray) -> np.ndarray:
@@ -512,12 +526,20 @@ def _limb_widths(k: int, width: int) -> list[int]:
     return [q + 1] * r + [q] * (count - r)
 
 
+@functools.cache
+def _limb_digits(k: int, w: int) -> np.ndarray:
+    """The digit rows of the k^w values of a w-digit limb (at most 2^8 rows)."""
+    rows = _all_rows(k, w)
+    rows.flags.writeable = False
+    return rows
+
+
 def _unpack(limbs: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
     """Digit rows of limb rows, one lookup per run of equal limbs."""
     parts, col = [], 0
     for w in sorted(set(widths), reverse=True):
         n = widths.count(w)
-        digits = _all_rows(k, w)[limbs[:, col : col + n]]
+        digits = _limb_digits(k, w)[limbs[:, col : col + n]]
         parts.append(digits.reshape(len(limbs), n * w))
         col += n
     return np.concatenate(parts, axis=1)
@@ -539,12 +561,29 @@ def _pack(rows: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _variable_permutations(k: int, n: int) -> np.ndarray:
+    """The n! permutations σ of the variables as point indices, identity first.
+
+    Row s lists, for each point x of X^n in table order, the index of
+    (x_σ(1), .., x_σ(n)), σ the s-th permutation of itertools.permutations:
+    a digit row gathered along it is the table of f(x_σ(1), .., x_σ(n)).
+    """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    # left writeable: np.take copies a read-only index on every call
+    return np.ascontiguousarray(_tuple_codes(_all_rows(k, n)[:, perms], k).T)
+
+
 class _CodeEngine:
     """Closure of one slice over tables packed into byte limbs.
 
     Every active generator keeps a cursor into the pool and processes blocks
     against everything before them, which guarantees each operand tuple is
-    seen once while letting freshly found tables circulate quickly.
+    seen once while letting freshly found tables circulate quickly.  The pool
+    is closed under permuting variables, and only one table per orbit, its
+    representative, goes into a generator's first operand slot: since
+    g(a∘σ, b_2, ..) = g(a, b_2∘σ⁻¹, ..)∘σ, the other members of the orbit
+    reach nothing new.  applied counts the operand tuples applied.
 
     The run stops once the pool holds bound tables, since it then is the
     whole slice; with no bound it applies every operand tuple.
@@ -559,19 +598,28 @@ class _CodeEngine:
         self.widths = _limb_widths(k, self.width)
         limbs = len(self.widths)
         # bytes per candidate of a unary or binary application: the key rows
-        # and one limb's gather, and on the set path the keys as bytes objects
+        # and one limb's gather, and on the set path the keys as bytes objects;
+        # per orbit image in add: its digit row, its key and sorted key, and
+        # the sort's index, and on the set path its key as a bytes object
         self.candidate_bytes = limbs + 1
+        self.image_bytes = self.width + 2 * limbs + 8
         if limbs == 2:
             self.key_dtype = np.dtype("<u2")
             self.bitmap = np.zeros(1 << 16, dtype=bool)
-            self.hit = np.zeros(1 << 16, dtype=bool)  # scratch of add: the keys of one call
+            self.hit = np.zeros(1 << 16, dtype=bool)  # scratch of _unseen: the keys of one call
         else:
             self.key_dtype = np.dtype((np.void, limbs))
             self.bitmap = None
             self.candidate_bytes += limbs + sys.getsizeof(b"")
+            self.image_bytes += limbs + sys.getsizeof(b"")
+        self.perms = None  # every table represents its orbit
+        if arity >= 2 and math.factorial(arity) * self.width <= _ORBIT_CELLS:
+            self.perms = _variable_permutations(k, arity)
         self.seen: set[bytes] = set()
         self.limbs = np.empty((64, len(self.widths)), dtype=np.uint8)
+        self.rep = np.empty(64, dtype=bool)  # flags one table per orbit
         self.count = 0
+        self.applied = 0
         self.appliers: list = []  # (arity, payload)
         self.cursors: list[int] = []
 
@@ -586,30 +634,63 @@ class _CodeEngine:
     def has(self, key) -> bool:
         return bool(self.bitmap[key]) if self.bitmap is not None else key in self.seen
 
-    def add(self, keys: np.ndarray) -> None:
-        """Insert candidate keys; genuinely new tables go to the end of the pool."""
+    def _unseen(self, keys: np.ndarray) -> np.ndarray:
+        """The distinct keys that are not yet members, none inserted."""
         if self.bitmap is not None:
             # mark the keys, then scan the marks for unseen ones: sorted and unique
             self.hit[keys] = True
             np.greater(self.hit, self.bitmap, out=self.hit)  # marked and not yet a member
             fresh = np.flatnonzero(self.hit).astype(self.key_dtype)
-            self.bitmap |= self.hit
             self.hit.fill(False)
-        else:
-            new = [key for key in dict.fromkeys(keys.tolist()) if key not in self.seen]
-            self.seen.update(new)
-            fresh = np.array(new, dtype=self.key_dtype)
+            return fresh
+        return np.array([key for key in dict.fromkeys(keys.tolist()) if key not in self.seen],
+                        dtype=self.key_dtype)
+
+    def add(self, keys: np.ndarray) -> None:
+        """Insert candidate keys: each genuinely new table goes to the end of
+        the pool with its orbit, which is new as a whole because the pool
+        was closed.  The orbits are built a tile of images at a time."""
+        fresh = self._unseen(keys)
         if not len(fresh):
             return
-        self.append(fresh.view(np.uint8).reshape(len(fresh), -1))
-        if self.count > _MAX_TABLES:
-            raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {self.arity}")
+        if self.perms is None:
+            self.append(fresh, True)
+            return
+        step = max(1, _TILE_BYTES // (len(self.perms) * self.image_bytes))
+        for start in range(0, len(fresh), step):
+            chunk = fresh[start : start + step]
+            if start:
+                chunk = self._unseen(chunk)  # drop the orbits an earlier tile added
+            self.append(*self._orbits(chunk))
 
-    def append(self, limbs: np.ndarray) -> None:
-        end = self.count + len(limbs)
+    def _orbits(self, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct keys of the fresh tables' orbits, and which of them
+        are representatives: the first fresh table of each orbit."""
+        k, widths = self.k, self.widths
+        rows = _unpack(fresh.view(np.uint8).reshape(len(fresh), len(widths)), k, widths)
+        # n! images per fresh table, identity first, dropped before the dedup
+        keys = self.keys_of(_pack(np.take(rows, self.perms, axis=1).reshape(-1, self.width),
+                                  k, widths))
+        keys, first = np.unique(keys, return_index=True)
+        return keys, first % len(self.perms) == 0
+
+    def append(self, keys: np.ndarray, rep: np.ndarray | bool) -> None:
+        """Insert new keys, flagged rep where they represent their orbit;
+        ResourceLimitError, before the pool grows, once it would pass
+        _MAX_TABLES."""
+        end = self.count + len(keys)
+        if end > _MAX_TABLES:
+            raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {self.arity}")
+        if self.bitmap is not None:
+            self.bitmap[keys] = True
+        else:
+            self.seen.update(keys.tolist())
         if end > len(self.limbs):
-            self.limbs = _grown(self.limbs, self.count, max(end, 2 * len(self.limbs)))
-        self.limbs[self.count : end] = limbs
+            cap = max(end, 2 * len(self.limbs))
+            self.limbs = _grown(self.limbs, self.count, cap)
+            self.rep = _grown(self.rep, self.count, cap)
+        self.limbs[self.count : end] = keys.view(np.uint8).reshape(len(keys), len(self.widths))
+        self.rep[self.count : end] = rep
         self.count = end
 
     @property
@@ -673,15 +754,19 @@ class _CodeEngine:
         older, block, upto = pool[:done], pool[done:hi], pool[:hi]
         per_candidate = 8 * self.width if m >= 3 else self.candidate_bytes  # intp index cells
         # slot p holds the block, earlier slots strictly older rows, later
-        # slots anything up to hi: covers every operand tuple once
+        # slots anything up to hi: covers every operand tuple once, and the
+        # first slot takes representatives only
         for p in range(m):
             operands = [older] * p + [block] + [upto] * (m - 1 - p)
+            if self.perms is not None:
+                operands[0] = operands[0][self.rep[:done] if p else self.rep[done:hi]]
             tail = math.prod(len(o) for o in operands[1:])
             if not tail or not len(operands[0]):
                 continue
             step = max(1, _TILE_BYTES // (per_candidate * tail))
             for start in range(0, len(operands[0]), step):
                 chunk = [operands[0][start : start + step]] + operands[1:]
+                self.applied += len(chunk[0]) * tail
                 if m >= 3:
                     self.add(self._pointwise(payload, chunk))
                 else:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -458,27 +459,27 @@ class TestClosure:
 
     def test_bound_refutes_fullness_without_a_fill(self, monkeypatch):
         # <AND, OR> preserves {0} and {1}; <AND, XOR> preserves {0}
-        applied = _count_operand_tuples(monkeypatch)
+        engines = _count_operand_tuples(monkeypatch)
         assert not closure_slice_is_full([AND, OR], C2, 5)
         assert not closure_covers_slice([AND, XOR], C2, 3)
         assert not closure_covers_slice([AND, XOR], C2, 3, complete_ops=[NAND])
-        assert applied == [0]
+        assert _applied(engines) == 0
         assert closure_slice_is_full([NAND], C2, 3)
 
     def test_bound_stop_keeps_the_tables_and_their_order(self, monkeypatch):
         # <AND, XOR> is Pol{0}: every table with t[0] == 0, 2^(2^n - 1) of them
-        applied = _count_operand_tuples(monkeypatch)
+        engines = _count_operand_tuples(monkeypatch)
         for arity, count in ((2, 8), (3, 128)):
             saturated = closure_slice([AND, XOR], C2, arity)
             assert saturated == _engine_slice([AND, XOR], C2, arity, sweep=True)
             assert len(saturated[0]) == count and not saturated[1]
         # the arity-4 sweep applies 2 * 32768^2 operand tuples, too many for a
         # unit test, so the stopped run is checked against the Pol{0} oracle
-        applied[0] = 0
+        engines.clear()
         tables, full = closure_slice([AND, XOR], C2, 4)
         assert len(tables) == len(set(tables)) == 32768 and not full
         assert all(t[0] == 0 for t in tables)
-        assert applied[0] <= 2 * 32768**2 // 4
+        assert _applied(engines) <= 2 * 32768**2 // 4
 
     def test_reduce_generators_stops_at_the_bound(self):
         # every operation of arity <= 2 fixing 0 generates Pol{0} on C2
@@ -526,13 +527,13 @@ class TestFullSlicesFromTheMaximalClones:
     ]
 
     def test_full_slices_are_listed_without_the_engine(self, monkeypatch):
-        applied = _count_operand_tuples(monkeypatch)
+        engines = _count_operand_tuples(monkeypatch)
         for k, n, gens in self.SHEFFER:
             tables, full = closure_slice(gens, Carrier(k), n)
             assert tables == list(itertools.product(range(k), repeat=k**n)) and full, (k, n)
-        assert applied == [0]
+        assert _applied(engines) == 0
         assert closure_slice([NAND], C2, 3) == _engine_slice([NAND], C2, 3, sweep=True)
-        assert applied[0] > 0
+        assert _applied(engines) > 0
 
     def test_a_full_slice_past_the_budget_raises_at_once(self):
         # 2^32 tables at arity 5: the error comes before any table is listed
@@ -703,17 +704,22 @@ class TestBakerPixleyRoute:
         assert time.perf_counter() - start < 5
 
 
-def _count_operand_tuples(monkeypatch) -> list[int]:
-    """A counter of the operand tuples unary and binary generators apply."""
-    applied = [0]
-    limbwise = _CodeEngine._limbwise
+def _count_operand_tuples(monkeypatch) -> list[_CodeEngine]:
+    """Every engine built from here on; _applied sums their counters of the
+    operand tuples their generators applied.  Clear the list to restart."""
+    engines = []
+    init = _CodeEngine.__init__
 
-    def counted(self, payload, operands):
-        applied[0] += math.prod(len(o) for o in operands)
-        return limbwise(self, payload, operands)
+    def recorded(self, *args):
+        init(self, *args)
+        engines.append(self)
 
-    monkeypatch.setattr(_CodeEngine, "_limbwise", counted)
-    return applied
+    monkeypatch.setattr(_CodeEngine, "__init__", recorded)
+    return engines
+
+
+def _applied(engines) -> int:
+    return sum(eng.applied for eng in engines)
 
 
 def _inside(k, arity, excluded):
@@ -750,15 +756,17 @@ class TestSubuniverseBound:
         inside_op = OpTable(C3, 2, (0, 1, 1, 0, 1, 2, 2, 2, 2))
         gens = ideal_core + [inside_op]
         assert _subuniverse_bound(gens, 3, 2) == 2**4 * 3**5 == 3888
-        applied = _count_operand_tuples(monkeypatch)
+        engines = _count_operand_tuples(monkeypatch)
         saturated = closure_slice(gens, C3, 2)
-        stopped_work, applied[0] = applied[0], 0
-        # a faster kernel makes each operand tuple cheaper; it applies the same ones
-        assert stopped_work == 24_511_210
+        stopped_work = _applied(engines)
+        engines.clear()
+        # a faster kernel makes each operand tuple cheaper; it applies the same
+        # ones.  Orbit representatives in the first slot took this from 24,511,210
+        assert stopped_work == 13_374_374
         swept = _engine_slice(gens, C3, 2, sweep=True)
         assert saturated == swept
         assert len(saturated[0]) == 3888 and not saturated[1]
-        assert stopped_work <= applied[0] // 4
+        assert stopped_work <= _applied(engines) // 4
 
     def test_a_carrier_4_fill_computes_the_bound_once(self, monkeypatch):
         # the bound of the whole space, 4^4, lets closure_slice_is_full fall
@@ -936,6 +944,182 @@ class TestEngineKernel:
                 # the kernel builds no array per candidate beyond the ones
                 # counted; numpy's array headers and iterators take about 4 kB
                 assert peak <= (limbs + 1) * candidates + rows + 8192, (k, n, candidates, peak)
+
+
+@functools.cache
+def _scalar_permutations(k, n):
+    """For each σ of itertools.permutations, the index of (x_σ(1), .., x_σ(n))
+    at each point x of X^n, read off the points one at a time."""
+    points = list(itertools.product(range(k), repeat=n))
+    index = {p: i for i, p in enumerate(points)}
+    return [[index[tuple(p[s] for s in sigma)] for p in points]
+            for sigma in itertools.permutations(range(n))]
+
+
+@functools.cache
+def _scalar_orbit(table, k, n):
+    """The tables t(x_σ(1), .., x_σ(n)) over every permutation σ."""
+    return frozenset(tuple(table[i] for i in perm) for perm in _scalar_permutations(k, n))
+
+
+def _check_orbits(eng):
+    """The pool is closed under permuting variables and flags one table per orbit."""
+    tables = list(map(tuple, finite._unpack(eng.limbs[: eng.count], eng.k, eng.widths).tolist()))
+    orbits = [_scalar_orbit(t, eng.k, eng.arity) for t in tables]
+    assert all(orbit <= set(tables) for orbit in orbits)
+    reps = [orbit for orbit, rep in zip(orbits, eng.rep[: eng.count]) if rep]
+    assert len(reps) == len(set(reps)) == len(set(orbits))
+
+
+class TestOrbits:
+    # (carrier, slice arity, generators): both stores, unary to ternary
+    # generators, and a unary slice, where every table is its own orbit
+    CASES = [
+        (2, 3, [AND]),
+        (2, 4, [AND, OR]),
+        (2, 4, [_median(2)]),
+        (2, 5, [_op(2, 3, lambda x, y, z: x ^ y ^ z)]),
+        (3, 2, [_op(3, 2, min), _op(3, 2, max)]),
+        (3, 3, [_op(3, 3, lambda x, y, z: (x - y + z) % 3)]),
+        (4, 2, [_op(4, 2, min), _op(4, 2, max), _op(4, 1, lambda x: 3 - x)]),
+        (3, 1, [_op(3, 1, lambda x: (x + 1) % 3), _op(3, 1, lambda x: min(x, 1))]),
+    ]
+
+    def test_permutation_table(self):
+        # row s gathers t(x_σ(1), .., x_σ(n)), σ in itertools.permutations order
+        for k, n in ((2, 3), (3, 2), (4, 3)):
+            index = finite._variable_permutations(k, n)
+            assert index.tolist() == _scalar_permutations(k, n)
+            assert index[0].tolist() == list(range(k**n))  # identity first
+            assert finite._variable_permutations(k, n) is index
+        # a unary slice has one permutation; past _ORBIT_CELLS (carrier 2 at
+        # arity 8) the engine keeps no table, and every table represents itself
+        assert [_CodeEngine(2, n, None).perms is None for n in (1, 7, 8)] == [True, False, True]
+        # built on the first engine call, not at import
+        code = "from clonelab import finite; print(finite._variable_permutations.cache_info().currsize)"
+        src = str(Path(clonelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert proc.stdout.split() == ["0"], proc.stderr
+
+    def test_every_add_leaves_the_pool_closed_with_one_representative_per_orbit(self, monkeypatch):
+        add = _CodeEngine.add
+        checked = []
+
+        def checked_add(self, keys):
+            add(self, keys)
+            _check_orbits(self)
+            if self.perms is None:
+                assert self.rep[: self.count].all()
+            checked.append(self.arity)
+
+        monkeypatch.setattr(_CodeEngine, "add", checked_add)
+        for k, n, gens in self.CASES:
+            for sweep in (False, True):
+                checked.clear()
+                tables, _ = _engine_slice(gens, Carrier(k), n, sweep=sweep)
+                assert set(tables) == reference_slice(gens, k, n), (k, n, sweep)
+                assert len(checked) > 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_engine_matches_the_reference(self, data):
+        k, n = data.draw(st.sampled_from([(k, n) for k in (2, 3, 4) for n in (1, 2, 3, 4)]))
+        carrier = Carrier(k)
+        gens = []
+        for m in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)):
+            # the first projection with a few entries redrawn: many such
+            # clones stay small, and the rest pass the budget below
+            table = [t[0] for t in itertools.product(range(k), repeat=m)]
+            for i in data.draw(st.lists(st.integers(0, k**m - 1), max_size=3)):
+                table[i] = data.draw(st.integers(0, k - 1))
+            gens.append(OpTable(carrier, m, tuple(table)))
+        # the reference's work grows as |slice|^m, so the budget is small; a
+        # slice past it raises on both runs
+        budget = 24 if any(g.arity == 3 for g in gens) else 48
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(finite, "_MAX_TABLES", budget)
+            runs = []
+            for sweep in (False, True):
+                try:
+                    runs.append(_engine_slice(gens, carrier, n, sweep=sweep))
+                except ResourceLimitError:
+                    runs.append(None)
+        assert runs[0] == runs[1]
+        if runs[0] is not None:
+            reference = reference_slice(gens, k, n)
+            assert runs[0] == (sorted(reference), len(reference) == k ** (k**n))
+
+    def test_a_sweep_applies_representatives_times_pool(self, monkeypatch):
+        # a binary generator meets each pair (representative, pool table)
+        # once: <AND> at arity 3 holds the seven conjunctions of nonempty
+        # variable sets, in three orbits (one, two or three variables)
+        engines = _count_operand_tuples(monkeypatch)
+        assert len(_engine_slice([AND], C2, 3, sweep=True)[0]) == 7
+        assert _applied(engines) == 3 * 7
+        for k, n, g in [(2, 4, AND), (2, 3, XOR), (3, 3, _op(3, 2, max)),
+                        (3, 2, _op(3, 2, lambda x, y: (x + 2 * y) % 3)),
+                        (4, 2, _op(4, 2, lambda x, y: max(x, y) if x != y else 0))]:
+            engines.clear()
+            tables, _ = _engine_slice([g], Carrier(k), n, sweep=True)
+            orbits = {_scalar_orbit(t, k, n) for t in tables}
+            assert _applied(engines) == len(orbits) * len(tables), (k, n, g)
+
+    def test_orbit_images_stay_inside_the_tile(self, monkeypatch):
+        # <AND, OR> at arity 5, filled by the engine: the 7579 nonconstant
+        # monotone functions, in 210 - 2 orbits of S_5 (OEIS A003182, less the
+        # constants); the untiled run adds up to 1644 fresh tables at once
+        engines = _count_operand_tuples(monkeypatch)
+        tile = 1 << 16
+        orbits = _CodeEngine._orbits
+        calls = []
+
+        def measured(self, fresh):
+            tracing = tracemalloc.is_tracing()
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = orbits(self, fresh)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+            # arrays of one row per fresh table: its digits, unpacked through
+            # an index per limb
+            rows = len(fresh) * (2 * self.width + 8 * len(self.widths))
+            calls.append((len(fresh), len(fresh) * len(self.perms), peak, rows, self.image_bytes))
+            return out
+
+        monkeypatch.setattr(_CodeEngine, "_orbits", measured)
+        expected = _engine_slice([AND, OR], C2, 5)
+        untiled = calls[:]
+        calls.clear()
+        monkeypatch.setattr(finite, "_TILE_BYTES", tile)
+        assert _engine_slice([AND, OR], C2, 5) == expected
+        monkeypatch.undo()
+        assert len(expected[0]) == 7579
+        assert [eng.rep[: eng.count].sum() for eng in engines] == [208, 208]
+        assert len(calls) > len(untiled)  # the tile splits some additions
+        for fresh, images, peak, rows, image_bytes in calls:
+            assert fresh == 1 or images * image_bytes <= tile, (fresh, images)
+        for fresh, images, peak, rows, image_bytes in untiled + calls:
+            # numpy's array headers and iterators take about 4 kB
+            assert peak <= image_bytes * images + rows + 8192, (fresh, images, peak)
+
+    def test_the_pool_never_grows_past_the_budget(self, monkeypatch):
+        # one addition can bring n! tables per fresh one, so the budget is
+        # checked before the pool grows, and what the pool holds stays closed
+        engines = _count_operand_tuples(monkeypatch)
+        for budget in (100, 1000):
+            monkeypatch.setattr(finite, "_MAX_TABLES", budget)
+            engines.clear()
+            with pytest.raises(ResourceLimitError, match=f"exceeded {budget} tables at arity 5"):
+                _engine_slice([AND, OR], C2, 5)
+            (eng,) = engines
+            assert eng.count <= budget and len(eng.limbs) <= max(64, 2 * budget)
+            _check_orbits(eng)
 
 
 def _brute_force_pol_count(gens, k, arity):
