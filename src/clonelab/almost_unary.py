@@ -166,15 +166,6 @@ def witnessed_spread_check(f: SymbolicFn, w: SpreadWitness, box: Box) -> SpreadV
     return SpreadVerdict("verified")
 
 
-def compose_unary_witness(u: SymbolicFn, w: AlmostUnaryWitness) -> AlmostUnaryWitness:
-    """Witness for u∘f given a witness for f: push the allowed sets through u."""
-    if u.arity != 1:
-        raise ValueError("outer operation must be unary")
-    return AlmostUnaryWitness(
-        w.coordinate, lambda x, _w=w: frozenset(u(v) for v in _w.allowed(x))
-    )
-
-
 def median_witness(parts: Sequence[AlmostUnaryWitness]) -> AlmostUnaryWitness:
     """Witness for the median of three witnessed binary operations.
 

@@ -10,10 +10,9 @@ largeness guarantee and reports the selection ratio instead.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import ChainMap
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .symbolic import Box, SymbolicFn
 from .terms import Registry, Term, eval_term, subterms
@@ -51,15 +50,6 @@ def tuple_pattern(quad: Sequence[int]) -> OrderPattern:
 
 def similar(a: Sequence[int], b: Sequence[int]) -> bool:
     return tuple_pattern(a) == tuple_pattern(b)
-
-
-def admissible_patterns() -> frozenset[OrderPattern]:
-    """All realizable admissible patterns (four values always suffice)."""
-    out = set()
-    for quad in itertools.product(range(4), repeat=4):
-        if quad[0] != quad[1] and quad[2] != quad[3]:
-            out.add(tuple_pattern(quad))
-    return frozenset(out)
 
 
 def _admissible_quads(sample: Sequence[int]):
@@ -128,21 +118,6 @@ class RegionClassification:
     witness_map: tuple[tuple[int, int], ...] | None = None  # 1-1 coordinate map
     value: int | None = None                                # constant value
     degenerate: bool = False
-
-    def predicts(self, f: SymbolicFn, pairs: Iterable[tuple[int, int]]) -> bool:
-        lookup = dict(self.witness_map or ())
-        for a, b in pairs:
-            v = f(a, b)
-            if self.kind == CONSTANT:
-                if self.value is not None and v != self.value:
-                    return False
-            elif self.kind == FIRST_COORDINATE:
-                if lookup[a] != v:
-                    return False
-            elif self.kind == SECOND_COORDINATE:
-                if lookup[b] != v:
-                    return False
-        return True
 
 
 def _region_pairs(sample: Sequence[int], region: str) -> list[tuple[int, int]]:
@@ -301,21 +276,3 @@ def minimal_heavy_subterm(
             return HeavySubtermReport(path, s, failed)
     return None
 
-
-def classification_json(
-    name: str, classification: RegionClassification, sample_size: int
-) -> str:
-    """Stable JSON record for a region classification."""
-    record = {
-        "function": name,
-        "region": classification.region,
-        "verdict": classification.kind,
-        "witness": (
-            list(classification.witness_map)
-            if classification.witness_map is not None
-            else classification.value
-        ),
-        "sample-size": sample_size,
-        "degenerate": classification.degenerate,
-    }
-    return json.dumps(record, indent=2)

@@ -28,7 +28,6 @@ from .combinatorics import (
 from .finite import (
     Carrier,
     OpTable,
-    RelationTable,
     ResourceLimitError,
     closure_slice,
     parse_ops,
@@ -177,9 +176,7 @@ def cmd_precomplete(args) -> tuple[int, dict]:
     if args.gens:
         gens = [op for _, op in _load_ops(args.gens)]
     elif args.ci_exclude is not None:
-        # the ideal clone is Pol of the unary relation X minus the excluded point
-        ideal = PrincipalIdeal(carrier, args.ci_exclude)
-        gens = list(pol(RelationTable.unary(carrier, ideal.largest_member()), args.cap))
+        gens = list(pol(PrincipalIdeal(carrier, args.ci_exclude).relation(), args.cap))
     else:
         raise UsageError("precomplete needs --gens or --ci-exclude")
     verdict = precompleteness_evidence(gens, carrier, args.cap, args.working_cap)

@@ -144,26 +144,6 @@ class RelationTable:
     def unary(cls, carrier: Carrier, members: Iterable[int]) -> "RelationTable":
         return cls(carrier, 1, frozenset((m,) for m in members))
 
-    @classmethod
-    def full(cls, carrier: Carrier, width: int) -> "RelationTable":
-        return cls(carrier, width, frozenset(carrier.tuples(width)))
-
-    @classmethod
-    def from_op_tables(cls, ops: Iterable[OpTable]) -> "RelationTable":
-        """Encode a set of same-arity operations as a relation over X^(k^n).
-
-        Each operation contributes its value table as one tuple, so an
-        operation respects the result exactly when composing it with members
-        of the encoded set stays inside the set.
-        """
-        ops = list(ops)
-        if not ops:
-            raise ValueError("need at least one operation to encode")
-        carrier, arity = ops[0].carrier, ops[0].arity
-        if any(o.carrier != carrier or o.arity != arity for o in ops):
-            raise ValueError("operations must share carrier and arity")
-        return cls(carrier, carrier.size**arity, frozenset(o.table for o in ops))
-
 
 class OpSet:
     """A deduplicated set of operations of arity <= arity_cap on one carrier.
@@ -920,7 +900,8 @@ def _escapes_every_maximal_clone(gens: Sequence[OpTable], k: int) -> bool:
 def _closure(
     gens: list[OpTable], carrier: Carrier, arity: int, bound: int | None
 ) -> tuple[np.ndarray, bool, list[OpTable]]:
-    """The engine's fill of one slice: (pool limb rows, full, activated generators).
+    """The engine's fill of one slice: (the pool's digit rows in table order,
+    full, activated generators).
 
     The run stops once the pool reaches bound, the caller's _subuniverse_bound
     of gens.  With None it applies every operand tuple instead: the tests hold
@@ -942,7 +923,10 @@ def _closure(
         activated.append(g)
         eng.activate(g)
         eng.drain()
-    return eng.limbs[: eng.count], eng.full, activated
+    codes = eng.limbs[: eng.count]
+    # limb rows are ordered like their digits: most significant limb first
+    codes = codes[np.lexsort(codes.T[::-1])]
+    return _unpack(codes, k, eng.widths), eng.full, activated
 
 
 # Baker and Pixley (1975): when <G> has a majority term, an n-ary f is in <G>
@@ -979,8 +963,8 @@ def _has_majority_term(gens: list[OpTable], carrier: Carrier) -> bool:
     affine = next(inv for inv in _maximal_relations(k) if inv.relation.width == 4)
     if all(affine.preserved_by(np.asarray(g.table, dtype=np.uint8)[None], g.arity)[0] for g in gens):
         return False
-    codes = _closure(gens, carrier, 3, _subuniverse_bound(gens, k, 3))[0]
-    return bool(_is_majority(_unpack(codes, k, _limb_widths(k, k**3)), k).any())
+    rows = _closure(gens, carrier, 3, _subuniverse_bound(gens, k, 3))[0]
+    return bool(_is_majority(rows, k).any())
 
 
 def _majority_slice(gens: Sequence[OpTable], k: int, arity: int) -> np.ndarray:
@@ -1086,10 +1070,7 @@ def _slice_rows(gens: list[OpTable], carrier: Carrier, arity: int) -> tuple[np.n
         if arity >= 4 and k ** (2 * widest) <= _BITMAP_SPACE and _has_majority_term(gens, carrier):
             rows = _majority_slice(gens, k, arity)
             return rows, len(rows) == k**width
-    codes, full, _ = _closure(gens, carrier, arity, _subuniverse_bound(gens, k, arity))
-    # limb rows are ordered like their digits: most significant limb first
-    codes = codes[np.lexsort(codes.T[::-1])]
-    return _unpack(codes, k, _limb_widths(k, width)), full
+    return _closure(gens, carrier, arity, _subuniverse_bound(gens, k, arity))[:2]
 
 
 def closure_covers_slice(

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .finite import Carrier, OpTable, ResourceLimitError, compose
+from .finite import Carrier, OpTable, RelationTable, ResourceLimitError, compose
 
 
 class DegenerateWitnessError(ValueError):
@@ -45,23 +45,24 @@ class PrincipalIdeal:
     def largest_member(self) -> tuple[int, ...]:
         return tuple(x for x in self.carrier.elements() if x != self.excluded)
 
+    def relation(self) -> RelationTable:
+        """The unary relation X minus the excluded point: the ideal-induced
+        clone is its Pol."""
+        return RelationTable.unary(self.carrier, self.largest_member())
+
 
 def preserves_ideal(f: OpTable, ideal: PrincipalIdeal) -> bool:
     """Membership in the ideal-induced clone.
 
-    Checks the defining condition over every ideal member A: the image of
-    A^n must again avoid the excluded point.  (Monotonicity makes the
-    largest member decisive; the full quantifier is kept because it is the
-    definition and the loop is tiny.)
+    The defining condition asks, for every ideal member A, that the image of
+    A^n again avoids the excluded point.  Images grow with A, so the largest
+    member decides it, and only its power is checked.
     """
     if f.carrier != ideal.carrier:
         raise ValueError("carrier mismatch")
-    for member in ideal.members():
-        if not member:
-            continue
-        for args in itertools.product(sorted(member), repeat=f.arity):
-            if f(*args) == ideal.excluded:
-                return False
+    for args in itertools.product(ideal.largest_member(), repeat=f.arity):
+        if f(*args) == ideal.excluded:
+            return False
     return True
 
 
@@ -174,7 +175,7 @@ def decompose_with(g: OpTable, f: OpTable, ideal: PrincipalIdeal) -> Decompositi
     )
 
 
-_MAX_CARRIER = 4  # reconstructs_ideal's exhaustive budget
+_MAX_RECONSTRUCT_CARRIER = 4  # reconstructs_ideal's exhaustive budget
 
 
 def reconstructs_ideal(ideal: PrincipalIdeal) -> bool:
@@ -185,9 +186,9 @@ def reconstructs_ideal(ideal: PrincipalIdeal) -> bool:
     it with the ideal itself.
     """
     k = ideal.carrier.size
-    if k > _MAX_CARRIER:
+    if k > _MAX_RECONSTRUCT_CARRIER:
         raise ResourceLimitError(
-            f"carrier size {k} above the exhaustive budget {_MAX_CARRIER}"
+            f"carrier size {k} above the exhaustive budget {_MAX_RECONSTRUCT_CARRIER}"
         )
     elements = list(ideal.carrier.elements())
     recovered = set()

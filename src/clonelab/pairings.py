@@ -10,9 +10,9 @@ The builds over a box evaluate their argument once per point of the box's
 square, into a row-major table of w² values that every premise scan reads
 and that the returned composite keeps: its calls at in-square arguments
 read the table, and only arguments outside the square evaluate the
-argument again.  The composite also keeps the table it was verified on,
-its own values at the box's off-diagonal points, so an injectivity check
-on that box evaluates nothing.  This rests on evaluators being functions
+argument again.  The composite also keeps its own values at the box's
+off-diagonal points, where it is injective, so an injectivity check on
+that box evaluates nothing.  This rests on evaluators being functions
 of their arguments (see `clonelab.symbolic`).
 """
 
@@ -208,18 +208,6 @@ class _Square:
         return at
 
 
-def _verified_composite(
-    name: str, fn: Callable[[int, int], int], box: Box, values: list[int]
-) -> SymbolicFn:
-    """The composite fn, refuted unless its values at the box's off-diagonal
-    points (lexicographic order) are distinct, and reading them there."""
-    collision = first_collision(box.with_region("offdiag").pairs(), values)
-    if collision is not None:
-        raise ConstructionRefuted("composite not injective off the diagonal", collision)
-    table = OffdiagTable(box.lo, box.hi, values)
-    return SymbolicFn(name, 2, table.reader(fn), table=table)
-
-
 def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
     """Pairing (x, y) -> F(x, F(x, y)) from a symmetric F injective below the
     diagonal.
@@ -261,7 +249,11 @@ def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
     def fn(x: int, y: int) -> int:
         return g(x, g(x, y))
 
-    return _verified_composite("nested_pair", fn, box, values)
+    collision = first_collision(box.with_region("offdiag").pairs(), values)
+    if collision is not None:
+        raise ConstructionRefuted("composite not injective off the diagonal", collision)
+    table = OffdiagTable(box.lo, box.hi, values)
+    return SymbolicFn("nested_pair", 2, table.reader(fn), table=table)
 
 
 def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicFn:
@@ -271,7 +263,12 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
     F is normalized over the box by a unary map sending below-diagonal
     values to 0 and above-diagonal values to distinct positive evens; the
     merge identities then route the surviving half through unchanged, and
-    the two halves end up with opposite parities.
+    the two halves end up with opposite parities.  That makes the composite
+    injective off the diagonal once the premises and merge identities hold,
+    so it is not scanned for collisions: a point (x, y) above the diagonal
+    maps to merge(e, 1) = e, the even of F(x, y), and one below to
+    merge(0, e + 1) = e + 1, e the even of F(y, x); F is injective above the
+    diagonal, so the evens are distinct, and so are the odds.
     """
     square = _Square(f, box)
     below_vals = set(square.values("delta"))
@@ -310,7 +307,8 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
         return merge(g(x, y), g(y, x) + 1)
 
     values = [fn(x, y) for x, y in box.with_region("offdiag").pairs()]
-    return _verified_composite("split_merge_pair", fn, box, values)
+    table = OffdiagTable(box.lo, box.hi, values)
+    return SymbolicFn("split_merge_pair", 2, table.reader(fn), table=table)
 
 
 def family_generators(

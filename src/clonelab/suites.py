@@ -28,7 +28,6 @@ from .combinatorics import (
 from .finite import (
     Carrier,
     OpTable,
-    RelationTable,
     all_op_tables,
     closure_slice_is_full,
     pol,
@@ -107,9 +106,7 @@ def criterion_unary_chain(seed):
 
 def _ideal_generators(carrier: Carrier, excluded: int) -> tuple[PrincipalIdeal, list[OpTable]]:
     ideal = PrincipalIdeal(carrier, excluded)
-    # the ideal clone is Pol of the unary relation X minus the excluded point
-    gens = list(pol(RelationTable.unary(carrier, ideal.largest_member()), 2))
-    return ideal, gens
+    return ideal, list(pol(ideal.relation(), 2))
 
 
 @_result(2, "ideal-clone-regeneration")

@@ -280,10 +280,6 @@ def check_injective_on(f: SymbolicFn, box: Box):
     return first_collision(box.pairs(), values)
 
 
-def injective_on(f: SymbolicFn, box: Box) -> bool:
-    return check_injective_on(f, box) is None
-
-
 @dataclass(frozen=True)
 class BijectionParts:
     composite: SymbolicFn
@@ -352,29 +348,3 @@ def pairing_bijection(pr: SymbolicFn | None = None, *, check_box: Box | None = N
         outer=outer, left=left, right=right,
     )
 
-
-_MAX_SIDE = 1 << 12  # verify_bijection_on scans squares up to this side
-
-
-def verify_bijection_on(parts: BijectionParts, targets: int) -> bool:
-    """Adaptive scan oracle: every value below `targets` is hit exactly once.
-
-    The rank of a code counts image elements below it, so it is monotone in
-    the code; once every pair outside the scanned square provably has a code
-    whose rank already reaches `targets`, the scan is complete.
-    """
-    side = 8
-    while side <= _MAX_SIDE:
-        hits: dict[int, int] = {}
-        for x in range(side):
-            for y in range(side):
-                v = parts.composite(x, y)
-                hits[v] = hits.get(v, 0) + 1
-        if any(c > 1 for v, c in hits.items() if v < targets):
-            return False
-        min_outside_code = 2 * _triangle(2 * side + 1) + 4
-        outside_done = parts.outer(min_outside_code) >= targets
-        if outside_done and all(hits.get(v, 0) == 1 for v in range(targets)):
-            return True
-        side *= 2
-    return False

@@ -609,37 +609,6 @@ def thin_disjoint_images(
     return SubsetSpec.greedy(subset, accept, f"{subset.label}|disjoint")
 
 
-def thin_avoid_pairing_collisions(
-    subset: SubsetSpec,
-    fns: Sequence[Callable[[int], int]],
-    pr: SymbolicFn,
-) -> SubsetSpec:
-    """Keep points so that no kept pair (a, b) has pr(a, b) or pr(b, a)
-    colliding with an image f(a) or f(b)."""
-
-    def accept(x: int, kept: list[int]) -> bool:
-        return not any(
-            f(x) in (pr(x, b), pr(b, x)) or f(b) in (pr(x, b), pr(b, x))
-            for b in kept for f in fns
-        )
-
-    return SubsetSpec.greedy(subset, accept, f"{subset.label}|pairfree")
-
-
-def thin_avoid_constants(
-    subset: SubsetSpec, constants: Iterable[int], pr: SymbolicFn
-) -> SubsetSpec:
-    """Keep points so that no kept pair codes to one of the given constants."""
-    bad = frozenset(constants)
-
-    def accept(x: int, kept: list[int]) -> bool:
-        return all(
-            pr(x, b) not in bad and pr(b, x) not in bad for b in kept
-        ) and pr(x, x) not in bad
-
-    return SubsetSpec.greedy(subset, accept, f"{subset.label}|constfree")
-
-
 # -- agreement search ----------------------------------------------------------
 
 def cross_values_vanish(
@@ -710,7 +679,7 @@ def agreement_holds(
 
 # -- bounded term search -------------------------------------------------------
 
-_MAX_CANDIDATES = 1 << 16  # bounded_term_search raises before a larger level
+_MAX_LEVEL_CANDIDATES = 1 << 16  # bounded_term_search raises before a larger level
 
 
 @dataclass(frozen=True)
@@ -828,7 +797,7 @@ def bounded_term_search(
     with the level).  Raises ValueError, before any work, for a negative
     depth or a symbol whose arity does not match its mapping, and
     InconclusiveError, before a level is evaluated, when the level would
-    hold more than _MAX_CANDIDATES candidates.
+    hold more than _MAX_LEVEL_CANDIDATES candidates.
     """
     if max_depth < 0:
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
@@ -865,10 +834,10 @@ def bounded_term_search(
             # (below, earlier), (earlier, below) and (below, below)
             prev = len(levels[-1])
             size = len(unary) * prev + len(binary) * (2 * prev * (len(seen) - prev) + prev * prev)
-            if size > _MAX_CANDIDATES:
+            if size > _MAX_LEVEL_CANDIDATES:
                 raise InconclusiveError(
                     f"term search level {depth} has {size} candidates, "
-                    f"more than the budget of {_MAX_CANDIDATES}")
+                    f"more than the budget of {_MAX_LEVEL_CANDIDATES}")
             if depth == max_depth:
                 prefix = []
                 for cand in candidates(depth):

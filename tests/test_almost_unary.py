@@ -4,7 +4,6 @@ import pytest
 
 from clonelab.almost_unary import (
     almost_unary_check,
-    compose_unary_witness,
     depends_heavily,
     median_witness,
     spread_supports,
@@ -159,7 +158,9 @@ class TestWitnessPropagation:
     def test_unary_outer_composition(self):
         double = SymbolicFn("double", 1, lambda v: 2 * v)
         composite = compose_fn(double, [min_fn()])
-        witness = compose_unary_witness(double, min_fn().witness)
+        inner = min_fn().witness
+        witness = AlmostUnaryWitness(
+            inner.coordinate, lambda x: frozenset(double(v) for v in inner.allowed(x)))
         report = almost_unary_check(composite, Box(0, 24, "full"), witness=witness)
         assert report.kind == "witness-verified"
 

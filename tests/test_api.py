@@ -1,0 +1,81 @@
+"""Every public function of the program has a caller in the program.
+
+A public module-level function or classmethod of `clonelab` that only the
+tests name is API kept for the tests alone: it either gets a caller in a
+module, the CLI, a suite criterion or the benchmark, or it goes.  Names
+exported from `clonelab/__init__.py` are the package's interface and count
+as called.  The check reads the source with `ast`.  A function counts as
+named by a bare name or through its module (`finite.pol`), a classmethod
+through its class or `cls` (`RelationTable.unary`).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "clonelab"
+
+# name -> why it stays although only the tests call it
+ALLOWED = {
+    "format_ops": "writes the CLI's op-file format; the tests build CLI input with it",
+    "format_relations": "writes the CLI's relation-file format; the tests build CLI input with it",
+    "format_coloring_table": "writes the CLI's coloring-table format; the tests round-trip it",
+}
+
+
+def _public_functions():
+    """(qualifiers, name) of each public module-level function and
+    classmethod: the names a reference may stand on, None for a bare one."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found.append(((None, path.stem), node.name))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                            and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                                    for d in item.decorator_list)):
+                        found.append(((node.name, "cls"), item.name))
+    return found
+
+
+def _references(paths, with_imports=False):
+    """(qualifier, name) of every name the files read: None for a bare name,
+    the object's name for an attribute."""
+    refs = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.add((None, node.id))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                refs.add((node.value.id, node.attr))
+            elif with_imports and isinstance(node, ast.ImportFrom):
+                refs.update((None, alias.name) for alias in node.names)
+    return refs
+
+
+def _test_only():
+    program = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    program += sorted((ROOT / "clonebench").glob("*.py"))
+    called = _references(program) | _references([PACKAGE / "__init__.py"], with_imports=True)
+    tested = _references(sorted((ROOT / "tests").glob("*.py")), with_imports=True)
+    return {name for qualifiers, name in _public_functions()
+            if any((q, name) in tested for q in qualifiers)
+            and not any((q, name) in called for q in qualifiers)}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    flagged = _test_only() - set(ALLOWED)
+    assert not flagged, f"called only from tests/: {sorted(flagged)}"
+
+
+def test_every_allowed_name_is_still_test_only():
+    assert _test_only() >= set(ALLOWED)
+
+
+def test_the_scan_sees_functions_and_classmethods():
+    public = _public_functions()
+    assert ((None, "finite"), "pol") in public
+    assert (("RelationTable", "cls"), "unary") in public
+    assert not any(name.startswith("_") for _, name in public)

@@ -12,9 +12,7 @@ from clonelab.canonical import (
     SECOND_COORDINATE,
     SYMMETRIC,
     NotCanonicalError,
-    admissible_patterns,
     canonical_subset,
-    classification_json,
     classify_on_region,
     is_canonical,
     minimal_heavy_subterm,
@@ -35,15 +33,16 @@ SPARSE = [3**i for i in range(8)]  # geometric gaps keep the pair code order-dri
 
 class TestPatterns:
     def test_count_matches_brute_force_oracle(self):
-        # oracle: every admissible quadruple over {0..5} realizes a pattern
-        oracle = {
-            tuple_pattern(q)
-            for q in itertools.product(range(6), repeat=4)
-            if q[0] != q[1] and q[2] != q[3]
-        }
-        enumerated = admissible_patterns()
-        assert enumerated == frozenset(oracle)
-        assert len(enumerated) == 52  # frozen regression constant
+        def patterns(values):
+            return {
+                tuple_pattern(q)
+                for q in itertools.product(values, repeat=4)
+                if q[0] != q[1] and q[2] != q[3]
+            }
+
+        # four values realize every pattern that six do
+        assert patterns(range(4)) == patterns(range(6))
+        assert len(patterns(range(4))) == 52  # frozen regression constant
 
     def test_similarity_examples(self):
         assert similar((1, 3, 2, 4), (0, 5, 1, 9))
@@ -141,8 +140,9 @@ class TestClassification:
 
     def test_predictions_match_the_function(self):
         got = classify_on_region(max_fn(), "delta", SPARSE)
-        pairs = [(a, b) for a in SPARSE for b in SPARSE if a > b]
-        assert got.predicts(max_fn(), pairs)
+        assert got.kind == FIRST_COORDINATE
+        lookup = dict(got.witness_map)
+        assert all(lookup[a] == max_fn()(a, b) for a in SPARSE for b in SPARSE if a > b)
 
     def test_non_canonical_input_rejected(self):
         with pytest.raises(NotCanonicalError):
@@ -152,12 +152,6 @@ class TestClassification:
         got = classify_on_region(max_fn(), "delta", [1, 5])
         assert got.kind == CONSTANT
         assert got.degenerate
-
-    def test_json_record(self):
-        got = classify_on_region(min_fn(), "delta", SPARSE)
-        text = classification_json("min", got, len(SPARSE))
-        assert '"verdict": "second-coordinate"' in text
-        assert '"sample-size": 8' in text
 
 
 class TestRegionInteraction:

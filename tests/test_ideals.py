@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from clonelab.finite import Carrier, OpTable, RelationTable, all_op_tables, compose, respects
+from clonelab.finite import Carrier, OpTable, RelationTable, all_op_tables, compose, pol, respects
 from clonelab.ideals import (
     DegenerateWitnessError,
     PrincipalIdeal,
@@ -43,6 +43,22 @@ class TestMembership:
     def test_carrier2_members_are_zero_preserving(self):
         for f in all_op_tables(C2, 2):
             assert preserves_ideal(f, IDEAL2) == (f(0, 0) == 0)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_pol_of_the_relation(self, k):
+        # the largest member alone decides, on every operation of arity <= 2
+        carrier = Carrier(k)
+        for excluded in range(k):
+            ideal = PrincipalIdeal(carrier, excluded)
+            assert ideal.relation().tuples == {(x,) for x in range(k) if x != excluded}
+            clone = pol(ideal.relation(), 2)
+            for n in (1, 2):
+                kept = [f for f in all_op_tables(carrier, n) if preserves_ideal(f, ideal)]
+                assert kept == list(clone.slice(n))
+
+    def test_carrier_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="carrier mismatch"):
+            preserves_ideal(NOT, IDEAL3)
 
 
 class TestDecomposition:

@@ -12,13 +12,11 @@ from clonelab.symbolic import (
     check_injective_on,
     compose_fn,
     delta_pairing,
-    injective_on,
     max_fn,
     median_fn,
     min_fn,
     pairing_bijection,
     standard_merge,
-    verify_bijection_on,
 )
 
 
@@ -63,6 +61,31 @@ class TestPairing:
             assert pr(a, b) != pr(c, d)
 
 
+def hits_each_value_once(parts, targets):
+    """Whether the bijection's composite hits every value below targets
+    exactly once.
+
+    The scan grows a square of arguments.  The rank of a code is monotone in
+    the code, and every pair outside a square of side s has a code of at
+    least (2s + 1)(2s + 2) + 4, so once that code's rank reaches targets the
+    square holds every preimage below targets.
+    """
+    side = 8
+    while side <= 1 << 12:
+        hits = {}
+        for x in range(side):
+            for y in range(side):
+                v = parts.composite(x, y)
+                hits[v] = hits.get(v, 0) + 1
+        if any(c > 1 for v, c in hits.items() if v < targets):
+            return False
+        outside_done = parts.outer((2 * side + 1) * (2 * side + 2) + 4) >= targets
+        if outside_done and all(hits.get(v, 0) == 1 for v in range(targets)):
+            return True
+        side *= 2
+    return False
+
+
 class TestBijection:
     def test_injections_have_disjoint_parity_ranges(self):
         parts = pairing_bijection()
@@ -70,11 +93,11 @@ class TestBijection:
         assert all(parts.right(y) % 2 == 1 for y in range(20))
 
     def test_every_small_value_hit_exactly_once(self):
-        assert verify_bijection_on(pairing_bijection(), 100)
+        assert hits_each_value_once(pairing_bijection(), 100)
 
     def test_composite_injective(self):
         parts = pairing_bijection()
-        assert injective_on(parts.composite, Box(0, 128, "offdiag"))
+        assert check_injective_on(parts.composite, Box(0, 128, "offdiag")) is None
 
     def test_refuted_for_non_injective_base(self):
         broken = SymbolicFn("broken", 2, lambda x, y: x + y)

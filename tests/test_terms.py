@@ -37,8 +37,6 @@ from clonelab.terms import (
     _thin_unary,
     parse_term,
     partial_eval,
-    thin_avoid_constants,
-    thin_avoid_pairing_collisions,
     thin_disjoint_images,
     thin_for,
 )
@@ -217,23 +215,6 @@ class TestThinning:
             for right in images[i + 1:]:
                 assert not (left & right)
 
-    def test_avoid_pairing_collisions(self):
-        fns = [lambda a: PR(a, a + 1)]  # engineered to collide with pair codes
-        out = thin_avoid_pairing_collisions(SubsetSpec.naturals(), fns, PR)
-        chosen = out.first(6)
-        for a in chosen:
-            for b in chosen:
-                if a != b:
-                    assert fns[0](a) not in (PR(a, b), PR(b, a))
-
-    def test_avoid_constants(self):
-        bad = {PR(0, 1), PR(2, 3)}
-        out = thin_avoid_constants(SubsetSpec.naturals(), bad, PR)
-        chosen = out.first(6)
-        for a in chosen:
-            for b in chosen:
-                assert PR(a, b) not in bad
-
 
 # One thinning layer: (kind, params).  Every map grows without bound and
 # each kept point rejects boundedly many later points, so every stack stays
@@ -265,9 +246,10 @@ def thinned_pair(spec, elements, layer):
     if kind == "disjoint":
         return thin_disjoint_images(spec, params), ref.thin(elements, ref.disjoint_images(params))
     if kind == "pairfree":
-        return (thin_avoid_pairing_collisions(spec, params, PR),
-                ref.thin(elements, ref.avoid_pairing_collisions(params, PR)))
-    return thin_avoid_constants(spec, params, PR), ref.thin(elements, ref.avoid_constants(params, PR))
+        accept = ref.avoid_pairing_collisions(params, PR)
+    else:
+        accept = ref.avoid_constants(params, PR)
+    return SubsetSpec.greedy(spec, accept, f"{spec.label}|{kind}"), ref.thin(elements, accept)
 
 
 class TestGreedyThinning:
@@ -531,7 +513,7 @@ class TestBoundedSearch:
 
         # level 1 has 1 * 2 + 1 * (2 * 2 * 0 + 2 * 2) = 6 candidates and six
         # distinct vectors, level 2 has 1 * 6 + 1 * (2 * 6 * 2 + 6 * 6) = 66
-        monkeypatch.setattr(clonelab.terms, "_MAX_CANDIDATES", 10)
+        monkeypatch.setattr(clonelab.terms, "_MAX_LEVEL_CANDIDATES", 10)
         with pytest.raises(InconclusiveError, match="level 2 has 66 candidates"):
             bounded_term_search(
                 SymbolicFn("t", 2, lambda x, y: x * y), {"g": SymbolicFn("g", 2, g)},
