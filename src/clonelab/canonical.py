@@ -14,7 +14,7 @@ from collections import ChainMap
 from dataclasses import dataclass
 from typing import Sequence
 
-from .symbolic import Box, SymbolicFn
+from .symbolic import Box, SquareTable, SymbolicFn
 from .terms import Registry, Term, eval_term, subterms
 
 
@@ -128,6 +128,19 @@ def _region_pairs(sample: Sequence[int], region: str) -> list[tuple[int, int]]:
     raise ValueError("region must be delta or nabla")
 
 
+def _coordinate_factor(values: dict[tuple[int, int], int], index: int):
+    """Whether the values depend on coordinate `index` alone: (the factor map
+    {coordinate: value}, None) when they do, else (None, the first clash),
+    a clash being the first pair in scan order whose value differs from that
+    of the first pair sharing its coordinate, as (that pair, this pair)."""
+    first: dict[int, tuple[tuple[int, int], int]] = {}
+    for p, v in values.items():
+        q, u = first.setdefault(p[index], (p, v))
+        if u != v:
+            return None, (q, p)
+    return {a: v for a, (_, v) in first.items()}, None
+
+
 def classify_on_region(f: SymbolicFn, region: str, sample: Sequence[int]) -> RegionClassification:
     """Sort a canonical map's restriction into exactly one of four shapes.
 
@@ -150,22 +163,10 @@ def classify_on_region(f: SymbolicFn, region: str, sample: Sequence[int]) -> Reg
             CONSTANT, region, value=next(iter(values.values()))
         )
 
-    def coordinate_map(index: int):
-        fibers: dict[int, set[int]] = {}
-        for p, v in values.items():
-            fibers.setdefault(p[index], set()).add(v)
-        if all(len(vs) == 1 for vs in fibers.values()):
-            mapping = {a: next(iter(vs)) for a, vs in fibers.items()}
-            if len(set(mapping.values())) == len(mapping):
-                return tuple(sorted(mapping.items()))
-        return None
-
-    first = coordinate_map(0)
-    if first is not None:
-        return RegionClassification(FIRST_COORDINATE, region, witness_map=first)
-    second = coordinate_map(1)
-    if second is not None:
-        return RegionClassification(SECOND_COORDINATE, region, witness_map=second)
+    for kind, index in ((FIRST_COORDINATE, 0), (SECOND_COORDINATE, 1)):
+        mapping, _ = _coordinate_factor(values, index)
+        if mapping is not None and len(set(mapping.values())) == len(mapping):
+            return RegionClassification(kind, region, witness_map=tuple(sorted(mapping.items())))
     if len(set(values.values())) == len(values):
         return RegionClassification(INJECTIVE, region)
     raise ValueError(
@@ -186,28 +187,21 @@ class RegionInteraction:
 
 
 def region_interaction(f: SymbolicFn, box: Box) -> RegionInteraction:
-    """How the two triangle restrictions relate on the box.
+    """How the two triangle restrictions relate on the box's square.
 
     Requires one of them injective (else neither-precondition).  For a
     canonical map the remaining outcomes are symmetry or disjoint value
     ranges; the overlap verdict can only appear on non-canonical input and
-    carries a witness value.
+    carries a witness value.  Every scan reads one table of f on the
+    square, so f is evaluated at most w² times.
     """
-    from .symbolic import check_injective_on
-
-    inj_delta = check_injective_on(f, box.with_region("delta")) is None
-    inj_nabla = check_injective_on(f, box.with_region("nabla")) is None
-    if not (inj_delta or inj_nabla):
+    square = SquareTable.of(f.evaluator(2), box)
+    if square.collision("delta") is not None and square.collision("nabla") is not None:
         return RegionInteraction(NEITHER_PRECONDITION)
-    asym = next(
-        ((a, b) for a, b in box.with_region("nabla").pairs() if f(a, b) != f(b, a)),
-        None,
-    )
+    asym = square.asymmetry()
     if asym is None:
         return RegionInteraction(SYMMETRIC)
-    delta_vals = {f(a, b) for a, b in box.with_region("delta").pairs()}
-    nabla_vals = {f(a, b) for a, b in box.with_region("nabla").pairs()}
-    shared = delta_vals & nabla_vals
+    shared = set(square.values_on("delta")) & set(square.values_on("nabla"))
     if not shared:
         return RegionInteraction(DISJOINT_RANGES, witness=asym)
     return RegionInteraction(OVERLAP, witness=(min(shared),))
@@ -229,19 +223,10 @@ def unary_on_region(
     pairs = list(box.with_region(region).pairs())
     values = {p: eval_term(t, p[0], p[1], registry) for p in pairs}
 
-    def violation(index: int):
-        rep: dict[int, tuple[tuple[int, int], int]] = {}
-        for p, v in values.items():
-            key = p[index]
-            if key in rep and rep[key][1] != v:
-                return (rep[key][0], p)
-            rep.setdefault(key, (p, v))
-        return None
-
-    x_bad = violation(0)
+    _, x_bad = _coordinate_factor(values, 0)
     if x_bad is None:
         return RegionFactorReport(True, side="x")
-    y_bad = violation(1)
+    _, y_bad = _coordinate_factor(values, 1)
     if y_bad is None:
         return RegionFactorReport(True, side="y")
     return RegionFactorReport(False, x_violation=x_bad, y_violation=y_bad)

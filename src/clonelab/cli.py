@@ -59,7 +59,6 @@ from .symbolic import (
 from .terms import (
     InconclusiveError,
     RegistryError,
-    SubsetSpec,
     bounded_term_search,
     builtin_subset,
     default_registry,

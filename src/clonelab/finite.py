@@ -480,16 +480,6 @@ _TILE_BYTES = 16 << 20
 _ORBIT_CELLS = 1 << 20
 
 
-def _cylinder_row(g: OpTable, tuple_prefix: np.ndarray) -> np.ndarray:
-    """Table of g(x_1..x_m) read as an n-ary operation (m <= n)."""
-    k = g.carrier.size
-    lut = np.asarray(g.table, dtype=np.uint8)
-    idx = np.zeros(len(tuple_prefix), dtype=np.int64)
-    for j in range(g.arity):
-        idx = idx * k + tuple_prefix[:, j]
-    return lut[idx]
-
-
 def _all_rows(k: int, width: int) -> np.ndarray:
     """Every row of width digits below k, in table order: row i holds the
     base-k digits of i."""
@@ -909,17 +899,20 @@ def _closure(
     """
     k = carrier.size
     eng = _CodeEngine(k, arity, bound)
-    tuple_prefix = np.array(list(carrier.tuples(arity)), dtype=np.int64)
-    projections = tuple_prefix.T.astype(np.uint8)
-    eng.add(eng.keys_of(_pack(projections, eng.k, eng.widths)))
+    points = _all_rows(k, arity)
+    eng.add(eng.keys_of(_pack(points.T, eng.k, eng.widths)))
+    # the code of each point's first m coordinates, by m
+    prefix_codes = [_tuple_codes(points[:, :m], k) for m in range(arity + 1)]
 
     activated: list[OpTable] = []
     for g in gens:
         if eng.done_enough:
             break
-        if g.arity <= arity and eng.has(eng.key_of_row(_cylinder_row(g, tuple_prefix))):
-            # already a term function of the generators activated so far
-            continue
+        if g.arity <= arity:
+            # g(x_1..x_m) as an operation of the slice's arity
+            cylinder = np.asarray(g.table, dtype=np.uint8)[prefix_codes[g.arity]]
+            if eng.has(eng.key_of_row(cylinder)):
+                continue  # already a term function of the generators activated so far
         activated.append(g)
         eng.activate(g)
         eng.drain()

@@ -7,28 +7,27 @@ maps required by the asymmetric constructions are built over the
 verification box, which is the only place they are ever consulted.
 
 The builds over a box evaluate their argument once per point of the box's
-square, into a row-major table of w² values that every premise scan reads
+square, into a `SquareTable` of w² values that every premise scan reads
 and that the returned composite keeps: its calls at in-square arguments
 read the table, and only arguments outside the square evaluate the
-argument again.  The composite also keeps its own values at the box's
-off-diagonal points, where it is injective, so an injectivity check on
-that box evaluates nothing.  This rests on evaluators being functions
-of their arguments (see `clonelab.symbolic`).
+argument again.  The composite also keeps a `SquareTable` of its own
+values on the box's square, so an injectivity check on that box, in any
+region, evaluates nothing.  This rests on evaluators being functions of
+their arguments (see `clonelab.symbolic`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Collection, Iterable
 
 from .combinatorics import Coloring, IndependentFamily
 from .symbolic import (
     Box,
     ConstructionRefuted,
-    OffdiagTable,
+    SquareTable,
     SymbolicFn,
     cantor_pairing,
     delta_pairing,
-    first_collision,
 )
 
 
@@ -156,58 +155,6 @@ def marked_merge() -> SymbolicFn:
     return SymbolicFn("marked_merge", 2, fn)
 
 
-class _Square:
-    """f evaluated once per point of a box's square, row-major."""
-
-    def __init__(self, f: SymbolicFn, box: Box):
-        self.fn = f.evaluator(2)
-        self.box = box.with_region("full")
-        pts = box.points()
-        self.table = [self.fn(x, y) for x in pts for y in pts]
-
-    def values(self, region: str) -> list[int]:
-        """The values on a region of the box, in lexicographic order."""
-        t, w = self.table, self.box.width
-        if region == "full":
-            return t
-        if region == "delta":
-            return [v for i in range(w) for v in t[i * w:i * w + i]]
-        if region == "nabla":
-            return [v for i in range(w) for v in t[i * w + i + 1:(i + 1) * w]]
-        return [v for i in range(w) for v in t[i * w:i * w + i] + t[i * w + i + 1:(i + 1) * w]]
-
-    def scan(self, region: str) -> Iterator[tuple[tuple[int, int], int]]:
-        """(point, value) over a region of the box, in lexicographic order."""
-        return zip(self.box.with_region(region).pairs(), self.values(region))
-
-    def collision(self, region: str):
-        """first_collision over the region's points."""
-        return first_collision(self.box.with_region(region).pairs(), self.values(region))
-
-    def asymmetry(self) -> tuple[int, int] | None:
-        """The first point (x, y) in lexicographic order with
-        f(x, y) != f(y, x), or None.  It has x < y: a mismatch at (x, y)
-        with y < x shows first at (y, x), in an earlier row."""
-        t, w, lo = self.table, self.box.width, self.box.lo
-        for i in range(w):
-            row = t[i * w:(i + 1) * w]
-            if row != t[i::w]:
-                j = next(j for j in range(i + 1, w) if row[j] != t[j * w + i])
-                return (lo + i, lo + j)
-        return None
-
-    def evaluator(self) -> Callable[[int, int], int]:
-        """f itself, reading the table on the square."""
-        lo, hi, w, table, fn = self.box.lo, self.box.hi, self.box.width, self.table, self.fn
-
-        def at(x: int, y: int) -> int:
-            if lo <= x < hi and lo <= y < hi:
-                return table[(x - lo) * w + y - lo]
-            return fn(x, y)
-
-        return at
-
-
 def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
     """Pairing (x, y) -> F(x, F(x, y)) from a symmetric F injective below the
     diagonal.
@@ -218,7 +165,8 @@ def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
     The composite is then verified injective on the box's off-diagonal part;
     any collision refutes the construction.
     """
-    square = _Square(f, box)
+    arg = f.evaluator(2)
+    square = SquareTable.of(arg, box)
     asymmetry = square.asymmetry()
     if asymmetry is not None:
         x, y = asymmetry
@@ -227,10 +175,11 @@ def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
     if collision is not None:
         raise ConstructionRefuted("argument not injective below the diagonal", collision)
 
-    at = square.evaluator()
-    scan = square.scan("offdiag")
-    if any(v <= max(p) for p, v in square.scan("full")):
-        ranks = {v: i for i, v in enumerate(sorted(set(square.table)))}
+    at = square.reader(arg)
+    full = box.with_region("full")
+    # the inner g(x, y) comes from the table, so each point costs one outer call
+    if any(v <= max(p) for p, v in zip(full.pairs(), square.values)):
+        ranks = {v: i for i, v in enumerate(sorted(set(square.values)))}
         base = box.hi
 
         def shift(v: int) -> int:
@@ -241,18 +190,18 @@ def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
         def g(x: int, y: int) -> int:
             return shift(at(x, y))
 
-        values = [g(x, shift(v)) for (x, _), v in scan]
+        values = [g(x, shift(v)) for (x, _), v in zip(full.pairs(), square.values)]
     else:
         g = at
-        values = [g(x, v) for (x, _), v in scan]
+        values = [g(x, v) for (x, _), v in zip(full.pairs(), square.values)]
 
     def fn(x: int, y: int) -> int:
         return g(x, g(x, y))
 
-    collision = first_collision(box.with_region("offdiag").pairs(), values)
+    table = SquareTable(box.lo, box.hi, values)
+    collision = table.collision("offdiag")
     if collision is not None:
         raise ConstructionRefuted("composite not injective off the diagonal", collision)
-    table = OffdiagTable(box.lo, box.hi, values)
     return SymbolicFn("nested_pair", 2, table.reader(fn), table=table)
 
 
@@ -270,9 +219,10 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
     merge(0, e + 1) = e + 1, e the even of F(y, x); F is injective above the
     diagonal, so the evens are distinct, and so are the odds.
     """
-    square = _Square(f, box)
-    below_vals = set(square.values("delta"))
-    above_vals = set(square.values("nabla"))
+    arg = f.evaluator(2)
+    square = SquareTable.of(arg, box)
+    below_vals = set(square.values_on("delta"))
+    above_vals = set(square.values_on("nabla"))
     overlap = below_vals & above_vals
     if overlap:
         raise ConstructionRefuted(
@@ -292,7 +242,7 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
             return evens[v]
         return spare + 2 * v  # odd, so it never shadows a normalized even
 
-    at = square.evaluator()
+    at = square.reader(arg)
 
     def g(x: int, y: int) -> int:
         return normalize(at(x, y))
@@ -306,8 +256,7 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
     def fn(x: int, y: int) -> int:
         return merge(g(x, y), g(y, x) + 1)
 
-    values = [fn(x, y) for x, y in box.with_region("offdiag").pairs()]
-    table = OffdiagTable(box.lo, box.hi, values)
+    table = SquareTable.of(fn, box)
     return SymbolicFn("split_merge_pair", 2, table.reader(fn), table=table)
 
 

@@ -7,12 +7,13 @@ verdict here claims anything about all of the naturals.
 An evaluator is a function of its arguments: equal arguments give equal
 values, and a call has no effect that a later call could see.  The box
 scans rely on this.  Value-vector dedup in term search, the box-built
-normalizing maps of the pairings, the square table a pairing build keeps
-and the operand memo of term search all evaluate each symbol once per
-distinct argument and reuse the value.  A pairing composite also keeps the
-table it was verified on, its values at the off-diagonal points of the
-box (an `OffdiagTable`): its calls there read the table, and an
-injectivity check on that box reads the values and calls nothing.
+normalizing maps of the pairings, the square table (a `SquareTable`) that
+a pairing build and `canonical.region_interaction` read, and the operand
+memo of term search all evaluate each symbol once per distinct argument
+and reuse the value.  A pairing composite also keeps the table it was
+verified on, its own values on the box's square: its calls there read the
+table, and an injectivity check on that box, in any region, reads the
+values and calls nothing.
 """
 
 from __future__ import annotations
@@ -104,34 +105,57 @@ class SpreadWitness:
 
 
 @dataclass(frozen=True, eq=False)
-class OffdiagTable:
-    """Values of a binary function at the off-diagonal points of the
-    square [lo, hi)², in the lexicographic order of the offdiag region:
-    row x holds its y < x entries, then its y > x entries."""
+class SquareTable:
+    """Values of a binary function on the square [lo, hi)², row-major:
+    f(x, y) sits at (x - lo) * w + y - lo, w the width."""
 
     lo: int
     hi: int
     values: list[int]
 
-    def region_values(self, box: Box) -> list[int] | None:
-        """The values on the box's region in its scan order; None unless the
-        box has this window and a region without the diagonal."""
-        if (box.lo, box.hi) != (self.lo, self.hi) or box.region == "full":
-            return None
-        if box.region == "offdiag":
-            return self.values
-        w1, vals = box.width - 1, self.values
-        if box.region == "delta":
-            return [v for i in range(box.width) for v in vals[i * w1:i * w1 + i]]
-        return [v for i in range(box.width) for v in vals[i * w1 + i:(i + 1) * w1]]
+    @classmethod
+    def of(cls, fn: Callable[[int, int], int], box: Box) -> "SquareTable":
+        """fn evaluated once per point of the box's square."""
+        pts = box.points()
+        return cls(box.lo, box.hi, [fn(x, y) for x in pts for y in pts])
+
+    def values_on(self, region: str) -> list[int]:
+        """The values on a region of the square, in its lexicographic order."""
+        t, w = self.values, self.hi - self.lo
+        if region == "full":
+            return t
+        out: list[int] = []
+        for i in range(w):
+            row = i * w
+            if region != "nabla":
+                out += t[row:row + i]
+            if region != "delta":
+                out += t[row + i + 1:row + w]
+        return out
+
+    def collision(self, region: str):
+        """first_collision over the region's points."""
+        return first_collision(Box(self.lo, self.hi, region).pairs(), self.values_on(region))
+
+    def asymmetry(self) -> tuple[int, int] | None:
+        """The first point (x, y) in lexicographic order with
+        f(x, y) != f(y, x), or None.  It has x < y: a mismatch at (x, y)
+        with y < x shows first at (y, x), in an earlier row."""
+        t, w = self.values, self.hi - self.lo
+        for i in range(w):
+            row = t[i * w:(i + 1) * w]
+            if row != t[i::w]:
+                j = next(j for j in range(i + 1, w) if row[j] != t[j * w + i])
+                return (self.lo + i, self.lo + j)
+        return None
 
     def reader(self, fn: Callable[[int, int], int]) -> Callable[[int, int], int]:
-        """fn itself, reading the table at in-window off-diagonal arguments."""
-        lo, hi, w1, vals = self.lo, self.hi, self.hi - self.lo - 1, self.values
+        """fn itself, reading the table on the square."""
+        lo, hi, w, vals = self.lo, self.hi, self.hi - self.lo, self.values
 
         def at(x: int, y: int) -> int:
-            if lo <= x < hi and lo <= y < hi and x != y:
-                return vals[(x - lo) * w1 + y - lo - (y > x)]
+            if lo <= x < hi and lo <= y < hi:
+                return vals[(x - lo) * w + y - lo]
             return fn(x, y)
 
         return at
@@ -143,7 +167,7 @@ class SymbolicFn:
     arity: int
     fn: Callable[..., int]
     witness: AlmostUnaryWitness | None = None
-    table: OffdiagTable | None = None  # values of fn on a box, read instead of calling fn
+    table: SquareTable | None = None  # values of fn on a square, read instead of calling fn
 
     def __call__(self, *args: int) -> int:
         if len(args) != self.arity:
@@ -266,17 +290,17 @@ def check_injective_on(f: SymbolicFn, box: Box):
     for the box is read instead of calling f.  Otherwise f is called on
     _CHUNK points at a time, and the scan stops after the first chunk
     whose values are not all new."""
-    values = f.table.region_values(box) if f.table is not None else None
-    if values is None:
-        fn = f.evaluator(2)
-        pairs, values, seen = box.pairs(), [], set()
-        while chunk := [fn(*p) for p in itertools.islice(pairs, _CHUNK)]:
-            values += chunk
-            seen.update(chunk)
-            if len(seen) < len(values):
-                break
-        else:
-            return None
+    if f.table is not None and (f.table.lo, f.table.hi) == (box.lo, box.hi):
+        return f.table.collision(box.region)
+    fn = f.evaluator(2)
+    pairs, values, seen = box.pairs(), [], set()
+    while chunk := [fn(*p) for p in itertools.islice(pairs, _CHUNK)]:
+        values += chunk
+        seen.update(chunk)
+        if len(seen) < len(values):
+            break
+    else:
+        return None
     return first_collision(box.pairs(), values)
 
 

@@ -1,5 +1,7 @@
-"""Scalar pairing builds and term search, the reference for the box-table
-builds in `clonelab.pairings` and the memoised search in `clonelab.terms`.
+"""Scalar pairing builds, triangle interaction and term search, the
+reference for the box-table builds in `clonelab.pairings`, the table scan of
+`clonelab.canonical.region_interaction` and the memoised search in
+`clonelab.terms`.
 
 It shares no code with `clonelab`: a binary function is a plain callable,
 a box is (lo, hi, region), a term is its s-expression text, and every scan
@@ -119,6 +121,22 @@ def split_merge(f, merge, box):
     if hit is not None:
         raise Refuted("composite not injective off the diagonal", hit)
     return out
+
+
+def region_interaction(f, box):
+    """(verdict, witness) of how f's two triangles relate on the box's
+    square, scanned region by region."""
+    lo, hi, _ = box
+    delta, nabla = (lo, hi, "delta"), (lo, hi, "nabla")
+    if collision(f, delta) is not None and collision(f, nabla) is not None:
+        return ("neither-precondition", None)
+    asym = next(((a, b) for a, b in pairs(nabla) if f(a, b) != f(b, a)), None)
+    if asym is None:
+        return ("symmetric", None)
+    shared = {f(a, b) for a, b in pairs(delta)} & {f(a, b) for a, b in pairs(nabla)}
+    if not shared:
+        return ("disjoint-ranges", asym)
+    return ("overlap", (min(shared),))
 
 
 def term_search(target, binary, unary, max_depth, box, levels=None):

@@ -6,7 +6,9 @@ module, the CLI, a suite criterion or the benchmark, or it goes.  Names
 exported from `clonelab/__init__.py` are the package's interface and count
 as called.  The check reads the source with `ast`.  A function counts as
 named by a bare name or through its module (`finite.pol`), a classmethod
-through its class or `cls` (`RelationTable.unary`).
+through its class or `cls` (`RelationTable.unary`).  Likewise every name a
+module of the package imports is read in that module (`__init__.py`, whose
+imports are the exports, and `from __future__` aside).
 """
 
 import ast
@@ -79,3 +81,28 @@ def test_the_scan_sees_functions_and_classmethods():
     assert ((None, "finite"), "pol") in public
     assert (("RelationTable", "cls"), "unary") in public
     assert not any(name.startswith("_") for _, name in public)
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names a module imports and never reads; `from __future__` is exempt."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_read():
+    unread = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py" and (names := _unread_imports(path.read_text()))}
+    assert not unread, f"imported and never read: {unread}"
+
+
+def test_the_import_scan_sees_unread_names():
+    source = ("from __future__ import annotations\nimport numpy as np\nimport os.path\n"
+              "from .terms import SubsetSpec, parse_term as parse\nparse(np)\n")
+    assert _unread_imports(source) == ["os", "SubsetSpec"]

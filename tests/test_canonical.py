@@ -1,7 +1,10 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import pairing_reference
 
 from clonelab.canonical import (
     CONSTANT,
@@ -9,6 +12,7 @@ from clonelab.canonical import (
     FIRST_COORDINATE,
     INJECTIVE,
     NEITHER_PRECONDITION,
+    OVERLAP,
     SECOND_COORDINATE,
     SYMMETRIC,
     NotCanonicalError,
@@ -21,6 +25,7 @@ from clonelab.canonical import (
     tuple_pattern,
     unary_on_region,
 )
+from clonelab.pairings import nested_pairing
 from clonelab.symbolic import Box, SymbolicFn, cantor_pairing, delta_pairing, max_fn, min_fn
 from clonelab.terms import default_registry, parse_term
 
@@ -154,6 +159,44 @@ class TestClassification:
         assert got.degenerate
 
 
+_INTERACTION_KINDS = ("pair", "below", "max", "symmetric-pair", "pair-mod", "noise",
+                      "symmetric-noise", "noise-below")
+_NOISE_RANGES = (2, 6, 40, 1000)
+
+
+def _interaction_fn(kind, seed, r):
+    """A small binary function of the given kind; seed and r shape the noise
+    and the modulus."""
+    if kind == "pair":
+        return PR.fn
+    if kind == "below":
+        return PD.fn
+    if kind == "max":
+        return max
+    if kind == "symmetric-pair":
+        return lambda x, y: PR(min(x, y), max(x, y))
+    if kind == "pair-mod":
+        return lambda x, y: PR(x, y) % r
+
+    def noise(x, y):
+        if kind == "symmetric-noise":
+            x, y = min(x, y), max(x, y)
+        rng = random.Random(seed * 1_000_003 + 7919 * x + y)
+        if kind == "noise-below":
+            # injective above the diagonal, and below it drawn from the
+            # values above it, so the ranges mostly overlap
+            return y * y + x if x < y else x * x + rng.randrange(x + 1)
+        return rng.randrange(r)
+
+    return noise
+
+
+@st.composite
+def small_fns(draw):
+    return _interaction_fn(draw(st.sampled_from(_INTERACTION_KINDS)),
+                           draw(st.integers(0, 999)), draw(st.sampled_from(_NOISE_RANGES)))
+
+
 class TestRegionInteraction:
     def test_symmetric_construction(self):
         sym = SymbolicFn("symp", 2, lambda x, y: PR(min(x, y), max(x, y)))
@@ -168,8 +211,53 @@ class TestRegionInteraction:
     def test_lower_pairing_disjoint(self):
         assert region_interaction(PD, Box(0, 16, "full")).verdict == DISJOINT_RANGES
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(0, 10), st.integers(1, 7))
+    def test_verdict_and_witness_match_the_reference(self, data, lo, w):
+        fn = data.draw(small_fns())
+        got = region_interaction(SymbolicFn("f", 2, fn), Box(lo, lo + w, "full"))
+        assert (got.verdict, got.witness) == pairing_reference.region_interaction(
+            fn, (lo, lo + w, "full"))
+
+    def test_every_verdict_is_drawn(self):
+        """The strategy's functions reach each verdict."""
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(300):
+            fn = _interaction_fn(rng.choice(_INTERACTION_KINDS), rng.randrange(1000),
+                                 rng.choice(_NOISE_RANGES))
+            lo = rng.randrange(0, 11)
+            seen.add(pairing_reference.region_interaction(
+                fn, (lo, lo + rng.randrange(1, 8), "full"))[0])
+        assert seen == {NEITHER_PRECONDITION, SYMMETRIC, DISJOINT_RANGES, OVERLAP}
+
+    @pytest.mark.parametrize("kind", _INTERACTION_KINDS)
+    def test_evaluates_f_at_most_once_per_point_of_the_square(self, kind):
+        fn = _interaction_fn(kind, 7, 40)
+        for lo, w in ((0, 1), (2, 9), (5, 24)):
+            calls = []
+            counted = SymbolicFn("f", 2, lambda x, y: calls.append((x, y)) or fn(x, y))
+            region_interaction(counted, Box(lo, lo + w, "full"))
+            assert len(calls) <= w * w
+
+    def test_a_composite_on_its_own_square_is_read_not_called(self):
+        calls = []
+        sym = lambda x, y: PR(min(x, y), max(x, y))  # noqa: E731
+        box = Box(3, 15, "offdiag")
+        out = nested_pairing(SymbolicFn("f", 2, lambda x, y: calls.append((x, y)) or sym(x, y)), box)
+        calls.clear()
+        got = region_interaction(out, box.with_region("full"))
+        assert calls == []
+        assert (got.verdict, got.witness) == pairing_reference.region_interaction(
+            out, (3, 15, "full"))
+
 
 class TestTermRegionAnalysis:
+    def test_violations_are_the_first_clashes_of_the_scan(self):
+        report = unary_on_region(parse_term("(b:pair x y)"), Box(0, 12, "full"), "delta", default_registry())
+        assert report.x_violation == ((2, 0), (2, 1))
+        assert report.y_violation == ((1, 0), (2, 0))
+
     def test_unary_application_factors_through_x(self):
         report = unary_on_region(parse_term("(u:succ x)"), Box(0, 12, "full"), "delta", default_registry())
         assert report.factors and report.side == "x"

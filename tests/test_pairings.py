@@ -188,29 +188,33 @@ class TestEvaluatedOncePerPoint:
             "bump", lambda x, y: max(x, y) + 1 + PR(min(x, y), max(x, y)))
         box = Box(lo, lo + w, "offdiag")
         out = nested_pairing(bump, box)
-        assert len(calls) <= w * w + w * (w - 1)
+        assert len(calls) <= 2 * w * w  # the square, then at most one outer call per point
         assert len(set(calls)) == len(calls)
         built = len(calls)
-        assert check_injective_on(out, box) is None
-        assert len(calls) - built <= w * (w - 1)
-        assert len(calls) == built  # the check reads the verified table
+        for region in ("delta", "nabla", "offdiag", "full"):
+            assert check_injective_on(out, box.with_region(region)) is None
         top = lo + w - 1
-        out(top, top)  # the composite's diagonal is not in the table
-        assert len(calls) == built + 1
+        out(top, top)  # the composite's diagonal is in the table too
+        assert len(calls) == built  # the checks and the call read the table
         out(lo + w, lo)
-        assert len(calls) > built + 1
+        assert len(calls) > built
 
     @pytest.mark.parametrize("lo,w", [(0, 8), (3, 40)])
     def test_split_merge_build_evaluates_the_square_once(self, lo, w):
         below_t, calls = counting("below_t", lambda x, y: PD(y, x))
+        merge, merges = counting("merge", standard_merge().fn)
         box = Box(lo, lo + w, "offdiag")
-        out = split_merge_pairing(below_t, standard_merge(), box)
+        out = split_merge_pairing(below_t, merge, box)
         assert len(calls) == w * w
+        # two identity checks per above-diagonal value, one outer call per point
+        assert len(merges) == w * (w - 1) + w * w
         for region in ("delta", "nabla", "offdiag"):
             assert check_injective_on(out, box.with_region(region)) is None
+        assert check_injective_on(out, box.with_region("full")) == ((lo, lo), (lo + 1, lo + 1))
         for x, y in box.with_region("full").pairs():
             out(x, y)
         assert len(calls) == w * w
+        assert len(merges) == w * (w - 1) + w * w
         out(lo + w, lo)  # outside the square the argument is evaluated again
         assert len(calls) == w * w + 2
 

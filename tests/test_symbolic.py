@@ -6,7 +6,7 @@ from clonelab import symbolic
 from clonelab.symbolic import (
     Box,
     ConstructionRefuted,
-    OffdiagTable,
+    SquareTable,
     SymbolicFn,
     cantor_pairing,
     check_injective_on,
@@ -174,13 +174,12 @@ class TestInjectivityChecker:
 
 
 def _tabled(fn, lo, hi):
-    """fn with its values at the off-diagonal points of [lo, hi)² kept."""
-    values = [fn(*p) for p in Box(lo, hi, "offdiag").pairs()]
-    table = OffdiagTable(lo, hi, values)
+    """fn with its values on the square [lo, hi)² kept."""
+    table = SquareTable.of(fn, Box(lo, hi))
     return SymbolicFn("tabled", 2, table.reader(fn), table=table)
 
 
-class TestOffdiagTable:
+class TestSquareTable:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10), st.integers(1, 8), st.integers(1, 30), st.integers(0, 99),
            st.sampled_from(["delta", "nabla", "offdiag", "full"]))
@@ -195,6 +194,24 @@ class TestOffdiagTable:
         grid = range(max(0, lo - 2), lo + w + 2)
         assert all(tabled(x, y) == fn(x, y) for x in grid for y in grid)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10), st.integers(1, 8), st.integers(1, 30), st.integers(0, 99),
+           st.booleans())
+    def test_region_scans_match_the_reference(self, lo, w, r, salt, symmetric):
+        def fn(x, y):
+            if symmetric:
+                x, y = min(x, y), max(x, y)
+            return (x * 31 + y * 17 + salt) * 2654435761 % 2**32 % r
+
+        table = SquareTable.of(fn, Box(lo, lo + w))
+        for region in ("delta", "nabla", "offdiag", "full"):
+            box = (lo, lo + w, region)
+            assert table.values_on(region) == [fn(*p) for p in pairing_reference.pairs(box)]
+            assert table.collision(region) == pairing_reference.collision(fn, box)
+        assert table.asymmetry() == next(
+            ((x, y) for x, y in pairing_reference.pairs((lo, lo + w, "full"))
+             if fn(x, y) != fn(y, x)), None)
+
     def test_check_on_its_box_calls_nothing(self):
         calls = []
 
@@ -203,10 +220,9 @@ class TestOffdiagTable:
             return (x + y) % 5
 
         tabled = _tabled(fn, 3, 12)
+        assert len(calls) == 81
         calls.clear()
-        for region in ("delta", "nabla", "offdiag"):
+        for region in ("delta", "nabla", "offdiag", "full"):
             assert check_injective_on(tabled, Box(3, 12, region)) == check_injective_on(
                 SymbolicFn("f", 2, lambda x, y: (x + y) % 5), Box(3, 12, region))
         assert calls == []
-        check_injective_on(tabled, Box(3, 12, "full"))
-        assert calls == [(x, x) for x in range(3, 12)]
