@@ -432,15 +432,24 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # new tables, sorted and unique with no sort.  Every larger space keeps its
 # keys in a set.
 # The n-ary slice of a clone is closed under permuting variables (Mal'cev's
-# ζ and τ are clone operations), and so is the engine's pool: each new table
-# enters with its whole orbit under the n! permutations σ, read off with one
-# gather along _variable_permutations, and one table per orbit is flagged as
-# its representative.  Generators take their first operand from the
-# representatives only, every other operand from the whole pool.  Nothing
-# is lost, since g(a∘σ, b_2, ..) = g(a, b_2∘σ⁻¹, ..)∘σ and the pool holds
-# both b_2∘σ⁻¹ and the image under σ.  Unary slices (n! = 1), and slices
-# whose permutation table would pass _ORBIT_CELLS, skip the orbit work:
-# there every table represents itself.
+# ζ and τ are clone operations), and, when the clone holds unary
+# permutations, under t ↦ t(σ_1 x_π(1), .., σ_n x_π(n)) for π a permutation
+# of the variables and each σ_i in U, the group of the clone's unary
+# permutations: the maps τ of X^n in U^n ⋊ S_n.  The engine's pool is closed
+# under such a group: each new table enters with its whole orbit, read off
+# with one gather along _variable_permutations, and one table per orbit is
+# flagged as its representative.  Generators take their first operand from
+# the representatives only, every other operand from the whole pool.
+# Nothing is lost, since g(a∘τ, b_2, ..) = g(a, b_2∘τ⁻¹, ..)∘τ and the pool
+# holds both b_2∘τ⁻¹ and the image under τ.  The group starts as S_n.  Unary
+# generators come first, and once they are drained the pool is the slice
+# they generate, which U^n ⋊ S_n maps onto itself, U the group their
+# permutations generate (the units of the monoid they generate, since a
+# product of maps is a bijection only when every factor is).  There the
+# engine widens its group to U^n ⋊ S_n and flags the first table of each
+# wider orbit, before any generator of arity >= 2 runs.  Unary slices
+# (n! = 1), and slices whose group table would pass _ORBIT_CELLS, skip the
+# orbit work (every table represents itself) or keep S_n.
 # Generators are introduced one at a time and skipped when they are already
 # members of the clone generated so far (a generator that is already a term
 # function adds nothing).
@@ -474,9 +483,11 @@ _MAX_TABLES = 1 << 22
 _LIMB_SPACE = 1 << 8
 _BLOCK = 1024
 _TILE_BYTES = 16 << 20
-# cells (n! times k^n) of the largest permutation table the engine builds,
-# 8 MB of point indices: carrier 2 keeps orbits up to arity 7, carrier 3 up
-# to arity 6 and carrier 4 up to arity 5
+# cells (group order times k^n) of the largest group table the engine
+# builds, 8 MB of point indices.  Under S_n alone carrier 2 keeps orbits up
+# to arity 7, carrier 3 up to arity 6 and carrier 4 up to arity 5; under
+# U^n ⋊ S_n with U = S_k, carrier 2 up to arity 5, carrier 3 up to arity 3
+# and carrier 4 at arity 2
 _ORBIT_CELLS = 1 << 20
 
 
@@ -531,17 +542,50 @@ def _pack(rows: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
     return out
 
 
-@functools.cache
-def _variable_permutations(k: int, n: int) -> np.ndarray:
-    """The n! permutations σ of the variables as point indices, identity first.
+@functools.lru_cache(maxsize=16)
+def _variable_permutations(k: int, n: int, units: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The maps x ↦ (σ_1 x_π(1), .., σ_n x_π(n)) of U^n ⋊ S_n as point
+    indices, identity first; units lists U, identity first.
 
-    Row s lists, for each point x of X^n in table order, the index of
-    (x_σ(1), .., x_σ(n)), σ the s-th permutation of itertools.permutations:
-    a digit row gathered along it is the table of f(x_σ(1), .., x_σ(n)).
+    One row per π of itertools.permutations and, within it, per (σ_1..σ_n)
+    of itertools.product over units.  It lists, for each point x of X^n in
+    table order, the index of (σ_1 x_π(1), .., σ_n x_π(n)): a digit row
+    gathered along it is the table of f(σ_1 x_π(1), .., σ_n x_π(n)).  With
+    U = {id} the rows are the n! permutations of the variables.
     """
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    moved = _all_rows(k, n)[:, perms]  # (points, n!, n): the coordinates x_π(j)
+    units_at = np.array(units, dtype=np.intp)
+    codes = np.zeros((len(perms), 1, k**n), dtype=np.intp)
+    for j in range(n):
+        digit = units_at[:, moved[:, :, j].T]  # (|U|, n!, points): σ_j x_π(j)
+        codes = (codes[:, :, None] * k + digit.transpose(1, 0, 2)[:, None]).reshape(len(perms), -1, k**n)
     # left writeable: np.take copies a read-only index on every call
-    return np.ascontiguousarray(_tuple_codes(_all_rows(k, n)[:, perms], k).T)
+    return np.ascontiguousarray(codes.reshape(-1, k**n))
+
+
+def _unit_group(k: int, unary: Sequence[OpTable], limit: int) -> tuple[tuple[int, ...], ...] | None:
+    """The group U that the permutations among the unary tables generate,
+    sorted (identity first); None once it has more than limit elements.
+
+    U is the group of units of the monoid all the unary tables generate: a
+    product of maps of a finite set is a bijection only when every factor is.
+    """
+    gens = [g.table for g in unary if len(set(g.table)) == k]
+    group = {tuple(range(k))}
+    frontier = list(group)
+    while frontier:
+        grown = []
+        for a in frontier:
+            for g in gens:
+                product = tuple(g[x] for x in a)
+                if product not in group:
+                    if len(group) == limit:
+                        return None
+                    group.add(product)
+                    grown.append(product)
+        frontier = grown
+    return tuple(sorted(group))
 
 
 class _CodeEngine:
@@ -550,10 +594,12 @@ class _CodeEngine:
     Every active generator keeps a cursor into the pool and processes blocks
     against everything before them, which guarantees each operand tuple is
     seen once while letting freshly found tables circulate quickly.  The pool
-    is closed under permuting variables, and only one table per orbit, its
-    representative, goes into a generator's first operand slot: since
-    g(a∘σ, b_2, ..) = g(a, b_2∘σ⁻¹, ..)∘σ, the other members of the orbit
-    reach nothing new.  applied counts the operand tuples applied.
+    is closed under a group of maps τ of X^n: the permutations of the
+    variables, and from widen on U^n ⋊ S_n, U the unary permutations of the
+    clone.  Only one table per orbit, its representative, goes into a
+    generator's first operand slot: since g(a∘τ, b_2, ..) =
+    g(a, b_2∘τ⁻¹, ..)∘τ, the other members of the orbit reach nothing new.
+    applied counts the operand tuples applied.
 
     The run stops once the pool holds bound tables, since it then is the
     whole slice; with no bound it applies every operand tuple.
@@ -570,7 +616,8 @@ class _CodeEngine:
         # bytes per candidate of a unary or binary application: the key rows
         # and one limb's gather, and on the set path the keys as bytes objects;
         # per orbit image in add: its digit row, its key and sorted key, and
-        # the sort's index, and on the set path its key as a bytes object
+        # the sort's index, and on the set path its key as a bytes object and,
+        # up to 8 limbs, its key padded to 8 bytes, and sorted
         self.candidate_bytes = limbs + 1
         self.image_bytes = self.width + 2 * limbs + 8
         if limbs == 2:
@@ -581,10 +628,11 @@ class _CodeEngine:
             self.key_dtype = np.dtype((np.void, limbs))
             self.bitmap = None
             self.candidate_bytes += limbs + sys.getsizeof(b"")
-            self.image_bytes += limbs + sys.getsizeof(b"")
+            self.image_bytes += limbs + sys.getsizeof(b"") + (16 if limbs <= 8 else 0)
+        self.units = (tuple(range(k)),)  # U of the orbit group U^n ⋊ S_n
         self.perms = None  # every table represents its orbit
         if arity >= 2 and math.factorial(arity) * self.width <= _ORBIT_CELLS:
-            self.perms = _variable_permutations(k, arity)
+            self.perms = _variable_permutations(k, arity, self.units)
         self.seen: set[bytes] = set()
         self.limbs = np.empty((64, len(self.widths)), dtype=np.uint8)
         self.rep = np.empty(64, dtype=bool)  # flags one table per orbit
@@ -633,16 +681,54 @@ class _CodeEngine:
                 chunk = self._unseen(chunk)  # drop the orbits an earlier tile added
             self.append(*self._orbits(chunk))
 
+    def _images(self, limbs: np.ndarray) -> np.ndarray:
+        """The keys of the limb rows' images under the group, one run of
+        len(perms) per row, identity first."""
+        k, widths = self.k, self.widths
+        rows = np.take(_unpack(limbs, k, widths), self.perms, axis=1)
+        return self.keys_of(_pack(rows.reshape(-1, self.width), k, widths))
+
     def _orbits(self, fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The distinct keys of the fresh tables' orbits, and which of them
         are representatives: the first fresh table of each orbit."""
-        k, widths = self.k, self.widths
-        rows = _unpack(fresh.view(np.uint8).reshape(len(fresh), len(widths)), k, widths)
-        # n! images per fresh table, identity first, dropped before the dedup
-        keys = self.keys_of(_pack(np.take(rows, self.perms, axis=1).reshape(-1, self.width),
-                                  k, widths))
-        keys, first = np.unique(keys, return_index=True)
+        limbs = len(self.widths)
+        keys = self._images(fresh.view(np.uint8).reshape(len(fresh), limbs))
+        if self.bitmap is None and limbs <= 8:
+            # the keys zero-padded to big-endian integers sort in byte order
+            # like the keys themselves, and a sort of integers is faster
+            padded = np.zeros((len(keys), 8), dtype=np.uint8)
+            padded[:, :limbs] = keys.view(np.uint8).reshape(len(keys), limbs)
+            first = np.unique(padded.view(">u8").ravel(), return_index=True)[1]
+            keys = keys[first]
+        else:
+            keys, first = np.unique(keys, return_index=True)
         return keys, first % len(self.perms) == 0
+
+    def widen(self, unary: Sequence[OpTable]) -> None:
+        """Widen the orbits from S_n to U^n ⋊ S_n, U the group the unary
+        permutations among the generators generate, and flag the first
+        table of each orbit in pool order.
+
+        Called when the pool is the slice of <unary>, which the wider group
+        maps onto itself: no table is added and no cursor moves.  Keeps S_n
+        when |U| = 1 or when the group's table would pass _ORBIT_CELLS.
+        """
+        if self.perms is None:
+            return
+        units = _unit_group(self.k, unary, _ORBIT_CELLS // (len(self.perms) * self.width))
+        if units is None or len(units) == 1:
+            return
+        if len(self.perms) * len(units) ** self.arity * self.width > _ORBIT_CELLS:
+            return
+        self.units, self.perms = units, _variable_permutations(self.k, self.arity, units)
+        # every image is in the pool: its position, looked up by key
+        keys, at = np.unique(self.keys_of(self.limbs[: self.count]), return_index=True)
+        step = max(1, _TILE_BYTES // (len(self.perms) * self.image_bytes))
+        for start in range(0, self.count, step):
+            end = min(start + step, self.count)
+            images = self._images(self.limbs[start:end])
+            first = at[np.searchsorted(keys, images)].reshape(end - start, -1).min(axis=1)
+            self.rep[start:end] = first == np.arange(start, end)
 
     def append(self, keys: np.ndarray, rep: np.ndarray | bool) -> None:
         """Insert new keys, flagged rep where they represent their orbit;
@@ -905,9 +991,12 @@ def _closure(
     prefix_codes = [_tuple_codes(points[:, :m], k) for m in range(arity + 1)]
 
     activated: list[OpTable] = []
-    for g in gens:
+    unary = sum(g.arity == 1 for g in gens)  # the generators come sorted by arity
+    for i, g in enumerate(gens):
         if eng.done_enough:
             break
+        if i == unary:
+            eng.widen(activated)  # the pool is the slice of the unary generators
         if g.arity <= arity:
             # g(x_1..x_m) as an operation of the slice's arity
             cylinder = np.asarray(g.table, dtype=np.uint8)[prefix_codes[g.arity]]

@@ -119,23 +119,41 @@ class SquareTable:
         pts = box.points()
         return cls(box.lo, box.hi, [fn(x, y) for x in pts for y in pts])
 
-    def values_on(self, region: str) -> list[int]:
-        """The values on a region of the square, in its lexicographic order."""
+    def _runs(self, region: str) -> Iterator[list[int]]:
+        """The values on a region of the square as runs of one row each
+        (two per row off the diagonal), in its lexicographic order."""
         t, w = self.values, self.hi - self.lo
-        if region == "full":
-            return t
-        out: list[int] = []
         for i in range(w):
             row = i * w
+            if region == "full":
+                yield t[row:row + w]
+                continue
             if region != "nabla":
-                out += t[row:row + i]
+                yield t[row:row + i]
             if region != "delta":
-                out += t[row + i + 1:row + w]
+                yield t[row + i + 1:row + w]
+
+    def values_on(self, region: str) -> list[int]:
+        """The values on a region of the square, in its lexicographic order."""
+        if region == "full":
+            return self.values
+        out: list[int] = []
+        for run in self._runs(region):
+            out += run
         return out
 
     def collision(self, region: str):
-        """first_collision over the region's points."""
-        return first_collision(Box(self.lo, self.hi, region).pairs(), self.values_on(region))
+        """first_collision over the region's points.  Distinctness is tested
+        on a set fed run by run; the region's values are listed only once a
+        collision is certain."""
+        seen: set[int] = set()
+        count = 0
+        for run in self._runs(region):
+            seen.update(run)
+            count += len(run)
+            if len(seen) < count:
+                return first_collision(Box(self.lo, self.hi, region).pairs(), self.values_on(region))
+        return None
 
     def asymmetry(self) -> tuple[int, int] | None:
         """The first point (x, y) in lexicographic order with

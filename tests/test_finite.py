@@ -558,10 +558,10 @@ def _median(k, perm=None):
     return _op(k, 3, lambda a, b, c: sorted((a, b, c))[1], perm)
 
 
-def _engine_slice(gens, carrier, arity, *, sweep=False):
+def _engine_slice(gens, carrier, arity, *, sweep=False, include_all_unary=False):
     """The slice as the engine fills it, (tables in table order, full): _closure
     called directly, stopped at the subuniverse bound or, with sweep, not."""
-    gens = _normalized_generators(gens, carrier, arity, False)
+    gens = _normalized_generators(gens, carrier, arity, include_all_unary)
     bound = None if sweep else _subuniverse_bound(gens, carrier.size, arity)
     rows, full, _ = _closure(gens, carrier, arity, bound)
     return list(map(tuple, rows.tolist())), full
@@ -760,8 +760,10 @@ class TestSubuniverseBound:
         stopped_work = _applied(engines)
         engines.clear()
         # a faster kernel makes each operand tuple cheaper; it applies the same
-        # ones.  Orbit representatives in the first slot took this from 24,511,210
-        assert stopped_work == 13_374_374
+        # ones.  Orbit representatives in the first slot took this from
+        # 24,511,210 to 13,374,374 under S_2, and the swap (1, 0, 2) among the
+        # unary generators widens the orbits to U^2 ⋊ S_2, |U| = 2
+        assert stopped_work == 4_909_806
         swept = _engine_slice(gens, C3, 2, sweep=True)
         assert saturated == swept
         assert len(saturated[0]) == 3888 and not saturated[1]
@@ -946,28 +948,45 @@ class TestEngineKernel:
 
 
 @functools.cache
-def _scalar_permutations(k, n):
-    """For each σ of itertools.permutations, the index of (x_σ(1), .., x_σ(n))
-    at each point x of X^n, read off the points one at a time."""
+def _scalar_permutations(k, n, units=None):
+    """For each map x ↦ (σ_1 x_π(1), .., σ_n x_π(n)) of U^n ⋊ S_n, π in
+    itertools.permutations order and the σ in itertools.product order over
+    units (U = {id} by default), the index of its image at each point x of
+    X^n, read off the points one at a time."""
+    units = units or (tuple(range(k)),)
     points = list(itertools.product(range(k), repeat=n))
     index = {p: i for i, p in enumerate(points)}
-    return [[index[tuple(p[s] for s in sigma)] for p in points]
-            for sigma in itertools.permutations(range(n))]
+    return [[index[tuple(s[p[j]] for j, s in zip(pi, sigmas))] for p in points]
+            for pi in itertools.permutations(range(n))
+            for sigmas in itertools.product(units, repeat=n)]
 
 
 @functools.cache
-def _scalar_orbit(table, k, n):
-    """The tables t(x_σ(1), .., x_σ(n)) over every permutation σ."""
-    return frozenset(tuple(table[i] for i in perm) for perm in _scalar_permutations(k, n))
+def _scalar_orbit(table, k, n, units=None):
+    """The tables t(σ_1 x_π(1), .., σ_n x_π(n)) over the whole group."""
+    return frozenset(tuple(table[i] for i in perm) for perm in _scalar_permutations(k, n, units))
 
 
 def _check_orbits(eng):
-    """The pool is closed under permuting variables and flags one table per orbit."""
+    """The pool is closed under the engine's group and flags one table per orbit."""
     tables = list(map(tuple, finite._unpack(eng.limbs[: eng.count], eng.k, eng.widths).tolist()))
-    orbits = [_scalar_orbit(t, eng.k, eng.arity) for t in tables]
+    orbits = [_scalar_orbit(t, eng.k, eng.arity, eng.units) for t in tables]
     assert all(orbit <= set(tables) for orbit in orbits)
     reps = [orbit for orbit, rep in zip(orbits, eng.rep[: eng.count]) if rep]
     assert len(reps) == len(set(reps)) == len(set(orbits))
+
+
+def _scalar_units(unary, k):
+    """The bijections among the maps that the unary tables generate under
+    composition, with the identity: a breadth-first search over the whole
+    monoid."""
+    identity = tuple(range(k))
+    monoid, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [p for p in {tuple(g.table[x] for x in a) for a in frontier for g in unary}
+                    if p not in monoid]
+        monoid.update(frontier)
+    return tuple(sorted(m for m in monoid if len(set(m)) == k))
 
 
 class TestOrbits:
@@ -982,19 +1001,31 @@ class TestOrbits:
         (3, 3, [_op(3, 3, lambda x, y, z: (x - y + z) % 3)]),
         (4, 2, [_op(4, 2, min), _op(4, 2, max), _op(4, 1, lambda x: 3 - x)]),
         (3, 1, [_op(3, 1, lambda x: (x + 1) % 3), _op(3, 1, lambda x: min(x, 1))]),
+        # unary permutations widen the orbits: the self-dual monotone and the
+        # affine clones, U = S_2, Z_3, {1, 2} and Z_4
+        (2, 3, [NOT, _median(2)]),
+        (2, 4, [NOT, XOR]),
+        (3, 3, [_op(3, 1, lambda x: (x + 1) % 3), _op(3, 3, lambda x, y, z: (x - y + z) % 3)]),
+        (3, 2, [_op(3, 1, lambda x: 2 * x % 3), _op(3, 2, lambda x, y: (x + y) % 3)]),
+        (4, 2, [_op(4, 1, lambda x: (x + 1) % 4), _op(4, 2, lambda x, y: (x + y) % 4)]),
     ]
 
     def test_permutation_table(self):
-        # row s gathers t(x_σ(1), .., x_σ(n)), σ in itertools.permutations order
-        for k, n in ((2, 3), (3, 2), (4, 3)):
-            index = finite._variable_permutations(k, n)
-            assert index.tolist() == _scalar_permutations(k, n)
+        # row (π, σ_1..σ_n) gathers t(σ_1 x_π(1), .., σ_n x_π(n)), π in
+        # itertools.permutations order and the σ in itertools.product order
+        cycle3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        for k, n, units in ((2, 3, None), (3, 2, None), (4, 3, None), (2, 3, ((0, 1), (1, 0))),
+                            (3, 2, cycle3), (3, 3, cycle3)):
+            index = finite._variable_permutations(k, n, units or (tuple(range(k)),))
+            assert index.tolist() == _scalar_permutations(k, n, units)
+            assert len(index) == math.factorial(n) * len(units or [0]) ** n
             assert index[0].tolist() == list(range(k**n))  # identity first
-            assert finite._variable_permutations(k, n) is index
+            assert finite._variable_permutations(k, n, units or (tuple(range(k)),)) is index
         # a unary slice has one permutation; past _ORBIT_CELLS (carrier 2 at
         # arity 8) the engine keeps no table, and every table represents itself
         assert [_CodeEngine(2, n, None).perms is None for n in (1, 7, 8)] == [True, False, True]
-        # built on the first engine call, not at import
+        # built on the first engine call, not at import, and the cache is bounded
+        assert finite._variable_permutations.cache_info().maxsize is not None
         code = "from clonelab import finite; print(finite._variable_permutations.cache_info().currsize)"
         src = str(Path(clonelab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -1003,8 +1034,8 @@ class TestOrbits:
         assert proc.stdout.split() == ["0"], proc.stderr
 
     def test_every_add_leaves_the_pool_closed_with_one_representative_per_orbit(self, monkeypatch):
-        add = _CodeEngine.add
-        checked = []
+        add, widen = _CodeEngine.add, _CodeEngine.widen
+        checked, widened = [], []
 
         def checked_add(self, keys):
             add(self, keys)
@@ -1013,13 +1044,26 @@ class TestOrbits:
                 assert self.rep[: self.count].all()
             checked.append(self.arity)
 
+        def checked_widen(self, unary):
+            count, cursors = self.count, self.cursors[:]
+            widen(self, unary)
+            # nothing is added and no cursor moves
+            assert (self.count, self.cursors) == (count, cursors)
+            _check_orbits(self)
+            widened.append(len(self.units))
+
         monkeypatch.setattr(_CodeEngine, "add", checked_add)
+        monkeypatch.setattr(_CodeEngine, "widen", checked_widen)
         for k, n, gens in self.CASES:
             for sweep in (False, True):
                 checked.clear()
+                widened.clear()
                 tables, _ = _engine_slice(gens, Carrier(k), n, sweep=sweep)
                 assert set(tables) == reference_slice(gens, k, n), (k, n, sweep)
                 assert len(checked) > 1
+                units = _scalar_units([g for g in gens if g.arity == 1], k)
+                if n > 1 and len(units) > 1:
+                    assert widened == [len(units)], (k, n, sweep)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1049,6 +1093,112 @@ class TestOrbits:
         if runs[0] is not None:
             reference = reference_slice(gens, k, n)
             assert runs[0] == (sorted(reference), len(reference) == k ** (k**n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_engine_matches_the_reference_under_unary_permutations(self, data):
+        k, n = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 3))
+        carrier = Carrier(k)
+        all_unary = data.draw(st.booleans())
+        gens = [OpTable(carrier, 1, tuple(data.draw(st.permutations(range(k)))))
+                for _ in range(data.draw(st.integers(0 if all_unary else 1, 2)))]
+        # near-projections beside them, as above; with every unary operation
+        # at most binary ones, and none on carrier 4, where the unary
+        # operations alone give 508 tables at arity 2
+        widest = (1 if k == 4 else 2) if all_unary else 3
+        for m in data.draw(st.lists(st.integers(1, widest), max_size=2)):
+            table = [t[0] for t in itertools.product(range(k), repeat=m)]
+            for i in data.draw(st.lists(st.integers(0, k**m - 1), max_size=3)):
+                table[i] = data.draw(st.integers(0, k - 1))
+            gens.append(OpTable(carrier, m, tuple(table)))
+        budget = 24 if any(g.arity == 3 for g in gens) else 48
+        reference_gens = gens
+        if all_unary:
+            # the reference gets a cycle, a transposition and a merge of two
+            # points, which generate every unary operation
+            reference_gens = gens + [_op(k, 1, lambda x: (x + 1) % k),
+                                     _op(k, 1, lambda x: {0: 1, 1: 0}.get(x, x)),
+                                     _op(k, 1, lambda x: 0 if x == 1 else x)]
+            budget += k + n * (k**k - k)  # the tables u(x_i)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(finite, "_MAX_TABLES", budget)
+            runs = []
+            for sweep in (False, True):
+                try:
+                    runs.append(_engine_slice(gens, carrier, n, sweep=sweep,
+                                              include_all_unary=all_unary))
+                except ResourceLimitError:
+                    runs.append(None)
+        assert runs[0] == runs[1]
+        if runs[0] is not None:
+            reference = reference_slice(reference_gens, k, n)
+            assert runs[0] == (sorted(reference), len(reference) == k ** (k**n))
+
+    def test_set_path_orbits_come_in_byte_order(self):
+        # up to 8 limbs the images are deduped as big-endian integers: the
+        # keys and flags are np.unique's over the limb bytes (4, 8 and 6 limbs)
+        for k, n in ((2, 5), (2, 6), (3, 3)):
+            eng = _CodeEngine(k, n, None)
+            rows = np.random.default_rng(k * 10 + n).integers(0, k, size=(50, k**n), dtype=np.uint8)
+            fresh = eng.keys_of(finite._pack(rows, k, eng.widths))
+            keys, rep = eng._orbits(fresh)
+            images = eng._images(fresh.view(np.uint8).reshape(len(fresh), len(eng.widths)))
+            want, first = np.unique(images, return_index=True)
+            assert keys.tobytes() == want.tobytes()
+            assert np.array_equal(rep, first % len(eng.perms) == 0)
+
+    def test_the_units_are_the_bijections_of_the_unary_monoid(self, monkeypatch):
+        # unary generators, permutations or not, then a binary projection:
+        # it is skipped, and the engine widens its group just before
+        engines = _count_operand_tuples(monkeypatch)
+        rng = random.Random(5)
+        sizes = set()
+        for _ in range(60):
+            k = rng.choice([2, 3, 4])
+            unary = [OpTable(Carrier(k), 1, tuple(rng.sample(range(k), k)) if rng.random() < 0.7
+                             else tuple(rng.randrange(k) for _ in range(k)))
+                     for _ in range(rng.randint(1, 3))]
+            engines.clear()
+            _engine_slice(unary + [_op(k, 2, lambda x, y: x)], Carrier(k), 2, sweep=True)
+            (eng,) = engines
+            assert eng.units == _scalar_units(unary, k), unary
+            assert len(eng.perms) == 2 * len(eng.units) ** 2
+            sizes.add(len(eng.units))
+        assert {1, 2, 3, 4, 6, 24} <= sizes
+
+    def test_the_group_falls_back_to_the_variable_permutations_past_orbit_cells(self, monkeypatch):
+        # <NOT, XOR> is every a.x + c, and U = S_2: 5! 2^5 2^5 = 122,880 cells
+        # at arity 5, and 6! 2^6 2^6 = 2,949,120 at arity 6, past 2^20
+        engines = _count_operand_tuples(monkeypatch)
+        for n, rows in ((4, 24 * 2**4), (5, 120 * 2**5), (6, 720)):
+            engines.clear()
+            tables, _ = _engine_slice([NOT, XOR], C2, n)
+            assert len(tables) == 2 ** (n + 1)
+            assert len(engines[0].perms) == rows, n
+        expected = _engine_slice([NOT, XOR], C2, 4)
+        assert set(expected[0]) == reference_slice([NOT, XOR], 2, 4)
+        # one cell fewer sends arity 4 back to S_4, with the same tables
+        monkeypatch.setattr(finite, "_ORBIT_CELLS", 24 * 2**4 * 2**4 - 1)
+        engines.clear()
+        assert _engine_slice([NOT, XOR], C2, 4) == expected
+        assert len(engines[0].perms) == 24 and engines[0].units == ((0, 1),)
+        _check_orbits(engines[0])
+
+    def test_slupecki_slice(self, monkeypatch):
+        # every unary operation and a non-surjective, essentially binary one
+        # generate Słupecki's clone; at arity 2 it holds the 3 2^9 - 3 tables
+        # with at most two values and the 12 surjective essentially unary ones
+        engines = _count_operand_tuples(monkeypatch)
+        tables, full = closure_slice([_op(3, 2, lambda x, y: int(x != y))], C3, 2,
+                                     include_all_unary=True)
+        assert len(tables) == 3 * 2**9 - 3 + 12 == 1545 and not full
+        # U = S_3: 1,347,318 operand tuples under S_2 alone
+        assert [(eng.arity, eng.applied) for eng in engines] == [(2, 118_257)]
+        unary_in = [lambda t, a, b: t[3 * a], lambda t, a, b: t[b]]
+        assert tables == [t for t in itertools.product(range(3), repeat=9)
+                          if len(set(t)) < 3 or any(all(t[3 * a + b] == u(t, a, b)
+                                                        for a in range(3) for b in range(3))
+                                                    for u in unary_in)]
 
     def test_a_sweep_applies_representatives_times_pool(self, monkeypatch):
         # a binary generator meets each pair (representative, pool table)
@@ -1119,6 +1269,58 @@ class TestOrbits:
             (eng,) = engines
             assert eng.count <= budget and len(eng.limbs) <= max(64, 2 * budget)
             _check_orbits(eng)
+
+
+class TestWorkLedger:
+    """The operand tuples the engine applies, per engine run, for one
+    unconjugated input of each fill kind of the wide-slices benchmark, and
+    for the saturating fill of the carrier-3 ideal core.  A change of engine
+    work shows here as a diff, not as benchmark noise.  Full slices (NAND,
+    NOR, Webb's function) run no engine; the median kinds and <AND, OR> at
+    arity 5 take the Baker-Pixley route, and the last fills only the ternary
+    slice that finds its majority term."""
+
+    @staticmethod
+    def _kinds():
+        def lattice(k):
+            return [_op(k, 2, min), _op(k, 2, max)]
+
+        def minority(k):
+            return [_op(k, 3, lambda x, y, z: (x - y + z) % k)]
+
+        return {
+            "and-or": (2, 5, [AND, OR], [(3, 288)]),
+            "median-c3": (3, 5, [_median(3)], []),
+            "median-c2": (2, 5, [_median(2)], []),
+            "nand": (2, 4, [NAND], []),
+            "nor": (2, 4, [_op(2, 2, lambda x, y: 1 - (x | y))], []),
+            "webb": (3, 2, [_op(3, 2, lambda x, y: (max(x, y) + 1) % 3)], []),
+            "minmax-c3-3": (3, 3, lattice(3), [(3, 288)]),
+            "minmax-c3-4": (3, 4, lattice(3), [(3, 288)]),
+            "minmax-c4-3": (4, 3, lattice(4), [(3, 288)]),
+            "minmax-c4-4": (4, 4, lattice(4), [(4, 9296)]),
+            "affine-idem-c3-4": (3, 4, minority(3), [(4, 3645)]),
+            "affine-idem-c4-3": (4, 3, minority(4), [(3, 1280)]),
+            "affine-c3-4": (3, 4, [_op(3, 2, lambda x, y: (x + y) % 3), _op(3, 1, lambda x: 1)],
+                            [(4, 10980)]),
+            "and-c2-5": (2, 5, [AND], [(3, 21), (5, 155)]),
+            "xor3-c2-5": (2, 5, [_op(2, 3, lambda x, y, z: x ^ y ^ z)], [(5, 768)]),
+            "bool-affine-c2-5": (2, 5, [XOR, _op(2, 1, lambda x: 1)], [(5, 780)]),
+        }
+
+    def test_wide_slices_fills(self, monkeypatch):
+        engines = _count_operand_tuples(monkeypatch)
+        kinds, ledger = self._kinds(), {}
+        for kind, (k, n, gens, _) in kinds.items():
+            engines.clear()
+            closure_slice(gens, Carrier(k), n)
+            ledger[kind] = [(eng.arity, eng.applied) for eng in engines]
+        assert ledger == {kind: want for kind, (_, _, _, want) in kinds.items()}
+
+    def test_ideal_core_fill(self, ideal_core, monkeypatch):
+        engines = _count_operand_tuples(monkeypatch)
+        closure_slice(ideal_core + [OpTable(C3, 2, (0, 1, 1, 0, 1, 2, 2, 2, 2))], C3, 2)
+        assert [(eng.arity, eng.applied) for eng in engines] == [(2, 4_909_806)]
 
 
 def _brute_force_pol_count(gens, k, arity):

@@ -212,6 +212,25 @@ class TestSquareTable:
             ((x, y) for x, y in pairing_reference.pairs((lo, lo + w, "full"))
              if fn(x, y) != fn(y, x)), None)
 
+    def test_a_collision_check_lists_the_values_only_on_a_collision(self, monkeypatch):
+        listed = []
+        values_on = SquareTable.values_on
+
+        def recorded(self, region):
+            listed.append(region)
+            return values_on(self, region)
+
+        monkeypatch.setattr(SquareTable, "values_on", recorded)
+        injective = SquareTable.of(lambda x, y: 100 * x + y, Box(2, 40))
+        clashing = SquareTable.of(lambda x, y: (x * y) % 7, Box(2, 40))
+        for region in ("delta", "nabla", "offdiag", "full"):
+            assert injective.collision(region) is None
+            assert listed == []
+            assert clashing.collision(region) == pairing_reference.collision(
+                lambda x, y: (x * y) % 7, (2, 40, region))
+            assert listed == [region]
+            listed.clear()
+
     def test_check_on_its_box_calls_nothing(self):
         calls = []
 
