@@ -3,15 +3,16 @@
 Almost-unary means the values are confined to a small set determined by a
 single coordinate.  On a box the notion is necessarily three-valued: a
 witness can be verified or refuted on the box, and without a witness only
-a fiber census relative to a declared slack function is possible, so the
-verdicts are labeled box-relative throughout.
+a fiber census against the identity ordinal bound (at most a + 1 values
+at a fixed value a) is possible, so the verdicts are labeled box-relative
+throughout.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .symbolic import AlmostUnaryWitness, Box, SpreadWitness, SymbolicFn
 
@@ -32,15 +33,14 @@ def almost_unary_check(
     f: SymbolicFn,
     box: Box,
     witness: AlmostUnaryWitness | None = None,
-    slack: Callable[[int], int] | None = None,
 ) -> AlmostUnaryReport:
     """Check confinement of f's values to one coordinate's allowed sets.
 
     With a witness, every box tuple is tested against the witness's allowed
     set; the first violating tuple refutes it.  Without one, the census
     computes each coordinate's fiber sizes and accepts when some
-    coordinate's fibers all stay within slack of the fixed value (default
-    slack a -> a + 1, the identity ordinal bound).
+    coordinate's fiber at every fixed value a has at most a + 1 values, the
+    identity ordinal bound.
     """
     witness = witness if witness is not None else f.witness
     if witness is not None:
@@ -53,7 +53,6 @@ def almost_unary_check(
                 return AlmostUnaryReport("witness-refuted", witness.coordinate, args)
         return AlmostUnaryReport("witness-verified", witness.coordinate)
 
-    slack = slack or (lambda a: a + 1)
     fibers: dict[int, dict[int, set[int]]] = {
         k: {a: set() for a in box.points()} for k in range(1, f.arity + 1)
     }
@@ -65,7 +64,7 @@ def almost_unary_check(
         k: {a: len(vals) for a, vals in per.items()} for k, per in fibers.items()
     }
     for k in range(1, f.arity + 1):
-        if all(size <= slack(a) for a, size in profiles[k].items()):
+        if all(size <= a + 1 for a, size in profiles[k].items()):
             return AlmostUnaryReport("almost-unary-on-box", k, profiles=profiles)
     return AlmostUnaryReport("not-almost-unary-on-box", profiles=profiles)
 

@@ -29,7 +29,7 @@ from .finite import (
     Carrier,
     OpTable,
     ResourceLimitError,
-    closure_slice,
+    clone_closure,
     parse_ops,
     parse_relations,
     pol,
@@ -124,12 +124,7 @@ def cmd_closure(args) -> tuple[int, dict]:
     gens = []
     if args.gens:
         gens = [op for _, op in _load_ops(args.gens)]
-    for g in gens:
-        if g.arity > args.cap:
-            raise UsageError(f"arity cap {args.cap} below generator arity {g.arity}")
-    # the slices are only counted, so their tables are never wrapped as OpTables
-    counts = {n: len(closure_slice(gens, carrier, n, args.include_all_unary)[0])
-              for n in range(1, args.cap + 1)}
+    counts = clone_closure(gens, carrier, args.cap, args.include_all_unary).counts()
     return OK, {
         "experiment": "closure",
         "parameters": {

@@ -151,9 +151,8 @@ class OpSet:
     Each arity n is held as one read-only uint8 array of digit rows, k^n
     entries per row, sorted in table order (the order of all_op_tables).
     Counting, comparing and membership read the rows; OpTables are built
-    only when the set is iterated, and ops, the frozenset of them, only on
-    first use.  Two OpSets are equal when they share carrier, cap and
-    tables.
+    only when the set is iterated.  Two OpSets are equal when they share
+    carrier, cap and tables.
     """
 
     def __init__(self, carrier: Carrier, arity_cap: int, ops: Iterable[OpTable]):
@@ -196,11 +195,6 @@ class OpSet:
     def rows(self, arity: int) -> np.ndarray:
         """The arity slice as read-only digit rows in table order."""
         return self._rows[arity]
-
-    @functools.cached_property
-    def ops(self) -> frozenset[OpTable]:
-        """The tables as OpTables, built on first use."""
-        return frozenset(self)
 
     def slice(self, arity: int) -> tuple[OpTable, ...]:
         if arity not in self._rows:
@@ -1113,7 +1107,6 @@ def closure_slice(
     generators: Sequence[OpTable],
     carrier: Carrier,
     arity: int,
-    include_all_unary: bool = False,
 ) -> tuple[list[tuple[int, ...]], bool]:
     """The arity-slice of the bounded clone closure.
 
@@ -1135,7 +1128,7 @@ def closure_slice(
     ResourceLimitError, at once when a full slice is that large; an arity
     below 1 or a carrier above _MAX_CARRIER raises ValueError.
     """
-    gens = _normalized_generators(generators, carrier, arity, include_all_unary)
+    gens = _normalized_generators(generators, carrier, arity, False)
     rows, full = _slice_rows(gens, carrier, arity)
     return list(_row_tuples(rows)), full
 

@@ -195,15 +195,8 @@ def reconstructs_ideal(ideal: PrincipalIdeal) -> bool:
     for r in range(k + 1):
         for combo in itertools.combinations(elements, r):
             subset = frozenset(combo)
-            good = True
-            for values in itertools.product(sorted(subset), repeat=k) if subset else [()]:
-                if not subset:
-                    break
-                f = OpTable(ideal.carrier, 1, values)
-                if not preserves_ideal(f, ideal):
-                    good = False
-                    break
-            if good:
+            if all(preserves_ideal(OpTable(ideal.carrier, 1, values), ideal)
+                   for values in itertools.product(sorted(subset), repeat=k)):
                 recovered.add(subset)
     actual = set(ideal.members())
     return recovered == actual

@@ -102,12 +102,8 @@ class ChainReport:
         return len(self.clones)
 
 
-def _carrier_permutations(carrier: Carrier):
-    return list(itertools.permutations(range(carrier.size)))
-
-
 def _orbit_representatives(carrier: Carrier, arity_cap: int) -> list[OpTable]:
-    perms = _carrier_permutations(carrier)
+    perms = list(itertools.permutations(range(carrier.size)))
     reps: list[OpTable] = []
     seen: set[tuple] = set()
     for n in range(1, arity_cap + 1):
@@ -118,20 +114,6 @@ def _orbit_representatives(carrier: Carrier, arity_cap: int) -> list[OpTable]:
             seen |= orbit
             reps.append(op)
     return reps
-
-
-def _conjugated(clone: OpSet, perm: tuple[int, ...]) -> OpSet:
-    """Every table of clone conjugated by perm (see conjugate), one gather per
-    arity: the entry at x̄ is perm applied to the entry at perm^{-1}(x̄)."""
-    k = clone.carrier.size
-    inverse = np.argsort(perm)
-    slices = {}
-    for n in range(1, clone.arity_cap + 1):
-        shape = (k,) * n  # np.indices(shape) lists every x̄ in table order
-        at = np.ravel_multi_index(tuple(inverse[np.indices(shape)]), shape).ravel()
-        rows = np.asarray(perm, dtype=np.uint8)[clone.rows(n)][:, at]
-        slices[n] = rows[np.lexsort(rows.T[::-1])]  # a bijection: unique, now in table order
-    return OpSet._from_rows(clone.carrier, clone.arity_cap, slices)
 
 
 def unary_interval_chain(
@@ -145,9 +127,10 @@ def unary_interval_chain(
     over sets of operations of arity <= arity_cap.  Single additions are
     exhaustive up to carrier-permutation orbits; larger S are reached by the
     add-one-generator fixpoint, which covers every finite S because closures
-    compose stepwise.  The resulting family is closed under conjugation and
-    checked for linear ordering by inclusion.  An arity_cap below 1 raises
-    ValueError.
+    compose stepwise.  Each clone holds every unary operation, so it equals
+    its own conjugates: t^π = π∘t∘(π⁻¹, …, π⁻¹) composes t with the unary
+    members π and π⁻¹.  The family is checked for linear ordering by
+    inclusion.  An arity_cap below 1 raises ValueError.
     """
     if arity_cap < 1:
         raise ValueError(f"arity_cap must be >= 1, got {arity_cap}")
@@ -159,7 +142,6 @@ def unary_interval_chain(
                 f"budget is {_MAX_SLICE}"
             )
 
-    perms = _carrier_permutations(carrier)
     reps = _orbit_representatives(carrier, arity_cap)
 
     def close(extra: list[OpTable]) -> OpSet:
@@ -172,19 +154,13 @@ def unary_interval_chain(
         fresh: list[OpSet] = []
         for clone in frontier:
             gens = list(clone)
-            candidates = list(reps)
-            for cand in candidates:
+            for cand in reps:
                 if cand in clone:
                     continue
                 grown = close(gens + [cand])
                 if grown.signature() not in found:
                     found[grown.signature()] = grown
                     fresh.append(grown)
-            for p in perms[1:]:
-                mirrored = _conjugated(clone, p)
-                if mirrored.signature() not in found:
-                    found[mirrored.signature()] = mirrored
-                    fresh.append(mirrored)
         frontier = fresh
 
     clones = sorted(found.values(), key=len)

@@ -269,7 +269,7 @@ def standard_merge() -> SymbolicFn:
     return SymbolicFn("merge", 2, fn)
 
 
-def compose_fn(outer: SymbolicFn, inner: list[SymbolicFn], name: str | None = None) -> SymbolicFn:
+def compose_fn(outer: SymbolicFn, inner: list[SymbolicFn]) -> SymbolicFn:
     if len(inner) != outer.arity:
         raise ValueError("inner count must match outer arity")
     arity = inner[0].arity
@@ -281,7 +281,7 @@ def compose_fn(outer: SymbolicFn, inner: list[SymbolicFn], name: str | None = No
     def fn(*args: int) -> int:
         return out(*(g(*args) for g in fns))
 
-    label = name or f"{outer.name}({', '.join(g.name for g in inner)})"
+    label = f"{outer.name}({', '.join(g.name for g in inner)})"
     return SymbolicFn(label, arity, fn)
 
 

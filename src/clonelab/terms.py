@@ -569,27 +569,27 @@ def thin_for(
     terms: Sequence[Term],
     subset: SubsetSpec,
     registry: Registry,
-    probe_budget: int = 64,
 ) -> SubsetSpec:
     """Shrink the subset until every term's reduction is defined.
 
-    Each round reduces all terms and thins at the first offending unary
-    map; definedness is monotone under subsets, so earlier successes are
-    never spoiled.  A map is thinned to one point per fiber only when a
-    look-ahead of 16 probe budgets finds probe_budget distinct values, and
-    to its most frequent value's preimage otherwise.
+    Each round reduces all terms with partial_eval's probe budget and thins
+    at the first offending unary map; definedness is monotone under
+    subsets, so earlier successes are never spoiled.  A map is thinned to
+    one point per fiber only when a look-ahead of 16 probe budgets finds
+    as many distinct values as the budget, and to its most frequent
+    value's preimage otherwise.
     """
     current = subset
     for _ in range(_MAX_ROUNDS):
         offender = None
         for t in terms:
-            res = partial_eval(t, current, registry, probe_budget)
+            res = partial_eval(t, current, registry)
             if not res.defined:
-                offender = res.offending_map
+                offender = res
                 break
         if offender is None:
             return current
-        current = _thin_unary(offender, current, probe_budget)
+        current = _thin_unary(offender.offending_map, current, offender.probes)
     raise InconclusiveError(f"still undefined after {_MAX_ROUNDS} thinning rounds")
 
 
@@ -637,13 +637,12 @@ def find_agreement(
     c0: int,
     registry: Registry,
     search_bound: int = 64,
-    probe_budget: int = 64,
 ) -> tuple[int, int] | None:
     """First pair a < b from the subset on which the term provably agrees
     with its reduction: the pair has the target color, every binary symbol
     vanishes on all cross values, and the evaluations match.
     """
-    res = partial_eval(t, subset, registry, probe_budget)
+    res = partial_eval(t, subset, registry)
     if not res.defined:
         raise ValueError("term reduction is undefined on this subset; thin first")
     maps = list(res.maps)

@@ -71,6 +71,17 @@ class TestCensus:
     def test_pairing_is_not(self):
         assert almost_unary_check(PR, Box(0, 16, "full")).kind == "not-almost-unary-on-box"
 
+    def test_census_bound_is_a_plus_one(self):
+        # a fiber of a + 1 values at a passes; one more value fails
+        box = Box(0, 4, "full")
+        tight = almost_unary_check(SymbolicFn("m", 2, min), box)
+        assert tight.kind == "almost-unary-on-box"
+        assert tight.profiles[1] == {a: a + 1 for a in box.points()}
+        marked = SymbolicFn("m+", 2, lambda x, y: 10 + x if x == y else min(x, y))
+        loose = almost_unary_check(marked, box)
+        assert loose.kind == "not-almost-unary-on-box"
+        assert loose.profiles[1] == {0: 2, 1: 3, 2: 4, 3: 4}
+
 
 class TestDependsHeavily:
     def test_max_depends_on_both(self):

@@ -9,6 +9,10 @@ named by a bare name or through its module (`finite.pol`), a classmethod
 through its class or `cls` (`RelationTable.unary`).  Likewise every name a
 module of the package imports is read in that module (`__init__.py`, whose
 imports are the exports, and `from __future__` aside).
+
+The same holds one level down: every defaulted parameter of a public
+function or method that the program calls is set by some call in the
+program, or the default is the only value in use and the option goes.
 """
 
 import ast
@@ -81,6 +85,97 @@ def test_the_scan_sees_functions_and_classmethods():
     assert ((None, "finite"), "pol") in public
     assert (("RelationTable", "cls"), "unary") in public
     assert not any(name.startswith("_") for _, name in public)
+
+
+# (function, parameter) -> why it stays although no program call sets it
+ALLOWED_OPTIONS = {
+    ("cli.main", "argv"): "the tests drive the CLI in-process through main(argv)",
+}
+
+
+def _options():
+    """(function, parameter, slot) of each defaulted parameter of a public
+    module-level function or public-class method, nested defs aside: the
+    function as module.name or module.Class.name, the slot as the
+    parameter's index among a call's positional arguments, None for a
+    keyword-only one."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                owned = [(path.stem, node)]
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                owned = [(f"{path.stem}.{node.name}", item)
+                         for item in node.body if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for owner, fn in owned:
+                if fn.name.startswith("_"):
+                    continue
+                positional = fn.args.posonlyargs + fn.args.args
+                if owner != path.stem and not any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list):
+                    positional = positional[1:]  # the call binds self or cls
+                first = len(positional) - len(fn.args.defaults)
+                found += [(f"{owner}.{fn.name}", p.arg, slot)
+                          for slot, p in enumerate(positional) if slot >= first]
+                found += [(f"{owner}.{fn.name}", p.arg, None)
+                          for p, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if default is not None]
+    return found
+
+
+def _calls():
+    """name -> (positional arguments, keywords) of each call in the program
+    that names the function, bare or as an attribute.  The benchmark's
+    tr.call(layer, fn, *args, **kw) counts as a call of fn."""
+    program = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    program += sorted((ROOT / "clonebench").glob("*.py"))
+    calls = {}
+    for path in program:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            target, args = node.func, node.args
+            if isinstance(target, ast.Attribute) and target.attr == "call" and len(args) >= 2:
+                target, args = args[1], args[2:]
+            if isinstance(target, ast.Name):
+                calls.setdefault(target.id, []).append((args, node.keywords))
+            elif isinstance(target, ast.Attribute):
+                calls.setdefault(target.attr, []).append((args, node.keywords))
+    return calls
+
+
+def _unset_options():
+    """(function, parameter) of each option that no program call sets.  A
+    call sets a parameter by keyword, by positional arguments up to its
+    slot, or by unpacking (*args, **kw).  Functions with no call site are
+    the package's interface and are skipped."""
+    calls = _calls()
+
+    def sets(args, keywords, param, slot):
+        return (any(k.arg in (param, None) for k in keywords)
+                or any(isinstance(a, ast.Starred) for a in args)
+                or (slot is not None and len(args) > slot))
+
+    return {(fn, param) for fn, param, slot in _options()
+            if (sites := calls.get(fn.rsplit(".", 1)[1]))
+            and not any(sets(args, keywords, param, slot) for args, keywords in sites)}
+
+
+def test_every_option_has_a_caller():
+    flagged = _unset_options() - set(ALLOWED_OPTIONS)
+    assert not flagged, f"defaults no program call changes: {sorted(flagged)}"
+
+
+def test_every_allowed_option_is_still_unset():
+    assert _unset_options() >= set(ALLOWED_OPTIONS)
+
+
+def test_the_option_scan_sees_keyword_callers():
+    seen = {("terms.partial_eval", "probe_budget"), ("finite.clone_closure", "include_all_unary")}
+    assert seen <= {(fn, param) for fn, param, _ in _options()}
+    assert not seen & _unset_options()
 
 
 def _unread_imports(source: str) -> list[str]:
