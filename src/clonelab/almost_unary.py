@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Collection, Sequence
 
 from .symbolic import AlmostUnaryWitness, Box, SpreadWitness, SymbolicFn
 
@@ -27,6 +27,26 @@ class AlmostUnaryReport:
 
 def _box_tuples(box: Box, arity: int):
     return itertools.product(box.points(), repeat=arity)
+
+
+def _first_escape(f: SymbolicFn, box: Box, allowed: Callable[[int], Collection[int]],
+                  coordinates: Sequence[int]) -> tuple[int, ...] | None:
+    """The first box tuple, in lexicographic order, whose value lies outside
+    allowed(x) for the entry x at each of the coordinates (0-based), or
+    None.  Each point's allowed set is built once, when first needed."""
+    fn = f.evaluator(f.arity)
+    sets: dict[int, frozenset[int]] = {}
+    for args in _box_tuples(box, f.arity):
+        v = fn(*args)
+        for k in coordinates:
+            x = args[k]
+            if x not in sets:
+                sets[x] = frozenset(allowed(x))
+            if v in sets[x]:
+                break
+        else:
+            return args
+    return None
 
 
 def almost_unary_check(
@@ -44,13 +64,9 @@ def almost_unary_check(
     """
     witness = witness if witness is not None else f.witness
     if witness is not None:
-        cache: dict[int, frozenset[int]] = {}
-        for args in _box_tuples(box, f.arity):
-            key = args[witness.coordinate - 1]
-            if key not in cache:
-                cache[key] = frozenset(witness.allowed(key))
-            if f(*args) not in cache[key]:
-                return AlmostUnaryReport("witness-refuted", witness.coordinate, args)
+        escape = _first_escape(f, box, witness.allowed, [witness.coordinate - 1])
+        if escape is not None:
+            return AlmostUnaryReport("witness-refuted", witness.coordinate, escape)
         return AlmostUnaryReport("witness-verified", witness.coordinate)
 
     fibers: dict[int, dict[int, set[int]]] = {
@@ -151,17 +167,9 @@ def witnessed_spread_check(f: SymbolicFn, w: SpreadWitness, box: Box) -> SpreadV
         for x in box.points():
             if len(set(w.per_point(x))) >= w.uniform_bound:
                 return SpreadVerdict("bound-refuted", witness_point=x)
-    cache: dict[int, frozenset[int]] = {}
-
-    def allowed(x: int) -> frozenset[int]:
-        if x not in cache:
-            cache[x] = frozenset(w.per_point(x))
-        return cache[x]
-
-    for args in _box_tuples(box, f.arity):
-        v = f(*args)
-        if not any(v in allowed(x) for x in args):
-            return SpreadVerdict("refuted", witness_tuple=args)
+    escape = _first_escape(f, box, w.per_point, range(f.arity))
+    if escape is not None:
+        return SpreadVerdict("refuted", witness_tuple=escape)
     return SpreadVerdict("verified")
 
 

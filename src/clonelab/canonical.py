@@ -14,7 +14,7 @@ from collections import ChainMap
 from dataclasses import dataclass
 from typing import Sequence
 
-from .symbolic import Box, SquareTable, SymbolicFn
+from .symbolic import Box, SquareTable, SymbolicFn, _first_clash, _row_parts
 from .terms import Registry, Term, eval_term, subterms
 
 
@@ -58,21 +58,17 @@ def _admissible_quads(sample: Sequence[int]):
             yield quad
 
 
-def _first_clash(f: SymbolicFn, quads, buckets):
-    """The first quad whose pattern sits in buckets with another outcome,
-    as (that bucket's quad, quad); each new pattern goes into buckets."""
+def _outcomes(f: SymbolicFn, quads):
+    """(pattern, outcome, quad) of each quad: the outcome is the order of f's
+    values on its two halves."""
     for quad in quads:
-        outcome = _sign(f(quad[0], quad[1]) - f(quad[2], quad[3]))
-        prior_outcome, prior_quad = buckets.setdefault(tuple_pattern(quad), (outcome, quad))
-        if prior_outcome != outcome:
-            return (prior_quad, quad)
-    return None
+        yield tuple_pattern(quad), _sign(f(quad[0], quad[1]) - f(quad[2], quad[3])), quad
 
 
 def is_canonical(f: SymbolicFn, sample: Sequence[int]):
     """None when f is canonical on the sample; otherwise the first pair of
     similar quadruples with differently ordered values."""
-    return _first_clash(f, _admissible_quads(sorted(set(sample))), {})
+    return _first_clash(_outcomes(f, _admissible_quads(sorted(set(sample)))))
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ def canonical_subset(f: SymbolicFn, box: Box) -> CanonicalSubsetReport:
     for p in box.points():
         additions: dict[OrderPattern, tuple[int, tuple[int, ...]]] = {}
         quads = (q for q in _admissible_quads(selected + [p]) if p in q)
-        if _first_clash(f, quads, ChainMap(additions, buckets)) is None:
+        if _first_clash(_outcomes(f, quads), ChainMap(additions, buckets)) is None:
             selected.append(p)
             buckets.update(additions)
     return CanonicalSubsetReport(tuple(selected), box, len(selected) / box.width)
@@ -120,27 +116,6 @@ class RegionClassification:
     degenerate: bool = False
 
 
-def _region_pairs(sample: Sequence[int], region: str) -> list[tuple[int, int]]:
-    if region == "delta":
-        return [(a, b) for a in sample for b in sample if a > b]
-    if region == "nabla":
-        return [(a, b) for a in sample for b in sample if a < b]
-    raise ValueError("region must be delta or nabla")
-
-
-def _coordinate_factor(values: dict[tuple[int, int], int], index: int):
-    """Whether the values depend on coordinate `index` alone: (the factor map
-    {coordinate: value}, None) when they do, else (None, the first clash),
-    a clash being the first pair in scan order whose value differs from that
-    of the first pair sharing its coordinate, as (that pair, this pair)."""
-    first: dict[int, tuple[tuple[int, int], int]] = {}
-    for p, v in values.items():
-        q, u = first.setdefault(p[index], (p, v))
-        if u != v:
-            return None, (q, p)
-    return {a: v for a, (_, v) in first.items()}, None
-
-
 def classify_on_region(f: SymbolicFn, region: str, sample: Sequence[int]) -> RegionClassification:
     """Sort a canonical map's restriction into exactly one of four shapes.
 
@@ -152,7 +127,9 @@ def classify_on_region(f: SymbolicFn, region: str, sample: Sequence[int]) -> Reg
     violation = is_canonical(f, sample)
     if violation is not None:
         raise NotCanonicalError(violation)
-    pairs = _region_pairs(sample, region)
+    if region not in ("delta", "nabla"):
+        raise ValueError("region must be delta or nabla")
+    pairs = [(sample[i], b) for i, lo, hi in _row_parts(len(sample), region) for b in sample[lo:hi]]
     if len(pairs) < 3:
         value = f(*pairs[0]) if pairs else None
         return RegionClassification(CONSTANT, region, value=value, degenerate=True)
@@ -164,9 +141,11 @@ def classify_on_region(f: SymbolicFn, region: str, sample: Sequence[int]) -> Reg
         )
 
     for kind, index in ((FIRST_COORDINATE, 0), (SECOND_COORDINATE, 1)):
-        mapping, _ = _coordinate_factor(values, index)
-        if mapping is not None and len(set(mapping.values())) == len(mapping):
-            return RegionClassification(kind, region, witness_map=tuple(sorted(mapping.items())))
+        factor: dict[int, tuple[int, tuple[int, int]]] = {}
+        if _first_clash(((p[index], v, p) for p, v in values.items()), factor) is None:
+            mapping = {a: v for a, (v, _) in factor.items()}
+            if len(set(mapping.values())) == len(mapping):
+                return RegionClassification(kind, region, witness_map=tuple(sorted(mapping.items())))
     if len(set(values.values())) == len(values):
         return RegionClassification(INJECTIVE, region)
     raise ValueError(
@@ -223,10 +202,10 @@ def unary_on_region(
     pairs = list(box.with_region(region).pairs())
     values = {p: eval_term(t, p[0], p[1], registry) for p in pairs}
 
-    _, x_bad = _coordinate_factor(values, 0)
+    x_bad = _first_clash((p[0], v, p) for p, v in values.items())
     if x_bad is None:
         return RegionFactorReport(True, side="x")
-    _, y_bad = _coordinate_factor(values, 1)
+    y_bad = _first_clash((p[1], v, p) for p, v in values.items())
     if y_bad is None:
         return RegionFactorReport(True, side="y")
     return RegionFactorReport(False, x_violation=x_bad, y_violation=y_bad)

@@ -32,9 +32,6 @@ class PrincipalIdeal:
         if not 0 <= self.excluded < self.carrier.size:
             raise ValueError("excluded point outside the carrier")
 
-    def contains(self, subset) -> bool:
-        return self.excluded not in subset
-
     def members(self) -> Iterator[frozenset[int]]:
         """All ideal members (subsets of the carrier missing the excluded point)."""
         rest = [x for x in self.carrier.elements() if x != self.excluded]

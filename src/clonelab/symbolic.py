@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator, MutableMapping
 
 REGIONS = ("delta", "nabla", "offdiag", "full")
 
@@ -55,14 +55,11 @@ class Box:
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         """Region pairs in lexicographic order."""
-        lo, hi, pts = self.lo, self.hi, self.points()
+        lo, pts = self.lo, self.points()
         if self.region == "full":
             return itertools.product(pts, pts)
-        if self.region == "delta":
-            return ((a, b) for a in pts for b in range(lo, a))
-        if self.region == "nabla":
-            return ((a, b) for a in pts for b in range(a + 1, hi))
-        return ((a, b) for a in pts for b in pts if a != b)
+        return ((lo + i, b) for i, j, k in _row_parts(self.width, self.region)
+                for b in range(lo + j, lo + k))
 
     def with_region(self, region: str) -> "Box":
         return Box(self.lo, self.hi, region)
@@ -78,6 +75,21 @@ class Box:
         if not m:
             raise ValueError(f"bad box spec {text!r}, expected lo..hi:region")
         return cls(int(m.group(1)), int(m.group(2)), m.group(3))
+
+
+def _row_parts(w: int, region: str) -> Iterator[tuple[int, int, int]]:
+    """The parts of each row i of a w-by-w square that lie in the region, as
+    (i, start, stop) column spans in lexicographic order: the part before
+    the diagonal for delta, after it for nabla, both for offdiag, and the
+    whole row for full."""
+    for i in range(w):
+        if region == "full":
+            yield i, 0, w
+            continue
+        if region != "nabla":
+            yield i, 0, i
+        if region != "delta":
+            yield i, i + 1, w
 
 
 @dataclass(frozen=True)
@@ -123,15 +135,8 @@ class SquareTable:
         """The values on a region of the square as runs of one row each
         (two per row off the diagonal), in its lexicographic order."""
         t, w = self.values, self.hi - self.lo
-        for i in range(w):
-            row = i * w
-            if region == "full":
-                yield t[row:row + w]
-                continue
-            if region != "nabla":
-                yield t[row:row + i]
-            if region != "delta":
-                yield t[row + i + 1:row + w]
+        for i, j, k in _row_parts(w, region):
+            yield t[i * w + j:i * w + k]
 
     def values_on(self, region: str) -> list[int]:
         """The values on a region of the square, in its lexicographic order."""
@@ -285,18 +290,27 @@ def compose_fn(outer: SymbolicFn, inner: list[SymbolicFn]) -> SymbolicFn:
     return SymbolicFn(label, arity, fn)
 
 
-def first_collision(pairs: Iterable[tuple[int, int]], values: list[int]):
-    """The first two of the pairs whose values (listed in the same order)
-    are equal, as (earlier pair, later pair); None when the values are
-    distinct.  The pairs are walked only when a collision is certain."""
+def _first_clash(items: Iterable[tuple], buckets: MutableMapping | None = None):
+    """Whether the value is a function of the key, over (key, value, witness)
+    triples in order: the first triple whose key sits in buckets with
+    another value, as (that key's first witness, this witness), or None.
+    Each new key is left in buckets as (value, witness)."""
+    if buckets is None:
+        buckets = {}
+    for key, value, witness in items:
+        prior_value, prior_witness = buckets.setdefault(key, (value, witness))
+        if prior_value != value:
+            return (prior_witness, witness)
+    return None
+
+
+def first_collision(points: Iterable, values: list[int]):
+    """The first two of the points whose values (listed in the same order)
+    are equal, as (earlier point, later point); None when the values are
+    distinct.  The points are walked only when a collision is certain."""
     if len(set(values)) == len(values):
         return None
-    seen: dict[int, tuple[int, int]] = {}
-    for p, v in zip(pairs, values):
-        q = seen.setdefault(v, p)
-        if q != p:
-            return (q, p)
-    return None
+    return _first_clash((v, p, p) for p, v in zip(points, values))
 
 
 _CHUNK = 1024  # points check_injective_on evaluates between collision tests

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import Coloring
-from .symbolic import Box, SymbolicFn
+from .symbolic import Box, SymbolicFn, first_collision
 
 
 class RegistryError(KeyError):
@@ -448,26 +448,23 @@ def classify_on(
     if len(xs) < 2:
         raise InconclusiveError("need at least two probe points to classify")
     values = [h(x) for x in xs]
-    seen: dict[int, int] = {}
-    collision = None
-    for x, v in zip(xs, values):
-        if v in seen and collision is None:
-            collision = (seen[v], x)
-        seen.setdefault(v, x)
-    distinct = len(set(values)) > 1
+    collision = first_collision(xs, values)
     if collision is None:
         return ("injective", None)
-    if not distinct:
+    distinct = sorted(set(values))
+    if len(distinct) == 1:
         return ("constant", values[0])
-    first_two = sorted(set(values))[:2]
-    witness_pair = (seen[first_two[0]], seen[first_two[1]])
-    return ("neither", (collision, witness_pair))
+    return ("neither", (collision, tuple(xs[values.index(v)] for v in distinct[:2])))
 
 
 def partial_eval(
     t: Term, subset: SubsetSpec, registry: Registry, probe_budget: int = 64
 ) -> PartialResult:
-    """Reduce the term to a constant or a one-variable map relative to subset."""
+    """Reduce the term to a constant or a one-variable map relative to subset.
+
+    Raises ValueError, before any work, for a negative probe budget."""
+    if probe_budget < 0:
+        raise ValueError(f"probe_budget must be >= 0, got {probe_budget}")
     maps: list[Callable[[int], int]] = []
 
     def classified(h, path, side):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -153,6 +155,44 @@ class TestWitnessedSpread:
         wide = SpreadWitness(lambda x: {x, x + 1}, uniform_bound=2)
         verdict = witnessed_spread_check(max_fn(), wide, BOX)
         assert verdict.kind == "bound-refuted"
+
+
+class TestConfinementScan:
+    def test_first_escapes_match_brute_force(self):
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(300):
+            lo = rng.randrange(4)
+            box = Box(lo, lo + rng.randrange(1, 6), "full")
+            arity, r = rng.choice((1, 2, 3)), rng.randrange(1, 6)
+            tuples = list(itertools.product(box.points(), repeat=arity))
+            table = {args: rng.randrange(r) for args in tuples}
+            sets = {x: set(rng.sample(range(r), rng.randrange(r + 1))) for x in box.points()}
+            f = SymbolicFn("t", arity, lambda *args: table[args])
+            built = Counter()
+
+            def allowed(x):
+                built[x] += 1
+                return sets[x]
+
+            coord = rng.randrange(1, arity + 1)
+            report = almost_unary_check(f, box, AlmostUnaryWitness(coord, allowed))
+            escape = next((a for a in tuples if table[a] not in sets[a[coord - 1]]), None)
+            assert report.violation == escape
+            assert report.kind == ("witness-verified" if escape is None else "witness-refuted")
+            assert max(built.values()) == 1
+            if escape is None:
+                assert set(built) == set(box.points())
+            outcomes.add(("witness", escape is None))
+
+            built.clear()
+            verdict = witnessed_spread_check(f, SpreadWitness(allowed), box)
+            escape = next((a for a in tuples if not any(table[a] in sets[x] for x in a)), None)
+            assert verdict.witness_tuple == escape
+            assert verdict.kind == ("verified" if escape is None else "refuted")
+            assert max(built.values()) == 1
+            outcomes.add(("spread", escape is None))
+        assert outcomes == {(check, ok) for check in ("witness", "spread") for ok in (True, False)}
 
 
 class TestWitnessPropagation:

@@ -13,6 +13,8 @@ imports are the exports, and `from __future__` aside).
 The same holds one level down: every defaulted parameter of a public
 function or method that the program calls is set by some call in the
 program, or the default is the only value in use and the option goes.
+And every private function or method of the package is named by the
+program, so a scan that a shared helper replaced does not stay behind.
 """
 
 import ast
@@ -61,10 +63,14 @@ def _references(paths, with_imports=False):
     return refs
 
 
+def _program():
+    """The program's files: the package without `__init__.py`, and the benchmark."""
+    program = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    return program + sorted((ROOT / "clonebench").glob("*.py"))
+
+
 def _test_only():
-    program = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    program += sorted((ROOT / "clonebench").glob("*.py"))
-    called = _references(program) | _references([PACKAGE / "__init__.py"], with_imports=True)
+    called = _references(_program()) | _references([PACKAGE / "__init__.py"], with_imports=True)
     tested = _references(sorted((ROOT / "tests").glob("*.py")), with_imports=True)
     return {name for qualifiers, name in _public_functions()
             if any((q, name) in tested for q in qualifiers)
@@ -85,6 +91,45 @@ def test_the_scan_sees_functions_and_classmethods():
     assert ((None, "finite"), "pol") in public
     assert (("RelationTable", "cls"), "unary") in public
     assert not any(name.startswith("_") for _, name in public)
+
+
+def _private_functions():
+    """(module, name) of each private module-level function and each private
+    method of a class of the package, dunders and nested defs aside."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owned = node.body if isinstance(node, ast.ClassDef) else [node]
+            found += [(path.stem, fn.name) for fn in owned
+                      if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")
+                      and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    return found
+
+
+def _names_read(paths):
+    """Every name the files read, bare or as an attribute of anything."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_private_function_has_a_caller():
+    read = _names_read(_program())
+    unused = [f"{module}.{name}" for module, name in _private_functions() if name not in read]
+    assert not unused, f"private and named by no program file: {unused}"
+
+
+def test_the_private_scan_sees_helpers_and_skips_dunders():
+    private = _private_functions()
+    assert ("almost_unary", "_spreads") in private
+    assert ("symbolic", "_runs") in private
+    assert not any(name.endswith("__") for _, name in private)
+    assert "_spreads" in _names_read(_program())
 
 
 # (function, parameter) -> why it stays although no program call sets it
@@ -129,10 +174,8 @@ def _calls():
     """name -> (positional arguments, keywords) of each call in the program
     that names the function, bare or as an attribute.  The benchmark's
     tr.call(layer, fn, *args, **kw) counts as a call of fn."""
-    program = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    program += sorted((ROOT / "clonebench").glob("*.py"))
     calls = {}
-    for path in program:
+    for path in _program():
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue

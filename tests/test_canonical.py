@@ -158,6 +158,20 @@ class TestClassification:
         assert got.kind == CONSTANT
         assert got.degenerate
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 200), min_size=3, max_size=9, unique=True),
+           st.sampled_from(["delta", "nabla"]), st.sampled_from([max, min]))
+    def test_witness_maps_over_a_sparse_sample_match_brute_force(self, sample, region, fn):
+        pairs = [(a, b) for a in sample for b in sample if (a > b if region == "delta" else a < b)]
+        got = classify_on_region(SymbolicFn("f", 2, fn), region, sample)
+        index = {FIRST_COORDINATE: 0, SECOND_COORDINATE: 1}[got.kind]
+        assert got.witness_map == tuple(sorted({p[index]: fn(*p) for p in pairs}.items()))
+
+    @pytest.mark.parametrize("region", ["offdiag", "full"])
+    def test_only_the_triangles_classify(self, region):
+        with pytest.raises(ValueError, match="region must be delta or nabla"):
+            classify_on_region(max_fn(), region, SPARSE)
+
 
 _INTERACTION_KINDS = ("pair", "below", "max", "symmetric-pair", "pair-mod", "noise",
                       "symmetric-noise", "noise-below")

@@ -110,11 +110,18 @@ class TestExitCodes:
         assert "error" in report
 
     def test_inconclusive_reduction_exit(self, capsys):
-        # one probe point cannot classify a map
-        code, report = run_cli(capsys, "terms", "--term", "(u:succ x)", "--partial-eval",
-                               "--budget", "1")
-        assert code == 3
-        assert "error" in report
+        # zero or one probe point cannot classify a map
+        for budget in ("0", "1"):
+            code, report = run_cli(capsys, "terms", "--term", "(u:succ x)", "--partial-eval",
+                                   "--budget", budget)
+            assert code == 3
+            assert "error" in report
+
+    @pytest.mark.parametrize("term", ["x", "(u:succ x)"])
+    def test_negative_budget_is_a_usage_error(self, capsys, term):
+        code, report = run_cli(capsys, "terms", "--term", term, "--partial-eval", "--budget", "-5")
+        assert code == 2
+        assert report["error"] == "probe_budget must be >= 0, got -5"
 
 
 class TestFileDriven:

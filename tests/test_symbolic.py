@@ -37,6 +37,16 @@ class TestBox:
         assert len(list(box.with_region("offdiag").pairs())) == 6
         assert len(list(box.with_region("full").pairs())) == 9
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 60), max_size=12, unique=True),
+           st.sampled_from(["delta", "nabla", "offdiag", "full"]))
+    def test_the_region_rule_over_a_sparse_sample(self, sample, region):
+        sample = sorted(sample)
+        inside = {"delta": lambda a, b: a > b, "nabla": lambda a, b: a < b,
+                  "offdiag": lambda a, b: a != b, "full": lambda a, b: True}[region]
+        assert [(sample[i], b) for i, j, k in symbolic._row_parts(len(sample), region)
+                for b in sample[j:k]] == [(a, b) for a in sample for b in sample if inside(a, b)]
+
 
 class TestPairing:
     def test_base_value(self):

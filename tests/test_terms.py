@@ -105,6 +105,33 @@ class TestSubsets:
         collision, distinct = witness
         assert min(collision[0], 3) == min(collision[1], 3)
 
+    def test_classification_matches_brute_force(self):
+        evens = SubsetSpec.evens()
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(300):
+            n = rng.randrange(2, 24)
+            kind = rng.choice(("injective", "constant", "small range"))
+            if kind == "injective":
+                values = rng.sample(range(1000), n)
+            elif kind == "constant":
+                values = [rng.randrange(5)] * n
+            else:
+                values = [rng.randrange(rng.randrange(1, 6)) for _ in range(n)]
+            xs = evens.first(n)
+            got = classify_on(dict(zip(xs, values)).__getitem__, evens, n)
+            seen.add(got[0])
+            clashes = [(xs[i], xs[j]) for j in range(n) for i in range(j) if values[i] == values[j]]
+            if not clashes:
+                assert got == ("injective", None)
+            elif len(set(values)) == 1:
+                assert got == ("constant", values[0])
+            else:
+                low = sorted(set(values))[:2]
+                firsts = tuple(next(x for x, v in zip(xs, values) if v == u) for u in low)
+                assert got == ("neither", (clashes[0], firsts))
+        assert seen == {"injective", "constant", "neither"}
+
     def test_classification_needs_two_probes(self):
         singleton = SubsetSpec(lambda v: v == 5, lambda: iter([5]), "one")
         with pytest.raises(InconclusiveError):
@@ -149,6 +176,14 @@ class TestPartialEval:
         )
         assert res.kind == UNDEFINED
         assert res.path == (0,)
+
+    @pytest.mark.parametrize("text", ["x", "(u:succ x)"])
+    def test_a_negative_budget_is_rejected_before_any_work(self, text):
+        started = []
+        subset = SubsetSpec(lambda v: True, lambda: started.append(1) or itertools.count(), "watched")
+        with pytest.raises(ValueError, match=r"^probe_budget must be >= 0, got -5$"):
+            partial_eval(parse_term(text), subset, default_registry(), probe_budget=-5)
+        assert started == []
 
     def test_symbol_is_looked_up_after_its_subterm_reduces(self):
         res = partial_eval(
