@@ -414,17 +414,22 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # The engine.  An n-ary table is a row of k^n digits,
 # cut into at least two near-equal limbs of at most c digits, where
 # k^(2c) <= 2^16: a limb fits in a byte, and a unary or binary generator acts
-# limb by limb through a lookup table of at most 2^16 entries.  A binary
-# generator builds each limb of a block of results with one contiguous
-# gather: its table's rows for the left operands, taken along the right
-# operands' limbs.  Generators of arity >= 3 act digit by digit on digit
-# rows, unpacked from the limbs once per block.  Dedup is exact and keyed by the limb bytes.  Two limbs are
-# exactly the spaces of at most 2^16 tables (carrier 2 up to arity 4, carrier
-# 3 up to arity 2, carriers 4 to 6 at arity 1): their key, read as a uint16,
-# indexes a 2^16-entry bitmap.  A batch of keys is marked in a scratch
-# bitmap of the same size, and the marks that are not yet members are the
-# new tables, sorted and unique with no sort.  Every larger space keeps its
-# keys in a set.
+# on the limbs through lookup tables of at most 2^16 entries, one per limb
+# width.  The limbs form at most two runs of equal width.  A unary generator
+# looks each run up at once.  A binary generator builds the key rows of a
+# tile of results with one contiguous gather: per left operand, its tables'
+# rows for the operand's limbs stacked into one row, taken along a flat
+# index of the right operands' limbs (each limb's value plus its row's
+# offset in the stack).  Generators of arity >= 3 act digit by digit on
+# digit rows, unpacked from the limbs once per block.  Dedup is exact and
+# keyed by the limb bytes.  Two limbs are exactly the spaces of at most 2^16
+# tables (carrier 2 up to arity 4, carrier 3 up to arity 2, carriers 4 to 6
+# at arity 1): their key, read as a uint16, indexes a 2^16-entry bitmap.  A
+# batch first drops its members, with one lookup each; most batches keep
+# none.  The few keys that remain are sorted, and when an eighth of the
+# bitmap or more remain they are marked in a scratch bitmap of the same size
+# and the marks scanned: sorted and unique either way.  Every larger space
+# keeps its keys in a set.
 # The n-ary slice of a clone is closed under permuting variables (Mal'cev's
 # ζ and τ are clone operations), and, when the clone holds unary
 # permutations, under t ↦ t(σ_1 x_π(1), .., σ_n x_π(n)) for π a permutation
@@ -509,30 +514,34 @@ def _limb_digits(k: int, w: int) -> np.ndarray:
     return rows
 
 
-def _unpack(limbs: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
-    """Digit rows of limb rows, one lookup per run of equal limbs."""
-    parts, col = [], 0
+def _limb_runs(widths: list[int]) -> list[tuple[int, int, int]]:
+    """(digits per limb, first limb, limb count) of each run of equal limbs."""
+    runs, col = [], 0
     for w in sorted(set(widths), reverse=True):
         n = widths.count(w)
-        digits = _limb_digits(k, w)[limbs[:, col : col + n]]
-        parts.append(digits.reshape(len(limbs), n * w))
+        runs.append((w, col, n))
         col += n
+    return runs
+
+
+def _unpack(limbs: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
+    """Digit rows of limb rows, one lookup per run of equal limbs."""
+    parts = [_limb_digits(k, w)[limbs[:, col : col + n]].reshape(len(limbs), n * w)
+             for w, col, n in _limb_runs(widths)]
     return np.concatenate(parts, axis=1)
 
 
 def _pack(rows: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
     """Limb rows of digit rows, by Horner's rule over each run of equal limbs."""
     out = np.empty((len(rows), len(widths)), dtype=np.uint8)
-    col = start = 0
-    for w in sorted(set(widths), reverse=True):
-        n = widths.count(w)
+    for w, col, n in _limb_runs(widths):
+        start = sum(widths[:col])
         digits = rows[:, start : start + n * w].reshape(len(rows), n, w)
         acc = digits[:, :, 0].copy()
         for j in range(1, w):
             acc *= k
             acc += digits[:, :, j]
         out[:, col : col + n] = acc
-        col, start = col + n, start + n * w
     return out
 
 
@@ -607,17 +616,19 @@ class _CodeEngine:
         self.bound = bound  # no slice the generators reach holds more tables; None sweeps
         self.widths = _limb_widths(k, self.width)
         limbs = len(self.widths)
-        # bytes per candidate of a unary or binary application: the key rows
-        # and one limb's gather, and on the set path the keys as bytes objects;
-        # per orbit image in add: its digit row, its key and sorted key, and
-        # the sort's index, and on the set path its key as a bytes object and,
-        # up to 8 limbs, its key padded to 8 bytes, and sorted
-        self.candidate_bytes = limbs + 1
+        # bytes per candidate of a unary or binary application: the key rows,
+        # and in _unseen on the bitmap path the gathered member flags and
+        # their negation, on the set path the keys as bytes objects; per
+        # orbit image in add: its digit row, its key and sorted key, and the
+        # sort's index, and on the set path its key as a bytes object and, up
+        # to 8 limbs, its key padded to 8 bytes, and sorted
+        self.candidate_bytes = limbs
         self.image_bytes = self.width + 2 * limbs + 8
         if limbs == 2:
             self.key_dtype = np.dtype("<u2")
             self.bitmap = np.zeros(1 << 16, dtype=bool)
             self.hit = np.zeros(1 << 16, dtype=bool)  # scratch of _unseen: the keys of one call
+            self.candidate_bytes += 2
         else:
             self.key_dtype = np.dtype((np.void, limbs))
             self.bitmap = None
@@ -632,7 +643,7 @@ class _CodeEngine:
         self.rep = np.empty(64, dtype=bool)  # flags one table per orbit
         self.count = 0
         self.applied = 0
-        self.appliers: list = []  # (arity, payload)
+        self.appliers: list = []  # (arity, payload, bytes per left operand of one tile)
         self.cursors: list[int] = []
 
     # -- keys and storage ---------------------------------------------------
@@ -649,12 +660,16 @@ class _CodeEngine:
     def _unseen(self, keys: np.ndarray) -> np.ndarray:
         """The distinct keys that are not yet members, none inserted."""
         if self.bitmap is not None:
-            # mark the keys, then scan the marks for unseen ones: sorted and unique
-            self.hit[keys] = True
-            np.greater(self.hit, self.bitmap, out=self.hit)  # marked and not yet a member
-            fresh = np.flatnonzero(self.hit).astype(self.key_dtype)
-            self.hit.fill(False)
-            return fresh
+            keys = keys[~self.bitmap[keys]]  # members first: most batches hold no other key
+            if len(keys) >= len(self.hit) >> 3:
+                # many remain: mark them, and scan the marks, sorted and unique
+                self.hit[keys] = True
+                fresh = np.flatnonzero(self.hit).astype(self.key_dtype)
+                self.hit.fill(False)
+                return fresh
+            # few remain, under an eighth of the marks: a sort costs less than their scan
+            keys = np.sort(keys)
+            return keys[np.insert(keys[1:] != keys[:-1], 0, True)] if len(keys) else keys
         return np.array([key for key in dict.fromkeys(keys.tolist()) if key not in self.seen],
                         dtype=self.key_dtype)
 
@@ -755,38 +770,48 @@ class _CodeEngine:
 
     def activate(self, g: OpTable) -> None:
         k, lut = self.k, np.asarray(g.table, dtype=np.uint8)
-        if g.arity >= 3:
-            payload = lut
-        else:
-            # by_width[w]: g acting on w-digit chunks, built one digit at a time
+        payload, stacked = lut, 0
+        if g.arity <= 2:
+            # by_width[w]: g acting on w-digit chunks, built one digit at a
+            # time: g on the leading w - 1 digits times k plus g on the last
+            # digit, laid out along every axis by contiguous repeats and tiles
             by_width = {1: lut.reshape((k,) * g.arity)}
             for w in range(2, self.widths[0] + 1):
-                x = np.arange(k**w)
-                hi, lo = x // k, x % k
-                if g.arity == 1:
-                    by_width[w] = by_width[w - 1][hi] * k + lut[lo]
-                else:
-                    by_width[w] = (by_width[w - 1][hi[:, None], hi[None, :]] * k
-                                   + by_width[1][lo[:, None], lo[None, :]])
-            payload = [by_width[w] for w in self.widths]
-        self.appliers.append((g.arity, payload))
+                lead = by_width[w - 1]
+                for axis in range(g.arity):
+                    lead = lead.repeat(k, axis=axis)
+                by_width[w] = lead * k + np.tile(by_width[1], (k ** (w - 1),) * g.arity)
+            runs = [(col, n, by_width[w]) for w, col, n in _limb_runs(self.widths)]
+            # a binary generator stacks, per left operand, one table row of
+            # k^w bytes per limb: limb j's row starts at offsets[j]
+            sizes = [k**w for w in self.widths]
+            payload = (runs, np.cumsum([0] + sizes[:-1]))
+            if g.arity == 2:
+                # bytes per left operand of one tile: the stack, and with more
+                # than one run also the runs' rows it is joined from
+                stacked = sum(sizes) * (1 + (len(runs) > 1))
+        self.appliers.append((g.arity, payload, stacked))
         self.cursors.append(0)
 
-    def _limbwise(self, payload: list[np.ndarray], operands: list[np.ndarray]) -> np.ndarray:
-        """Keys of a unary or binary generator applied limb by limb.
+    def _limbwise(self, payload: tuple[list, np.ndarray], operands: list[np.ndarray]) -> np.ndarray:
+        """Keys of a unary or binary generator, with one lookup per run of
+        equal-width limbs.
 
-        Each limb is gathered contiguously before it is written into the key
-        rows: a binary generator's table rows for the left operands, taken
-        along the right operands' limbs.
+        A unary generator looks a run's limbs up in its table.  A binary
+        generator stacks its tables' rows for each left operand's limbs into
+        one row, and takes every stack along one flat index per right
+        operand, each limb's value plus its row's offset in the stack: a
+        single gather that writes the key rows.
         """
+        runs, offsets = payload
         a, rest = operands[0], operands[1:]
-        out = np.empty((len(a),) + tuple(len(b) for b in rest) + (len(payload),), dtype=np.uint8)
-        for i, table in enumerate(payload):
-            limb = table[a[:, i]]
-            if rest:
-                limb = np.take(limb, rest[0][:, i], axis=1)
-            out[..., i] = limb
-        return self.keys_of(out.reshape(-1, len(payload)))
+        parts = [table[a[:, col : col + n]].reshape(len(a), -1) for col, n, table in runs]
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        if rest:
+            flat = rest[0].astype(np.intp)
+            flat += offsets
+            out = np.take(out, flat, axis=1)
+        return self.keys_of(out.reshape(-1, len(self.widths)))
 
     def _pointwise(self, lut: np.ndarray, operands: list[np.ndarray]) -> np.ndarray:
         """Keys of a generator of arity >= 3 applied digit by digit."""
@@ -797,7 +822,7 @@ class _CodeEngine:
 
     def process_block(self, gen_index: int) -> None:
         """Advance one generator's cursor by one block of pool rows."""
-        m, payload = self.appliers[gen_index]
+        m, payload, stacked = self.appliers[gen_index]
         done = self.cursors[gen_index]
         hi = min(done + _BLOCK, self.count)
         pool = _unpack(self.limbs[:hi], self.k, self.widths) if m >= 3 else self.limbs
@@ -813,7 +838,7 @@ class _CodeEngine:
             tail = math.prod(len(o) for o in operands[1:])
             if not tail or not len(operands[0]):
                 continue
-            step = max(1, _TILE_BYTES // (per_candidate * tail))
+            step = max(1, _TILE_BYTES // (per_candidate * tail + stacked))
             for start in range(0, len(operands[0]), step):
                 chunk = [operands[0][start : start + step]] + operands[1:]
                 self.applied += len(chunk[0]) * tail

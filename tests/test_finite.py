@@ -867,8 +867,10 @@ def _scalar_key(table, k):
 
 
 class TestEngineKernel:
-    # (carrier, slice arity): two limbs for the first two, more for the rest
-    KERNEL_SLICES = [(3, 2), (2, 4), (2, 5), (3, 3), (4, 2)]
+    # (carrier, slice arity): two limbs for the first two, more for the rest;
+    # (3, 2), (3, 3) and (3, 4) have two runs of equal-width limbs ((3, 4): 13
+    # limbs of five digits and 4 of four), the others one ((4, 4): 64 limbs)
+    KERNEL_SLICES = [(3, 2), (2, 4), (2, 5), (3, 3), (4, 2), (3, 4), (4, 4)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -893,14 +895,38 @@ class TestEngineKernel:
         expected = [_scalar_key(compose(g, list(fs)).table, k) for fs in itertools.product(*operands)]
         assert keys == expected
 
+    # the bitmap path sorts the non-members of a batch below an eighth of the
+    # 2^16-entry bitmap and scans its marks above
+    SORT_BELOW = 1 << 13
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), members=st.integers(0, 1 << 15),
+           batch=st.integers(0, SORT_BELOW - 1) | st.integers(2 * SORT_BELOW, 4 * SORT_BELOW),
+           space=st.sampled_from([1 << 8, 1 << 16]))
+    def test_bitmap_unseen_matches_a_set(self, seed, members, batch, space):
+        # at most half the space are members, so a batch of at least twice
+        # the switch point keeps more than it of non-members
+        rng = np.random.default_rng(seed)
+        eng = _CodeEngine(2, 4, None)  # two limbs: the bitmap path
+        eng.bitmap[rng.integers(0, 1 << 16, members)] = True
+        before = eng.bitmap.copy()
+        keys = rng.integers(0, space, batch).astype(eng.key_dtype)
+        fresh = eng._unseen(keys)
+        assert fresh.dtype == eng.key_dtype
+        member = set(np.flatnonzero(before).tolist())
+        assert fresh.tolist() == sorted(set(keys.tolist()) - member)
+        assert (eng.bitmap == before).all() and not eng.hit.any()  # nothing inserted
+
     # (carrier, slice arity, generators): two limbs, binary and unary, then
-    # more limbs, binary and unary; the unary ones grow blocks past the tile:
-    # all 6^6 maps of 6 points, and S_7
+    # more limbs, binary on two runs and on one run of 64 limbs, and unary;
+    # the unary ones grow blocks past the tile: all 6^6 maps of 6 points, and
+    # S_7
     TILE_CASES = [
         (2, 4, [AND, OR]),
         (6, 1, [_op(6, 1, lambda x: (x + 1) % 6), _op(6, 1, lambda x: {0: 1, 1: 0}.get(x, x)),
                 _op(6, 1, lambda x: max(x, 1))]),
         (3, 3, [_op(3, 2, min), _op(3, 2, max)]),
+        (4, 4, [_op(4, 2, min), _op(4, 2, max)]),
         (7, 1, [_op(7, 1, lambda x: (x + 1) % 7), _op(7, 1, lambda x: {0: 1, 1: 0}.get(x, x))]),
     ]
 
@@ -909,15 +935,20 @@ class TestEngineKernel:
         limbwise = _CodeEngine._limbwise
         for k, n, gens in self.TILE_CASES:
             limbs = len(finite._limb_widths(k, k**n))
-            # the key rows and one limb's gather; on the set path also the
-            # keys as bytes objects, which add builds
-            per_candidate = limbs + 1 + (0 if limbs == 2 else limbs + sys.getsizeof(b""))
+            # the key rows; on the bitmap path also the member flags and their
+            # negation, on the set path the keys as bytes objects, which add builds
+            per_candidate = limbs + (2 if limbs == 2 else limbs + sys.getsizeof(b""))
             calls = []
 
             def measured(self, payload, operands):
                 candidates = math.prod(len(o) for o in operands)
-                # arrays of one row per left operand or per right operand
-                rows = len(operands[0]) * max(t[0].size for t in payload) + 8 * len(operands[-1])
+                # the bytes per left operand that the tile counts (a binary
+                # generator's stacked rows), and arrays of one row per left
+                # operand or per right operand: the intp copy of the left
+                # operands' limbs, and the intp flat index of the right ones
+                # with numpy's buffer for adding the offsets, at most its size
+                stacked = next(s for _, p, s in self.appliers if p is payload)
+                rows = len(operands[0]) * (stacked + 8 * limbs) + 16 * limbs * len(operands[-1])
                 tracing = tracemalloc.is_tracing()
                 tracemalloc.start()
                 tracemalloc.reset_peak()
@@ -928,7 +959,7 @@ class TestEngineKernel:
                 finally:
                     if not tracing:
                         tracemalloc.stop()
-                calls.append((len(operands[0]), candidates, peak, rows))
+                calls.append((len(operands[0]), candidates, peak, stacked, rows))
                 return keys
 
             monkeypatch.setattr(_CodeEngine, "_limbwise", measured)
@@ -939,13 +970,14 @@ class TestEngineKernel:
             assert _engine_slice(gens, Carrier(k), n, sweep=True) == expected
             monkeypatch.undo()
             assert len(calls) > len(untiled), (k, n)  # the tile splits some applications
-            for left, candidates, peak, rows in calls:
-                # a tile of candidates, or one left operand when a row alone is more
-                assert left == 1 or candidates * per_candidate <= tile, (k, n, left, candidates)
-            for left, candidates, peak, rows in untiled + calls:
-                # the kernel builds no array per candidate beyond the ones
-                # counted; numpy's array headers and iterators take about 4 kB
-                assert peak <= (limbs + 1) * candidates + rows + 8192, (k, n, candidates, peak)
+            for left, candidates, peak, stacked, rows in calls:
+                # a tile of candidates and stacked rows, or one left operand
+                # when a row alone is more
+                assert left == 1 or candidates * per_candidate + left * stacked <= tile, (k, n, left)
+            for left, candidates, peak, stacked, rows in untiled + calls:
+                # the kernel builds no array per candidate beyond the key rows;
+                # numpy's array headers and iterators take about 4 kB
+                assert peak <= limbs * candidates + rows + 8192, (k, n, candidates, peak)
 
 
 @functools.cache
