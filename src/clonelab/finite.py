@@ -426,10 +426,9 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # tables (carrier 2 up to arity 4, carrier 3 up to arity 2, carriers 4 to 6
 # at arity 1): their key, read as a uint16, indexes a 2^16-entry bitmap.  A
 # batch first drops its members, with one lookup each; most batches keep
-# none.  The few keys that remain are sorted, and when an eighth of the
-# bitmap or more remain they are marked in a scratch bitmap of the same size
-# and the marks scanned: sorted and unique either way.  Every larger space
-# keeps its keys in a set.
+# none.  The keys that remain are marked in a scratch bitmap of the same
+# size, and the marks scanned: the new tables, sorted and unique with no
+# sort.  Every larger space keeps its keys in a set.
 # The n-ary slice of a clone is closed under permuting variables (Mal'cev's
 # ζ and τ are clone operations), and, when the clone holds unary
 # permutations, under t ↦ t(σ_1 x_π(1), .., σ_n x_π(n)) for π a permutation
@@ -617,18 +616,18 @@ class _CodeEngine:
         self.widths = _limb_widths(k, self.width)
         limbs = len(self.widths)
         # bytes per candidate of a unary or binary application: the key rows,
-        # and in _unseen on the bitmap path the gathered member flags and
-        # their negation, on the set path the keys as bytes objects; per
-        # orbit image in add: its digit row, its key and sorted key, and the
-        # sort's index, and on the set path its key as a bytes object and, up
-        # to 8 limbs, its key padded to 8 bytes, and sorted
+        # and in _unseen on the bitmap path the negated member flags and the
+        # kept keys (the flags are freed first), on the set path the keys as
+        # bytes objects; per orbit image in add: its digit row, its key and
+        # sorted key, and the sort's index, and on the set path its key as a
+        # bytes object and, up to 8 limbs, its key padded to 8 bytes, and sorted
         self.candidate_bytes = limbs
         self.image_bytes = self.width + 2 * limbs + 8
         if limbs == 2:
             self.key_dtype = np.dtype("<u2")
             self.bitmap = np.zeros(1 << 16, dtype=bool)
             self.hit = np.zeros(1 << 16, dtype=bool)  # scratch of _unseen: the keys of one call
-            self.candidate_bytes += 2
+            self.candidate_bytes += 3
         else:
             self.key_dtype = np.dtype((np.void, limbs))
             self.bitmap = None
@@ -661,15 +660,13 @@ class _CodeEngine:
         """The distinct keys that are not yet members, none inserted."""
         if self.bitmap is not None:
             keys = keys[~self.bitmap[keys]]  # members first: most batches hold no other key
-            if len(keys) >= len(self.hit) >> 3:
-                # many remain: mark them, and scan the marks, sorted and unique
-                self.hit[keys] = True
-                fresh = np.flatnonzero(self.hit).astype(self.key_dtype)
-                self.hit.fill(False)
-                return fresh
-            # few remain, under an eighth of the marks: a sort costs less than their scan
-            keys = np.sort(keys)
-            return keys[np.insert(keys[1:] != keys[:-1], 0, True)] if len(keys) else keys
+            if not len(keys):
+                return keys
+            # mark the rest, and scan the marks: sorted and unique
+            self.hit[keys] = True
+            fresh = np.flatnonzero(self.hit).astype(self.key_dtype)
+            self.hit.fill(False)
+            return fresh
         return np.array([key for key in dict.fromkeys(keys.tolist()) if key not in self.seen],
                         dtype=self.key_dtype)
 

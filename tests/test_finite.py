@@ -866,6 +866,21 @@ def _scalar_key(table, k):
     return limbs[0] | limbs[1] << 8 if len(limbs) == 2 else bytes(limbs)
 
 
+def _allocated_peak(f, *args):
+    """f(*args), and the peak of the memory it allocates, as tracemalloc
+    sees it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 class TestEngineKernel:
     # (carrier, slice arity): two limbs for the first two, more for the rest;
     # (3, 2), (3, 3) and (3, 4) have two runs of equal-width limbs ((3, 4): 13
@@ -895,22 +910,20 @@ class TestEngineKernel:
         expected = [_scalar_key(compose(g, list(fs)).table, k) for fs in itertools.product(*operands)]
         assert keys == expected
 
-    # the bitmap path sorts the non-members of a batch below an eighth of the
-    # 2^16-entry bitmap and scans its marks above
-    SORT_BELOW = 1 << 13
-
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), members=st.integers(0, 1 << 15),
-           batch=st.integers(0, SORT_BELOW - 1) | st.integers(2 * SORT_BELOW, 4 * SORT_BELOW),
-           space=st.sampled_from([1 << 8, 1 << 16]))
-    def test_bitmap_unseen_matches_a_set(self, seed, members, batch, space):
-        # at most half the space are members, so a batch of at least twice
-        # the switch point keeps more than it of non-members
+           batch=st.integers(0, 1 << 15), space=st.sampled_from([1 << 8, 1 << 16]),
+           covered=st.booleans())
+    def test_bitmap_unseen_matches_a_set(self, seed, members, batch, space, covered):
+        # keys drawn from 2^8 values repeat, from 2^16 mostly not; a covered
+        # batch holds members only, so nothing is marked
         rng = np.random.default_rng(seed)
         eng = _CodeEngine(2, 4, None)  # two limbs: the bitmap path
-        eng.bitmap[rng.integers(0, 1 << 16, members)] = True
-        before = eng.bitmap.copy()
         keys = rng.integers(0, space, batch).astype(eng.key_dtype)
+        eng.bitmap[rng.integers(0, 1 << 16, members)] = True
+        if covered:
+            eng.bitmap[keys] = True
+        before = eng.bitmap.copy()
         fresh = eng._unseen(keys)
         assert fresh.dtype == eng.key_dtype
         member = set(np.flatnonzero(before).tolist())
@@ -932,13 +945,14 @@ class TestEngineKernel:
 
     def test_unary_and_binary_applications_stay_inside_the_tile(self, monkeypatch):
         tile = 1 << 11
-        limbwise = _CodeEngine._limbwise
+        limbwise, unseen = _CodeEngine._limbwise, _CodeEngine._unseen
         for k, n, gens in self.TILE_CASES:
             limbs = len(finite._limb_widths(k, k**n))
-            # the key rows; on the bitmap path also the member flags and their
-            # negation, on the set path the keys as bytes objects, which add builds
-            per_candidate = limbs + (2 if limbs == 2 else limbs + sys.getsizeof(b""))
-            calls = []
+            # the key rows; on the bitmap path also the negated member flags
+            # and the kept keys, on the set path the keys as bytes objects,
+            # which add builds
+            per_candidate = limbs + (3 if limbs == 2 else limbs + sys.getsizeof(b""))
+            calls, dedups = [], []
 
             def measured(self, payload, operands):
                 candidates = math.prod(len(o) for o in operands)
@@ -946,23 +960,23 @@ class TestEngineKernel:
                 # generator's stacked rows), and arrays of one row per left
                 # operand or per right operand: the intp copy of the left
                 # operands' limbs, and the intp flat index of the right ones
-                # with numpy's buffer for adding the offsets, at most its size
+                # with numpy's copy of it, at most 8192 entries, which adding
+                # the broadcast offsets in place makes
                 stacked = next(s for _, p, s in self.appliers if p is payload)
-                rows = len(operands[0]) * (stacked + 8 * limbs) + 16 * limbs * len(operands[-1])
-                tracing = tracemalloc.is_tracing()
-                tracemalloc.start()
-                tracemalloc.reset_peak()
-                try:
-                    before = tracemalloc.get_traced_memory()[0]
-                    keys = limbwise(self, payload, operands)
-                    peak = tracemalloc.get_traced_memory()[1] - before
-                finally:
-                    if not tracing:
-                        tracemalloc.stop()
+                flat = limbs * len(operands[-1])
+                rows = len(operands[0]) * (stacked + 8 * limbs) + 8 * flat + 8 * min(flat, 8192)
+                keys, peak = _allocated_peak(limbwise, self, payload, operands)
                 calls.append((len(operands[0]), candidates, peak, stacked, rows))
                 return keys
 
+            def measured_unseen(self, keys):
+                fresh, peak = _allocated_peak(unseen, self, keys)
+                dedups.append((len(keys), len(fresh), peak))
+                return fresh
+
             monkeypatch.setattr(_CodeEngine, "_limbwise", measured)
+            if limbs == 2:
+                monkeypatch.setattr(_CodeEngine, "_unseen", measured_unseen)
             expected = _engine_slice(gens, Carrier(k), n, sweep=True)
             untiled = calls[:]
             calls.clear()
@@ -978,6 +992,14 @@ class TestEngineKernel:
                 # the kernel builds no array per candidate beyond the key rows;
                 # numpy's array headers and iterators take about 4 kB
                 assert peak <= limbs * candidates + rows + 8192, (k, n, candidates, peak)
+            assert bool(dedups) == (limbs == 2)
+            for candidates, fresh, peak in dedups:
+                # per candidate the negated flags and the kept keys, the keys
+                # as intp indices in numpy's buffer of 8192 entries, and per
+                # fresh key the scan's position of it and the key; 8 kB for
+                # headers and iterators as above
+                allowed = (per_candidate - limbs) * candidates + 8 * min(candidates, 8192) + 10 * fresh
+                assert peak <= allowed + 8192, (k, n, candidates, fresh, peak)
 
 
 @functools.cache
@@ -1259,16 +1281,7 @@ class TestOrbits:
         calls = []
 
         def measured(self, fresh):
-            tracing = tracemalloc.is_tracing()
-            tracemalloc.start()
-            tracemalloc.reset_peak()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                out = orbits(self, fresh)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                if not tracing:
-                    tracemalloc.stop()
+            out, peak = _allocated_peak(orbits, self, fresh)
             # arrays of one row per fresh table: its digits, unpacked through
             # an index per limb
             rows = len(fresh) * (2 * self.width + 8 * len(self.widths))
