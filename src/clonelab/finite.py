@@ -247,15 +247,16 @@ class OpSet:
 # Preservation.
 #
 # One kernel answers "does f preserve the relation" for respects, pol and
-# closure_slice_is_full: it applies a stack of tables to every choice of
-# relation rows at once and looks the image tuples up.  Relations with
+# the maximal-clone masks: it applies a stack of tables to chunks of the
+# choices of relation rows and looks the image tuples up; a table that fails
+# a chunk leaves the stack.  Relations with
 # k^h <= _BITMAP_SPACE possible tuples (every relation the suites and the
 # maximal-clone lists use) look up a membership table over the tuple codes;
 # wider ones binary-search their sorted rows, read as h-byte strings.
 # tests/preservation_reference.py is the plain scalar loop the kernel is
 # cross-checked against.
 
-_PRESERVE_ROWS = 1 << 16  # operand rows (times tables) per vectorised step
+_PRESERVE_ROWS = 1 << 16  # (table, choice of operand rows) cells per gather
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -322,26 +323,51 @@ class _Invariant:
     def preserved_by(self, tables: np.ndarray, arity: int) -> np.ndarray:
         """Which arity-ary tables (one per row) map the relation into itself.
 
-        f is applied to every arity rows of the relation: the last operands
-        all at once, up to _PRESERVE_ROWS choices, the leading ones in a loop.
-        Every table preserves the empty relation.
+        f is applied to every arity rows of the relation: the leading
+        operands in a loop, the choices of the last ones (at most
+        _PRESERVE_ROWS) in chunks.  Each gather holds at most _PRESERVE_ROWS
+        (table, choice) cells.  A chunk is as long as that allows for the
+        tables still alive, or takes every remaining choice when they fit in
+        two gathers: a single table or a short stack takes them all at once,
+        as a stack of every table takes a few, which most tables fail.  A
+        table that fails leaves before the next chunk.  Every table
+        preserves the empty relation.
         """
         k = self.relation.carrier.size
-        ok = np.ones(len(tables), dtype=bool)
         if not len(self.rows):
-            return ok
+            return np.ones(len(tables), dtype=bool)
         tail, choices = 0, 1
         while tail < arity and choices * len(self.rows) <= _PRESERVE_ROWS:
             tail, choices = tail + 1, choices * len(self.rows)
         low = self._tail_indices(tail)
-        step = max(1, _PRESERVE_ROWS // choices)
+        count, alive = len(tables), None  # positions of the tables not yet failed; None: all
+        passed = None  # which of them passed the last chunk
         for head in itertools.product(self.rows, repeat=arity - tail):
-            index = low
             if head:
-                index = functools.reduce(lambda acc, row: acc * k + row, head) * k**tail + low
-            for start in range(0, len(tables), step):
-                images = tables[start : start + step, index]  # (tables, choices, h)
-                ok[start : start + step] &= self._contains(images).all(axis=1)
+                offset = functools.reduce(lambda acc, row: acc * k + row, head) * k**tail
+            start = 0
+            while start < choices:
+                if passed is not None and not passed.all():
+                    keep = np.flatnonzero(passed)
+                    tables, alive = tables[keep], keep if alive is None else alive[keep]
+                if not len(tables):
+                    return np.zeros(count, dtype=bool)
+                span = max(1, _PRESERVE_ROWS // len(tables))
+                if len(tables) * (choices - start) <= 2 * _PRESERVE_ROWS:
+                    span = choices - start
+                index = low[start : start + span]
+                start += len(index)
+                if head:
+                    index = index + offset
+                step = _PRESERVE_ROWS // len(index)
+                passed = np.empty(len(tables), dtype=bool)
+                for i in range(0, len(tables), step):
+                    images = tables[i : i + step, index]  # (tables, choices, h)
+                    self._contains(images).all(axis=1, out=passed[i : i + step])
+        if alive is None:
+            return passed
+        ok = np.zeros(count, dtype=bool)
+        ok[alive] = passed
         return ok
 
 
@@ -940,6 +966,10 @@ def _subuniverse_bound(gens: Sequence[OpTable], k: int, arity: int) -> int:
 # five relations for k = 2 (1941) and Jablonskij's eighteen for k = 3 (1958),
 # in Rosenberg's families.  tests/test_finite.py pins them: their Pol_2
 # sizes, their maximality in the engine, and their agreement with the engine.
+# For every arity with at most _PRESERVE_ROWS operations (carrier 2 up to
+# arity 4, carrier 3 up to arity 2) _maximal_masks holds, per operation, the
+# bitmask of the relations it preserves, so a stack of generators of such an
+# arity is tested against all of them with one lookup.
 
 
 @functools.cache
@@ -971,15 +1001,57 @@ def _maximal_relations(k: int) -> tuple[_Invariant, ...]:
                  for r in rels)
 
 
+def _has_masks(k: int, m: int) -> bool:
+    """Whether the m-ary operations on carrier k number at most _PRESERVE_ROWS.
+    The table width k^m is bounded first, so a wide arity computes no huge power."""
+    return k**m < _PRESERVE_ROWS.bit_length() and k ** k**m <= _PRESERVE_ROWS
+
+
+@functools.cache
+def _maximal_masks(k: int, m: int) -> np.ndarray:
+    """Which maximal-clone relations each m-ary operation preserves: one
+    read-only uint32 per table, in table order, bit i set when the table
+    preserves _maximal_relations(k)[i].
+
+    Only arities with k^(k^m) <= _PRESERVE_ROWS have a mask table (carrier 2
+    up to arity 4, carrier 3 up to arity 2); each is built once, one kernel
+    call per relation over every table of the arity.
+    """
+    if not _has_masks(k, m):
+        raise ValueError(f"no mask table for arity {m} on carrier {k}")
+    tables = _all_rows(k, k**m)
+    masks = np.zeros(len(tables), dtype=np.uint32)
+    for i, inv in enumerate(_maximal_relations(k)):
+        masks[inv.preserved_by(tables, m)] |= np.uint32(1 << i)
+    masks.flags.writeable = False
+    return masks
+
+
+def _arity_stacks(gens: Sequence[OpTable]) -> list[tuple[np.ndarray, int]]:
+    """The generators' tables as one uint8 stack per arity, by increasing arity."""
+    return [(np.array([g.table for g in gens if g.arity == m], dtype=np.uint8), m)
+            for m in sorted({g.arity for g in gens})]
+
+
 def _kept_maximal_relations(gens: Sequence[OpTable], k: int) -> Iterator[_Invariant]:
     """The maximal-clone relations every generator preserves, lazily, in list order.
 
-    The generators of one arity go through the kernel as one stack.
+    The stack of an arity with a mask table (_maximal_masks) is read with
+    one lookup: the AND of its tables' masks holds the relations they all
+    preserve.  Wider stacks go through the kernel, one call per stack and
+    relation, only for the relations the narrow stacks keep, and only until
+    the next kept relation is found: checking every relation at once would
+    cost a wide slice's fullness test more than it saves.
     """
-    stacks = [(np.array([g.table for g in gens if g.arity == m], dtype=np.uint8), m)
-              for m in sorted({g.arity for g in gens})]
-    for inv in _maximal_relations(k):
-        if all(inv.preserved_by(stack, m).all() for stack, m in stacks):
+    rels, wide = _maximal_relations(k), []
+    kept = (1 << len(rels)) - 1
+    for stack, m in _arity_stacks(gens):
+        if _has_masks(k, m):
+            kept &= int(np.bitwise_and.reduce(_maximal_masks(k, m)[_tuple_codes(stack, k)]))
+        else:
+            wide.append((stack, m))
+    for i, inv in enumerate(rels):
+        if kept >> i & 1 and all(inv.preserved_by(stack, m).all() for stack, m in wide):
             yield inv
 
 
@@ -1059,7 +1131,7 @@ def _has_majority_term(gens: list[OpTable], carrier: Carrier) -> bool:
     if ternary and _is_majority(np.array(ternary, dtype=np.uint8), k).any():
         return True
     affine = next(inv for inv in _maximal_relations(k) if inv.relation.width == 4)
-    if all(affine.preserved_by(np.asarray(g.table, dtype=np.uint8)[None], g.arity)[0] for g in gens):
+    if all(affine.preserved_by(stack, m).all() for stack, m in _arity_stacks(gens)):
         return False
     rows = _closure(gens, carrier, 3, _subuniverse_bound(gens, k, 3))[0]
     return bool(_is_majority(rows, k).any())
@@ -1238,7 +1310,10 @@ def closure_slice_is_full(
 
     At arity >= 2 on carriers 2 and 3 the answer comes from the maximal
     clones, with no pool: full exactly when, for every relation of
-    _maximal_relations, some generator fails to preserve it.  Elsewhere (unary
+    _maximal_relations, some generator fails to preserve it.  The generators
+    of an arity with a mask table are read off _maximal_masks in one lookup;
+    wider ones go through the kernel, relation by relation, until one
+    relation is kept by all.  Elsewhere (unary
     slices, carriers of 4 or more) the answer is False, with no fill, when the
     subuniverse bound is below the space, that is when the generators all
     preserve a proper nonempty subset of the carrier; otherwise the engine

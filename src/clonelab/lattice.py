@@ -25,6 +25,9 @@ from .finite import (
     op_space_size,
     _check_candidate_budget,
     _kept_maximal_relations,
+    _maximal_masks,
+    _maximal_relations,
+    _tuple_codes,
 )
 
 _MAX_SLICE = 1 << 15  # unary_interval_chain builds no slice with more tables
@@ -53,9 +56,10 @@ def precompleteness_evidence(
     implies full slices below it, by identifying variables, so no slice
     above arity_cap is built.  On carriers 2 and 3 at arity_cap >= 2,
     gens + [f] is full exactly when f escapes each maximal clone holding all
-    of gens, so each such relation is checked once against the stacked
-    non-members of an arity, and the witness is the first of them in table
-    order that preserves one.  Elsewhere each candidate asks
+    of gens.  Those clones are found once, as a bitmask over
+    _maximal_relations; the non-members of an arity are looked up in
+    _maximal_masks, one lookup for all of them, and the witness is the first
+    in table order whose mask meets it.  Elsewhere each candidate asks
     closure_slice_is_full.  working_cap changes no verdict; it must be
     at least arity_cap + 1 and at least every generator's arity.  Before the
     candidates of arity n are tried, ResourceLimitError is raised when the
@@ -70,7 +74,9 @@ def precompleteness_evidence(
     if closure_slice_is_full(gens, carrier, arity_cap):
         return PrecompletenessVerdict("improper")
     k = carrier.size
-    kept = list(_kept_maximal_relations(gens, k)) if arity_cap >= 2 and k <= 3 else None
+    kept = None  # bit i: every generator preserves _maximal_relations(k)[i]
+    if arity_cap >= 2 and k <= 3:
+        kept = sum(1 << _maximal_relations(k).index(inv) for inv in _kept_maximal_relations(gens, k))
     for n in range(1, arity_cap + 1):
         _check_candidate_budget(carrier, n)
         members = set(closure_slice(gens, carrier, n)[0])
@@ -79,10 +85,10 @@ def precompleteness_evidence(
             witness = next((t for t in outside if not closure_slice_is_full(
                 gens + [OpTable(carrier, n, t)], carrier, arity_cap)), None)
         else:
+            # every arity tried here has a mask table: _check_candidate_budget
+            # raised first at arity 5 on carrier 2 and at arity 3 on carrier 3
             stack = np.array(outside, dtype=np.uint8).reshape(len(outside), k**n)
-            held = np.zeros(len(outside), dtype=bool)
-            for inv in kept:
-                held |= inv.preserved_by(stack, n)
+            held = (_maximal_masks(k, n)[_tuple_codes(stack, k)] & kept) != 0
             witness = outside[held.argmax()] if held.any() else None
         if witness is not None:
             return PrecompletenessVerdict("not-maximal", witness=OpTable(carrier, n, witness))

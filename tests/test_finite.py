@@ -1449,6 +1449,13 @@ class TestMaximalClones:
         assert _maximal_relations(3) is _maximal_relations(3)  # built once
 
     def test_kernel_agrees_with_the_reference(self, monkeypatch):
+        contains = _Invariant._contains
+
+        def bounded(inv, images):  # images: (tables, choices, h)
+            assert images.shape[0] * images.shape[1] <= finite._PRESERVE_ROWS, images.shape
+            return contains(inv, images)
+
+        monkeypatch.setattr(_Invariant, "_contains", bounded)
         rng = random.Random(11)
         cases = []
         for i in range(190):
@@ -1480,12 +1487,73 @@ class TestMaximalClones:
         for rel, m, ops, expected in cases:
             assert [respects(f, rel) for f in ops] == expected, (rel, m, ops)
         # a tiny step budget runs the looped leading operands and the chunked tables too
-        for budget in (finite._PRESERVE_ROWS, 5):
+        default = finite._PRESERVE_ROWS
+        for budget in (default, 5):
             monkeypatch.setattr(finite, "_PRESERVE_ROWS", budget)
             for rel, m, ops, expected in cases:
                 tables = np.array([f.table for f in ops], dtype=np.uint8)
                 got = _Invariant(rel).preserved_by(tables, m)
                 assert got.tolist() == expected, (rel, m, ops)
+        # full stacks, where most tables fail within a few choices and leave:
+        # every ternary carrier-2 table against reference_pol, every binary
+        # carrier-3 table against the pinned Pol_2 sizes (reference_pol takes
+        # about 12 s over the eighteen relations).  The small budget is 97 on
+        # carrier 3, where 5 takes about 5 s; 97 still loops the leading
+        # operand of the affine and 3-regular relations
+        ternary2 = _all_tables(2, 3)
+        stacks = [(inv, ternary2, 3, 5, {f.table for f in reference_pol(inv.relation, 3) if f.arity == 3})
+                  for inv in _maximal_relations(2)]
+        stacks += [(inv, _all_tables(3, 2), 2, 97, size)
+                   for inv, size in zip(_maximal_relations(3), POL2_SIZES[3])]
+        for small in (False, True):
+            for inv, tables, m, budget, expected in stacks:
+                monkeypatch.setattr(finite, "_PRESERVE_ROWS", budget if small else default)
+                kept = tables[inv.preserved_by(tables, m)]
+                if isinstance(expected, set):
+                    assert set(map(tuple, kept.tolist())) == expected, (budget, inv.relation)
+                else:
+                    assert len(kept) == expected, (budget, inv.relation)
+
+    def test_mask_tables_are_pinned_and_read_only(self):
+        for k, sizes in POL2_SIZES.items():
+            masks = finite._maximal_masks(k, 2)
+            assert masks.dtype == np.uint32 and len(masks) == k ** (k * k)
+            assert [int((masks >> i & 1).sum()) for i in range(len(sizes))] == sizes
+            assert not (masks >> len(sizes)).any()
+            assert not masks.flags.writeable
+            with pytest.raises(ValueError):
+                masks[0] = 0
+            assert finite._maximal_masks(k, 2) is masks  # built once
+        # arities past the table: precompleteness_evidence's candidate budget
+        # raises before it reaches them
+        for k, m in ((2, 5), (3, 3)):
+            with pytest.raises(ValueError, match="no mask table"):
+                finite._maximal_masks(k, m)
+            with pytest.raises(ResourceLimitError):
+                finite._check_candidate_budget(Carrier(k), m)
+
+    def test_mask_bits_equal_the_reference(self):
+        for k, m in ((2, 1), (2, 2), (2, 3), (3, 1)):
+            masks = finite._maximal_masks(k, m)
+            for code, f in enumerate(all_op_tables(Carrier(k), m)):
+                bits = [reference_respects(f, inv.relation) for inv in _maximal_relations(k)]
+                assert int(masks[code]) == sum(b << i for i, b in enumerate(bits)), (k, f)
+
+    def test_kept_relations_stay_lazy_past_the_mask_tables(self, monkeypatch):
+        # x - y + z over Z3 is ternary, past the carrier-3 mask tables; it
+        # keeps relation 0, the subset {0}, so one kernel call finds it
+        calls = []
+        preserved_by = _Invariant.preserved_by
+
+        def counted(inv, tables, arity):
+            calls.append(inv)
+            return preserved_by(inv, tables, arity)
+
+        rels = _maximal_relations(3)
+        monkeypatch.setattr(_Invariant, "preserved_by", counted)
+        kept = _kept_maximal_relations([_op(3, 3, lambda x, y, z: (x - y + z) % 3)], 3)
+        assert next(kept) is rels[0]
+        assert calls == [rels[0]]
 
     def test_pol2_slices_are_pinned_proper_and_distinct(self):
         for k, sizes in POL2_SIZES.items():
