@@ -10,6 +10,7 @@ throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Collection, Sequence
@@ -33,19 +34,35 @@ def _first_escape(f: SymbolicFn, box: Box, allowed: Callable[[int], Collection[i
                   coordinates: Sequence[int]) -> tuple[int, ...] | None:
     """The first box tuple, in lexicographic order, whose value lies outside
     allowed(x) for the entry x at each of the coordinates (0-based), or
-    None.  Each point's allowed set is built once, when first needed."""
+    None.  Each point's allowed set is built at most once.
+
+    The box is walked row by row: the leading entries are fixed per row and
+    the last one varies innermost.  A row's values are taken with one call
+    per point through one `functools.partial` of the fixed entries, whose
+    allowed sets are fetched once per row.  A row whose values all lie in
+    one of those sets, or each in the allowed set of its last entry,
+    passes without a per-point loop."""
     fn = f.evaluator(f.arity)
     sets: dict[int, frozenset[int]] = {}
-    for args in _box_tuples(box, f.arity):
-        v = fn(*args)
-        for k in coordinates:
-            x = args[k]
-            if x not in sets:
-                sets[x] = frozenset(allowed(x))
-            if v in sets[x]:
-                break
-        else:
-            return args
+
+    def allowed_at(x: int) -> frozenset[int]:
+        if x not in sets:
+            sets[x] = frozenset(allowed(x))
+        return sets[x]
+
+    pts, last = box.points(), f.arity - 1
+    lead = [k for k in coordinates if k != last]
+    empty = frozenset()
+    ends = [allowed_at(y) if last in coordinates else empty for y in pts]
+    for head in itertools.product(pts, repeat=last):
+        lead_sets = [allowed_at(head[k]) for k in lead]
+        row = list(map(functools.partial(fn, *head), pts))
+        if (any(s.issuperset(row) for s in lead_sets)
+                or all(map(frozenset.__contains__, ends, row))):
+            continue
+        for y, v, end in zip(pts, row, ends):
+            if v not in end and not any(v in s for s in lead_sets):
+                return (*head, y)
     return None
 
 
@@ -72,8 +89,9 @@ def almost_unary_check(
     fibers: dict[int, dict[int, set[int]]] = {
         k: {a: set() for a in box.points()} for k in range(1, f.arity + 1)
     }
+    fn = f.evaluator(f.arity)
     for args in _box_tuples(box, f.arity):
-        v = f(*args)
+        v = fn(*args)
         for k in range(1, f.arity + 1):
             fibers[k][args[k - 1]].add(v)
     profiles = {
@@ -104,7 +122,7 @@ def _spreads(f: SymbolicFn, varying: Sequence[int], box: Box, threshold: int) ->
     coordinates (0-based) range over the whole box."""
     fixed = [k for k in range(f.arity) if k not in varying]
     interior = range(box.lo, box.lo + box.width // 2)
-    args = [0] * f.arity
+    fn, args = f.evaluator(f.arity), [0] * f.arity
     for rest in itertools.product(interior, repeat=len(fixed)):
         for pos, val in zip(fixed, rest):
             args[pos] = val
@@ -112,7 +130,7 @@ def _spreads(f: SymbolicFn, varying: Sequence[int], box: Box, threshold: int) ->
         for xs in itertools.product(box.points(), repeat=len(varying)):
             for pos, val in zip(varying, xs):
                 args[pos] = val
-            values.add(f(*args))
+            values.add(fn(*args))
         if len(values) >= threshold:
             return True
     return False

@@ -18,6 +18,7 @@ their arguments (see `clonelab.symbolic`).
 
 from __future__ import annotations
 
+import operator
 from typing import Collection, Iterable
 
 from .combinatorics import Coloring, IndependentFamily
@@ -116,7 +117,7 @@ def two_sided_pairing(
     argument; the two halves then land in distinct residue classes mod 4.
     """
     pr = pr or cantor_pairing()
-    below = delta_pairing(pr).fn
+    below, merge_fn = delta_pairing(pr).fn, merge.evaluator(2)
 
     if check_box is not None:
         # the all-markers cell merge(left 0, right 0) is deliberately free:
@@ -125,17 +126,17 @@ def two_sided_pairing(
             v = below(x, y)
             if v == 0:
                 continue
-            if merge(_left_inject(v), _RIGHT_MARK) != _left_inject(v):
+            if merge_fn(_left_inject(v), _RIGHT_MARK) != _left_inject(v):
                 raise InvalidMergeError(
                     f"merge({_left_inject(v)}, {_RIGHT_MARK}) != {_left_inject(v)}"
                 )
-            if merge(_LEFT_MARK, _right_inject(v)) != _right_inject(v):
+            if merge_fn(_LEFT_MARK, _right_inject(v)) != _right_inject(v):
                 raise InvalidMergeError(
                     f"merge({_LEFT_MARK}, {_right_inject(v)}) != {_right_inject(v)}"
                 )
 
     def fn(x: int, y: int) -> int:
-        return merge(_left_inject(below(x, y)), _right_inject(below(y, x)))
+        return merge_fn(_left_inject(below(x, y)), _right_inject(below(y, x)))
 
     return SymbolicFn("two_sided_pair", 2, fn)
 
@@ -176,24 +177,29 @@ def nested_pairing(f: SymbolicFn, box: Box) -> SymbolicFn:
         raise ConstructionRefuted("argument not injective below the diagonal", collision)
 
     at = square.reader(arg)
-    full = box.with_region("full")
-    # the inner g(x, y) comes from the table, so each point costs one outer call
-    if any(v <= max(p) for p, v in zip(full.pairs(), square.values)):
-        ranks = {v: i for i, v in enumerate(sorted(set(square.values)))}
-        base = box.hi
+    lo, hi, w, t = box.lo, box.hi, box.width, square.values
+    rows = [(lo + i, t[i * w:(i + 1) * w]) for i in range(w)]
+    # v <= max(x, y) exactly when v <= x or v <= y, and every max(x, y) is
+    # below hi, so values from hi up need no lift and no per-point test
+    lift = min(t) < hi and any(
+        min(row) <= x or any(map(operator.le, row, box.points())) for x, row in rows)
+    # the inner g(x, y) comes from the table, so each point costs at most
+    # one outer call
+    if lift:
+        ranks = {v: i for i, v in enumerate(sorted(set(t)))}
 
         def shift(v: int) -> int:
             if v in ranks:
-                return base + ranks[v]
-            return base + len(ranks) + v
+                return hi + ranks[v]
+            return hi + len(ranks) + v
 
         def g(x: int, y: int) -> int:
             return shift(at(x, y))
 
-        values = [g(x, shift(v)) for (x, _), v in zip(full.pairs(), square.values)]
+        values = [g(x, shift(v)) for x, row in rows for v in row]
     else:
         g = at
-        values = [g(x, v) for (x, _), v in zip(full.pairs(), square.values)]
+        values = [g(x, v) for x, row in rows for v in row]
 
     def fn(x: int, y: int) -> int:
         return g(x, g(x, y))
@@ -242,19 +248,19 @@ def split_merge_pairing(f: SymbolicFn, merge: SymbolicFn, box: Box) -> SymbolicF
             return evens[v]
         return spare + 2 * v  # odd, so it never shadows a normalized even
 
-    at = square.reader(arg)
+    at, merge_fn = square.reader(arg), merge.evaluator(2)
 
     def g(x: int, y: int) -> int:
         return normalize(at(x, y))
 
     for e in evens.values():
-        if merge(e, 1) != e:
+        if merge_fn(e, 1) != e:
             raise InvalidMergeError(f"merge({e}, 1) != {e}")
-        if merge(0, e + 1) != e + 1:
+        if merge_fn(0, e + 1) != e + 1:
             raise InvalidMergeError(f"merge(0, {e + 1}) != {e + 1}")
 
     def fn(x: int, y: int) -> int:
-        return merge(g(x, y), g(y, x) + 1)
+        return merge_fn(g(x, y), g(y, x) + 1)
 
     table = SquareTable.of(fn, box)
     return SymbolicFn("split_merge_pair", 2, table.reader(fn), table=table)

@@ -18,6 +18,7 @@ values and calls nothing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -275,19 +276,36 @@ def standard_merge() -> SymbolicFn:
 
 
 def compose_fn(outer: SymbolicFn, inner: list[SymbolicFn]) -> SymbolicFn:
+    """outer(g_1(x̄), ..., g_m(x̄)) for inner operations g_i of one arity n.
+
+    The composite's evaluator takes exactly n positional arguments and
+    calls each inner evaluator and the outer one positionally, so a call
+    builds no tuple, list or generator; see `_composer`."""
     if len(inner) != outer.arity:
         raise ValueError("inner count must match outer arity")
     arity = inner[0].arity
     if any(g.arity != arity for g in inner):
         raise ValueError("inner operations must share an arity")
-    fns = [g.fn for g in inner]
-    out = outer.fn
-
-    def fn(*args: int) -> int:
-        return out(*(g(*args) for g in fns))
-
+    fn = _composer(outer.arity, arity)(outer.fn, *(g.fn for g in inner))
     label = f"{outer.name}({', '.join(g.name for g in inner)})"
     return SymbolicFn(label, arity, fn)
+
+
+@functools.cache
+def _composer(m: int, n: int) -> Callable[..., Callable[..., int]]:
+    """A factory (out, g_1, ..., g_m) -> the n-ary evaluator
+    x̄ -> out(g_1(x̄), ..., g_m(x̄)), its source written out for these
+    arities, as `collections.namedtuple` does, and compiled once per pair."""
+    xs = ", ".join(f"x{i}" for i in range(n))
+    gs = [f"g{j}" for j in range(m)]
+    calls = ", ".join(f"{g}({xs})" for g in gs)
+    source = (f"def make(out, {', '.join(gs)}):\n"
+              f"    def fn({xs}):\n"
+              f"        return out({calls})\n"
+              f"    return fn\n")
+    namespace: dict[str, Callable] = {}
+    exec(source, namespace)
+    return namespace["make"]
 
 
 def _first_clash(items: Iterable[tuple], buckets: MutableMapping | None = None):
@@ -319,21 +337,28 @@ _CHUNK = 1024  # points check_injective_on evaluates between collision tests
 def check_injective_on(f: SymbolicFn, box: Box):
     """None when f is injective on the box region; otherwise the first
     colliding pair of pairs in the lexicographic scan.  A table f keeps
-    for the box is read instead of calling f.  Otherwise f is called on
-    _CHUNK points at a time, and the scan stops after the first chunk
-    whose values are not all new."""
+    for the box is read instead of calling f.  Otherwise the region is
+    walked row by row (`_row_parts`), calling f as fn(x, y), and its
+    values are tested in chunks of _CHUNK points, which may end mid-row:
+    the scan stops after the first chunk whose values are not all new."""
     if f.table is not None and (f.table.lo, f.table.hi) == (box.lo, box.hi):
         return f.table.collision(box.region)
-    fn = f.evaluator(2)
-    pairs, values, seen = box.pairs(), [], set()
-    while chunk := [fn(*p) for p in itertools.islice(pairs, _CHUNK)]:
-        values += chunk
-        seen.update(chunk)
-        if len(seen) < len(values):
-            break
-    else:
-        return None
-    return first_collision(box.pairs(), values)
+    fn, lo = f.evaluator(2), box.lo
+    values: list[int] = []
+    seen: set[int] = set()
+    for i, j, k in _row_parts(box.width, box.region):
+        x, ys = lo + i, range(lo + j, lo + k)
+        while ys:
+            cut = _CHUNK - len(values) % _CHUNK
+            piece = [fn(x, y) for y in ys[:cut]]
+            values += piece
+            seen.update(piece)
+            ys = ys[cut:]
+            if len(values) % _CHUNK == 0 and len(seen) < len(values):
+                return first_collision(box.pairs(), values)
+    if len(seen) < len(values):
+        return first_collision(box.pairs(), values)
+    return None
 
 
 @dataclass(frozen=True)

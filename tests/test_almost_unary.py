@@ -194,6 +194,63 @@ class TestConfinementScan:
             outcomes.add(("spread", escape is None))
         assert outcomes == {(check, ok) for check in ("witness", "spread") for ok in (True, False)}
 
+    LO, HI = 2, 8
+
+    @pytest.mark.parametrize("arity,coord,planted", [
+        # the first row, under the fixed coordinate and under the varying one
+        (2, 1, [(2, 5), (3, 2)]),
+        (2, 2, [(2, 4), (2, 6)]),
+        # the last column, before an escape further along
+        (2, 1, [(4, 7), (5, 2)]),
+        (2, 2, [(3, 7), (6, 3)]),
+        # the last point of the box
+        (2, 1, [(7, 7)]),
+        (2, 2, [(7, 7)]),
+        # ternary, under coordinate 2: fixed per row, not the last coordinate
+        (3, 2, [(3, 5, 4), (3, 6, 2)]),
+        (3, 2, [(2, 2, 7)]),
+        (3, 2, [(7, 7, 7)]),
+        (3, 3, [(2, 3, 7), (4, 2, 2)]),
+        (3, 1, [(5, 2, 2)]),
+    ])
+    def test_planted_escapes(self, arity, coord, planted):
+        """A map confined to {0} everywhere except at the planted tuples
+        escapes first at the least of them, for the witness scan and for
+        the per-point cover alike, and builds each allowed set once."""
+        box = Box(self.LO, self.HI, "full")
+        bad = set(planted)
+        f = SymbolicFn("planted", arity, lambda *args: 10**6 if args in bad else 0)
+        built = Counter()
+
+        def allowed(x):
+            built[x] += 1
+            return range(0, x + 1)
+
+        report = almost_unary_check(f, box, AlmostUnaryWitness(coord, allowed))
+        assert (report.kind, report.violation) == ("witness-refuted", min(planted))
+        assert max(built.values()) == 1
+        built.clear()
+        assert witnessed_spread_check(f, SpreadWitness(allowed), box).witness_tuple == min(planted)
+        assert max(built.values()) == 1
+        built.clear()
+        clean = SymbolicFn("clean", arity, lambda *args: 0)
+        report = almost_unary_check(clean, box, AlmostUnaryWitness(coord, allowed))
+        assert report.kind == "witness-verified"
+        assert built == Counter(box.points())
+
+    def test_only_the_witness_coordinate_confines(self):
+        """A value allowed by another coordinate's entry is still an escape."""
+        box = Box(0, 6, "full")
+        f = SymbolicFn("third", 3, lambda a, b, c: c)
+        report = almost_unary_check(
+            f, box, AlmostUnaryWitness(2, lambda x: range(0, x + 1)))
+        assert report.violation == (0, 0, 1)
+        report = almost_unary_check(
+            f, box, AlmostUnaryWitness(3, lambda x: range(0, x + 1)))
+        assert report.kind == "witness-verified"
+        verdict = witnessed_spread_check(f, SpreadWitness(lambda x: {x}), box)
+        assert verdict.kind == "verified"
+
 
 class TestWitnessPropagation:
     def test_median_of_witnessed_parts(self):

@@ -123,6 +123,35 @@ class TestNestedPairing:
         fn = nested_pairing(bump, Box(0, 1, "offdiag"))
         assert fn(0, 0) >= 0  # nothing to collide on; the construction stands
 
+    @pytest.mark.parametrize("offset,lift", [
+        (100, False),  # every value lies above the box: the minimum decides
+        (4, False),  # some values lie inside the box, all above max: the scan decides
+        (0, True),  # F(lo, lo) = lo: a value at max, so F is lifted
+    ])
+    def test_both_branches_of_the_lift(self, offset, lift):
+        lo, w = 3, 6
+        box, full = Box(lo, lo + w, "offdiag"), Box(lo, lo + w, "full")
+
+        def fn(x, y):  # symmetric, injective on each triangle, >= max(x, y) - lo + offset
+            a, b = min(x, y) - lo, max(x, y) - lo
+            return b * (b + 1) // 2 + a + offset
+
+        counted, calls = counting("f", fn)
+        square = [fn(x, y) for x, y in full.pairs()]
+        assert (min(square) >= box.hi) == (offset == 100)
+        assert any(v <= max(p) for p, v in zip(full.pairs(), square)) == lift
+        got = nested_pairing(counted, box)
+        want = ref.nested(fn, (box.lo, box.hi, box.region))
+        assert [got(x, y) for x, y in full.pairs()] == [want(x, y) for x, y in full.pairs()]
+        inside = sum(1 for v in square if box.lo <= v < box.hi)
+        if lift:
+            assert all(got(x, y) >= box.hi for x, y in full.pairs())
+            assert len(calls) == 2 * w * w  # every shifted outer argument lies above the box
+        else:
+            assert all(got(x, y) == fn(x, fn(x, y)) for x, y in full.pairs())
+            assert (inside > 0) == (offset == 4)
+            assert len(calls) == 2 * w * w - inside  # in-box outer arguments read the square
+
 
 class TestSplitMergePairing:
     def test_transposed_lower_pairing(self):

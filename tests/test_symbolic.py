@@ -1,3 +1,7 @@
+import inspect
+import itertools
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,8 +142,46 @@ class TestBasicFunctions:
     def test_compose_fn(self):
         doubled_min = compose_fn(SymbolicFn("d", 1, lambda v: 2 * v), [min_fn()])
         assert doubled_min(3, 8) == 6
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inner count must match outer arity"):
             compose_fn(max_fn(), [min_fn()])
+        with pytest.raises(ValueError, match="inner operations must share an arity"):
+            compose_fn(max_fn(), [min_fn(), median_fn()])
+
+
+def _random_map(seed, arity):
+    """A plain integer map of the given arity, fixed by the seed."""
+    def fn(*args):
+        assert len(args) == arity
+        return hash((seed,) + args) % 11
+    return fn
+
+
+class TestComposeFn:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6), st.integers(0, 6))
+    def test_the_composite_is_the_pointwise_composition(self, m, n, seed, lo):
+        outer = SymbolicFn("o", m, _random_map(seed, m))
+        inner = [SymbolicFn(f"g{j}", n, _random_map(seed + j + 1, n)) for j in range(m)]
+        composite = compose_fn(outer, inner)
+        assert composite.name == f"o({', '.join(f'g{j}' for j in range(m))})"
+        assert composite.arity == n and composite.witness is None
+        for args in itertools.product(Box(lo, lo + 3).points(), repeat=n):
+            want = outer.fn(*(g.fn(*args) for g in inner))
+            assert composite(*args) == composite.evaluator(n)(*args) == want
+        for wrong in (n - 1, n + 1):
+            message = f"{composite.name}: expected {n} args, got {wrong}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                composite(*range(wrong))
+            with pytest.raises(ValueError, match=re.escape(message)):
+                composite.evaluator(wrong)
+
+    def test_one_evaluator_code_per_pair_of_arities(self):
+        a = compose_fn(median_fn(), [max_fn(), min_fn(), cantor_pairing()])
+        b = compose_fn(median_fn(), [min_fn(), min_fn(), max_fn()])
+        c = compose_fn(max_fn(), [min_fn(), max_fn()])
+        assert a.fn.__code__ is b.fn.__code__
+        assert c.fn.__code__ is not a.fn.__code__
+        assert a.fn.__code__.co_argcount == 2 and not a.fn.__code__.co_flags & inspect.CO_VARARGS
 
 
 class TestInjectivityChecker:
