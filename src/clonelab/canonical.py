@@ -119,16 +119,17 @@ class RegionClassification:
 def classify_on_region(f: SymbolicFn, region: str, sample: Sequence[int]) -> RegionClassification:
     """Sort a canonical map's restriction into exactly one of four shapes.
 
-    Requires canonicity on the sample (checked; a violation raises).  With
-    fewer than three region pairs the sample cannot separate the shapes and
-    the verdict is a degenerate constant.
+    Requires canonicity on the sample (checked; a violation raises).  The
+    region is checked first, so a bad one raises before f is evaluated.
+    With fewer than three region pairs the sample cannot separate the shapes
+    and the verdict is a degenerate constant.
     """
+    if region not in ("delta", "nabla"):
+        raise ValueError("region must be delta or nabla")
     sample = sorted(set(sample))
     violation = is_canonical(f, sample)
     if violation is not None:
         raise NotCanonicalError(violation)
-    if region not in ("delta", "nabla"):
-        raise ValueError("region must be delta or nabla")
     pairs = [(sample[i], b) for i, lo, hi in _row_parts(len(sample), region) for b in sample[lo:hi]]
     if len(pairs) < 3:
         value = f(*pairs[0]) if pairs else None

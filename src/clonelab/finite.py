@@ -425,8 +425,11 @@ def pol(relation: RelationTable, arity_cap: int) -> OpSet:
 # ---------------------------------------------------------------------------
 # Bounded clone closure.
 #
-# closure_slice takes one of three routes, tried in this order; each returns
-# the same tables, in table order:
+# Generators enter as _normalized_generators stages them, once per public
+# call: one uint8 stack of table rows per arity (_Stacks), and every route,
+# the subuniverse kernel and the engine read those rows.  closure_slice takes
+# one of three routes, tried in this order; each returns the same tables, in
+# table order:
 # - full slices (arity >= 2, carriers 2 and 3) are listed from the maximal
 #   clones, with no pool (see the relation lists below);
 # - slices of clones with a majority term (arity >= 4, carriers 2 and 3, pair
@@ -513,12 +516,17 @@ _TILE_BYTES = 16 << 20
 # U^n ⋊ S_n with U = S_k, carrier 2 up to arity 5, carrier 3 up to arity 3
 # and carrier 4 at arity 2
 _ORBIT_CELLS = 1 << 20
+# (arity, uint8 stack of table rows) per arity, in increasing arity
+_Stacks = list[tuple[int, np.ndarray]]
 
 
+@functools.cache
 def _all_rows(k: int, width: int) -> np.ndarray:
     """Every row of width digits below k, in table order: row i holds the
-    base-k digits of i."""
-    return np.ascontiguousarray(np.indices((k,) * width, dtype=np.uint8).reshape(width, -1).T)
+    base-k digits of i.  Built once per (k, width) and read-only."""
+    rows = np.ascontiguousarray(np.indices((k,) * width, dtype=np.uint8).reshape(width, -1).T)
+    rows.flags.writeable = False
+    return rows
 
 
 def _limb_widths(k: int, width: int) -> list[int]:
@@ -529,14 +537,6 @@ def _limb_widths(k: int, width: int) -> list[int]:
     count = max(2, -(-width // c))
     q, r = divmod(width, count)
     return [q + 1] * r + [q] * (count - r)
-
-
-@functools.cache
-def _limb_digits(k: int, w: int) -> np.ndarray:
-    """The digit rows of the k^w values of a w-digit limb (at most 2^8 rows)."""
-    rows = _all_rows(k, w)
-    rows.flags.writeable = False
-    return rows
 
 
 def _limb_runs(widths: list[int]) -> list[tuple[int, int, int]]:
@@ -551,7 +551,7 @@ def _limb_runs(widths: list[int]) -> list[tuple[int, int, int]]:
 
 def _unpack(limbs: np.ndarray, k: int, widths: list[int]) -> np.ndarray:
     """Digit rows of limb rows, one lookup per run of equal limbs."""
-    parts = [_limb_digits(k, w)[limbs[:, col : col + n]].reshape(len(limbs), n * w)
+    parts = [_all_rows(k, w)[limbs[:, col : col + n]].reshape(len(limbs), n * w)
              for w, col, n in _limb_runs(widths)]
     return np.concatenate(parts, axis=1)
 
@@ -592,14 +592,14 @@ def _variable_permutations(k: int, n: int, units: tuple[tuple[int, ...], ...]) -
     return np.ascontiguousarray(codes.reshape(-1, k**n))
 
 
-def _unit_group(k: int, unary: Sequence[OpTable], limit: int) -> tuple[tuple[int, ...], ...] | None:
-    """The group U that the permutations among the unary tables generate,
+def _unit_group(k: int, unary: Sequence[np.ndarray], limit: int) -> tuple[tuple[int, ...], ...] | None:
+    """The group U that the permutations among the unary rows generate,
     sorted (identity first); None once it has more than limit elements.
 
     U is the group of units of the monoid all the unary tables generate: a
     product of maps of a finite set is a bijection only when every factor is.
     """
-    gens = [g.table for g in unary if len(set(g.table)) == k]
+    gens = [g for g in map(tuple, np.asarray(unary).tolist()) if len(set(g)) == k]
     group = {tuple(range(k))}
     frontier = list(group)
     while frontier:
@@ -736,9 +736,9 @@ class _CodeEngine:
             keys, first = np.unique(keys, return_index=True)
         return keys, first % len(self.perms) == 0
 
-    def widen(self, unary: Sequence[OpTable]) -> None:
+    def widen(self, unary: Sequence[np.ndarray]) -> None:
         """Widen the orbits from S_n to U^n ⋊ S_n, U the group the unary
-        permutations among the generators generate, and flag the first
+        permutations among the generators' rows generate, and flag the first
         table of each orbit in pool order.
 
         Called when the pool is the slice of <unary>, which the wider group
@@ -791,29 +791,29 @@ class _CodeEngine:
 
     # -- generator application ----------------------------------------------
 
-    def activate(self, g: OpTable) -> None:
-        k, lut = self.k, np.asarray(g.table, dtype=np.uint8)
-        payload, stacked = lut, 0
-        if g.arity <= 2:
+    def activate(self, m: int, lut: np.ndarray) -> None:
+        """Take on an m-ary generator, given as its uint8 table row."""
+        k, payload, stacked = self.k, lut, 0
+        if m <= 2:
             # by_width[w]: g acting on w-digit chunks, built one digit at a
             # time: g on the leading w - 1 digits times k plus g on the last
             # digit, laid out along every axis by contiguous repeats and tiles
-            by_width = {1: lut.reshape((k,) * g.arity)}
+            by_width = {1: lut.reshape((k,) * m)}
             for w in range(2, self.widths[0] + 1):
                 lead = by_width[w - 1]
-                for axis in range(g.arity):
+                for axis in range(m):
                     lead = lead.repeat(k, axis=axis)
-                by_width[w] = lead * k + np.tile(by_width[1], (k ** (w - 1),) * g.arity)
+                by_width[w] = lead * k + np.tile(by_width[1], (k ** (w - 1),) * m)
             runs = [(col, n, by_width[w]) for w, col, n in _limb_runs(self.widths)]
             # a binary generator stacks, per left operand, one table row of
             # k^w bytes per limb: limb j's row starts at offsets[j]
             sizes = [k**w for w in self.widths]
             payload = (runs, np.cumsum([0] + sizes[:-1]))
-            if g.arity == 2:
+            if m == 2:
                 # bytes per left operand of one tile: the stack, and with more
                 # than one run also the runs' rows it is joined from
                 stacked = sum(sizes) * (1 + (len(runs) > 1))
-        self.appliers.append((g.arity, payload, stacked))
+        self.appliers.append((m, payload, stacked))
         self.cursors.append(0)
 
     def _limbwise(self, payload: tuple[list, np.ndarray], operands: list[np.ndarray]) -> np.ndarray:
@@ -892,9 +892,9 @@ def _grown(a: np.ndarray, used: int, cap: int) -> np.ndarray:
 
 
 def _subuniverses(
-    gens: Sequence[OpTable], k: int, arity: int, power: int
+    stacks: _Stacks, k: int, arity: int, power: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The subuniverses of A^power that gens generate from the columns of
+    """The subuniverses of A^power that G generates from the columns of
     power points of X^arity: the i-th coordinates of points p_1..p_power form
     a column, coded with the leftmost coordinate most significant.  Returns
     (sets, where): sets holds subuniverses as bool rows over the k^power
@@ -919,8 +919,8 @@ def _subuniverses(
         prefix = where.reshape([n for a in where.shape for n in (a, 1)])
         where = inverse[prefix * size + columns].reshape([a * k for a in where.shape])
     actions = []
-    for m in sorted({g.arity for g in gens}):
-        luts = np.array([g.table for g in gens if g.arity == m], dtype=np.intp)
+    for m, stack in stacks:
+        luts = stack.astype(np.intp)
         tuples = np.indices((size,) * m).reshape(m, -1).T  # m-tuples of column codes
         image = np.zeros((len(luts), len(tuples)), dtype=np.intp)
         for place in k ** np.arange(power - 1, -1, -1):  # one coordinate of the columns
@@ -945,15 +945,15 @@ def _subuniverses(
     return sets, where
 
 
-def _subuniverse_bound(gens: Sequence[OpTable], k: int, arity: int) -> int:
-    """|Pol_arity| of every subset that all of gens preserve.
+def _subuniverse_bound(stacks: _Stacks, k: int, arity: int) -> int:
+    """|Pol_arity| of every subset that all of G preserve.
 
     An operation f preserves every such subuniverse exactly when, at each
     point x of X^arity, f(x) lies in Sg(x_1..x_n), the subuniverse the
     coordinates of x generate.  So the count is the product of |Sg(x_1..x_n)|
     over the points.  Every slice the generators reach lies inside that Pol.
     """
-    sets, where = _subuniverses(gens, k, arity, 1)
+    sets, where = _subuniverses(stacks, k, arity, 1)
     points = np.bincount(where, minlength=len(sets))
     return math.prod(int(size) ** int(n) for size, n in zip(sets.sum(axis=1), points))
 
@@ -1027,13 +1027,7 @@ def _maximal_masks(k: int, m: int) -> np.ndarray:
     return masks
 
 
-def _arity_stacks(gens: Sequence[OpTable]) -> list[tuple[np.ndarray, int]]:
-    """The generators' tables as one uint8 stack per arity, by increasing arity."""
-    return [(np.array([g.table for g in gens if g.arity == m], dtype=np.uint8), m)
-            for m in sorted({g.arity for g in gens})]
-
-
-def _kept_maximal_relations(gens: Sequence[OpTable], k: int) -> Iterator[_Invariant]:
+def _kept_maximal_relations(stacks: _Stacks, k: int) -> Iterator[_Invariant]:
     """The maximal-clone relations every generator preserves, lazily, in list order.
 
     The stack of an arity with a mask table (_maximal_masks) is read with
@@ -1045,31 +1039,31 @@ def _kept_maximal_relations(gens: Sequence[OpTable], k: int) -> Iterator[_Invari
     """
     rels, wide = _maximal_relations(k), []
     kept = (1 << len(rels)) - 1
-    for stack, m in _arity_stacks(gens):
+    for m, stack in stacks:
         if _has_masks(k, m):
             kept &= int(np.bitwise_and.reduce(_maximal_masks(k, m)[_tuple_codes(stack, k)]))
         else:
-            wide.append((stack, m))
+            wide.append((m, stack))
     for i, inv in enumerate(rels):
-        if kept >> i & 1 and all(inv.preserved_by(stack, m).all() for stack, m in wide):
+        if kept >> i & 1 and all(inv.preserved_by(stack, m).all() for m, stack in wide):
             yield inv
 
 
-def _escapes_every_maximal_clone(gens: Sequence[OpTable], k: int) -> bool:
-    """Whether <gens> lies in no maximal clone: its slices of arity >= 2 are
+def _escapes_every_maximal_clone(stacks: _Stacks, k: int) -> bool:
+    """Whether <G> lies in no maximal clone: its slices of arity >= 2 are
     full (carriers 2 and 3 only)."""
-    return next(_kept_maximal_relations(gens, k), None) is None
+    return next(_kept_maximal_relations(stacks, k), None) is None
 
 
 def _closure(
-    gens: list[OpTable], carrier: Carrier, arity: int, bound: int | None
-) -> tuple[np.ndarray, bool, list[OpTable]]:
+    stacks: _Stacks, carrier: Carrier, arity: int, bound: int | None
+) -> tuple[np.ndarray, bool, list[tuple[int, np.ndarray]]]:
     """The engine's fill of one slice: (the pool's digit rows in table order,
-    full, activated generators).
+    full, the activated generators as (arity, table row) in activation order).
 
     The run stops once the pool reaches bound, the caller's _subuniverse_bound
-    of gens.  With None it applies every operand tuple instead: the tests hold
-    the bound stop against that run.
+    of the stacks.  With None it applies every operand tuple instead: the
+    tests hold the bound stop against that run.
     """
     k = carrier.size
     eng = _CodeEngine(k, arity, bound)
@@ -1078,20 +1072,19 @@ def _closure(
     # the code of each point's first m coordinates, by m
     prefix_codes = [_tuple_codes(points[:, :m], k) for m in range(arity + 1)]
 
-    activated: list[OpTable] = []
-    unary = sum(g.arity == 1 for g in gens)  # the generators come sorted by arity
-    for i, g in enumerate(gens):
+    gens = [(m, row) for m, stack in stacks for row in stack]
+    activated: list[tuple[int, np.ndarray]] = []
+    unary = sum(m == 1 for m, _ in gens)  # the stacks come in increasing arity
+    for i, (m, row) in enumerate(gens):
         if eng.done_enough:
             break
         if i == unary:
-            eng.widen(activated)  # the pool is the slice of the unary generators
-        if g.arity <= arity:
-            # g(x_1..x_m) as an operation of the slice's arity
-            cylinder = np.asarray(g.table, dtype=np.uint8)[prefix_codes[g.arity]]
-            if eng.has(eng.key_of_row(cylinder)):
-                continue  # already a term function of the generators activated so far
-        activated.append(g)
-        eng.activate(g)
+            eng.widen([u for _, u in activated])  # the pool is the slice of the unary generators
+        # row(x_1..x_m) as an operation of the slice's arity
+        if m <= arity and eng.has(eng.key_of_row(row[prefix_codes[m]])):
+            continue  # already a term function of the generators activated so far
+        activated.append((m, row))
+        eng.activate(m, row)
         eng.drain()
     codes = eng.limbs[: eng.count]
     # limb rows are ordered like their digits: most significant limb first
@@ -1116,33 +1109,32 @@ def _is_majority(tables: np.ndarray, k: int) -> np.ndarray:
     return (tables[:, index] == np.tile(x, 3)).all(axis=1)
 
 
-def _has_majority_term(gens: list[OpTable], carrier: Carrier) -> bool:
-    """Whether <gens> holds a majority operation (carriers 2 and 3).
+def _has_majority_term(stacks: _Stacks, carrier: Carrier) -> bool:
+    """Whether <G> holds a majority operation (carriers 2 and 3).
 
     First among the generators.  Then, when every generator preserves the
-    affine relation x + y = z + u, <gens> holds only the operations
+    affine relation x + y = z + u, <G> holds only the operations
     a_1.x_1 + .. + a_m.x_m + c over Z_k, and no ternary one is a majority:
     m(x,x,y) = x forces a_3 = 0, likewise a_2 = a_1 = 0, and then m(x,x,x) = c
     is not x.  Otherwise the answer is read off the ternary slice, which is no
     larger than any slice of higher arity; it is filled under the same budget.
     """
     k = carrier.size
-    ternary = [g.table for g in gens if g.arity == 3]
-    if ternary and _is_majority(np.array(ternary, dtype=np.uint8), k).any():
+    if any(m == 3 and _is_majority(stack, k).any() for m, stack in stacks):
         return True
     affine = next(inv for inv in _maximal_relations(k) if inv.relation.width == 4)
-    if all(affine.preserved_by(stack, m).all() for stack, m in _arity_stacks(gens)):
+    if all(affine.preserved_by(stack, m).all() for m, stack in stacks):
         return False
-    rows = _closure(gens, carrier, 3, _subuniverse_bound(gens, k, 3))[0]
+    rows = _closure(stacks, carrier, 3, _subuniverse_bound(stacks, k, 3))[0]
     return bool(_is_majority(rows, k).any())
 
 
-def _majority_slice(gens: Sequence[OpTable], k: int, arity: int) -> np.ndarray:
-    """The arity-slice of <gens>, which holds a majority operation, as digit
+def _majority_slice(stacks: _Stacks, k: int, arity: int) -> np.ndarray:
+    """The arity-slice of <G>, which holds a majority operation, as digit
     rows in table order; ResourceLimitError once the partial rows pass
     _MAX_TABLES (each level is a projection of the slice, so it is no larger)."""
     width = k**arity
-    sets, where = _subuniverses(gens, k, arity, 2)
+    sets, where = _subuniverses(stacks, k, arity, 2)
     pairs = (sets @ (1 << np.arange(k * k))).astype(np.uint16)[where]  # bitmasks over a.k + b
     values = np.arange(k, dtype=np.uint16)
     rows = np.zeros((1, width), dtype=np.uint8)
@@ -1167,15 +1159,17 @@ def _majority_slice(gens: Sequence[OpTable], k: int, arity: int) -> np.ndarray:
 
 def _normalized_generators(
     generators: Sequence[OpTable], carrier: Carrier, arity: int, include_all_unary: bool
-) -> list[OpTable]:
-    """Validate the slice and dedup and stage generators for introduction.
+) -> _Stacks:
+    """Validate the slice, dedup the generators and stage them for introduction.
 
-    Every closure entry starts here, so a slice of arity below 1 or a
-    carrier above _MAX_CARRIER raises ValueError before any table is built.
-    Unary generators go first (they are cheap and multiply the pool fast);
-    within an arity the caller's order is kept, so callers can front-load
-    the generators they expect to carry the closure.  The resulting clone
-    does not depend on the order, only the work done to reach it does.
+    The one place where OpTables become arrays: (arity, uint8 stack of table
+    rows) per arity, the first of equal generators kept.  Every closure
+    entry starts here, so a slice of arity below 1 or a carrier above
+    _MAX_CARRIER raises ValueError before any table is built.  Unary
+    generators go first (they are cheap and multiply the pool fast); within
+    an arity the caller's order is kept, so callers can front-load the
+    generators they expect to carry the closure.  The resulting clone does
+    not depend on the order, only the work done to reach it does.
     """
     if arity < 1:
         raise ValueError(f"slice arity must be >= 1, got {arity}")
@@ -1186,15 +1180,10 @@ def _normalized_generators(
     for g in gens:
         if g.carrier != carrier:
             raise ValueError("generator on a different carrier")
-    seen: set[tuple[int, tuple[int, ...]]] = set()
-    deduped = []
-    for g in gens:
-        key = (g.arity, g.table)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(g)
-    deduped.sort(key=lambda g: g.arity)  # stable: preserves order within an arity
-    return deduped
+    tables: dict[int, list[tuple[int, ...]]] = {}
+    for g in dict.fromkeys(gens):
+        tables.setdefault(g.arity, []).append(g.table)
+    return [(m, np.array(tables[m], dtype=np.uint8)) for m in sorted(tables)]
 
 
 def closure_slice(
@@ -1222,24 +1211,24 @@ def closure_slice(
     ResourceLimitError, at once when a full slice is that large; an arity
     below 1 or a carrier above _MAX_CARRIER raises ValueError.
     """
-    gens = _normalized_generators(generators, carrier, arity, False)
-    rows, full = _slice_rows(gens, carrier, arity)
+    stacks = _normalized_generators(generators, carrier, arity, False)
+    rows, full = _slice_rows(stacks, carrier, arity)
     return list(_row_tuples(rows)), full
 
 
-def _slice_rows(gens: list[OpTable], carrier: Carrier, arity: int) -> tuple[np.ndarray, bool]:
+def _slice_rows(stacks: _Stacks, carrier: Carrier, arity: int) -> tuple[np.ndarray, bool]:
     """closure_slice on normalized generators: (digit rows in table order, is_full)."""
     k, width = carrier.size, carrier.size**arity
     if arity >= 2 and k <= 3:
-        if _escapes_every_maximal_clone(gens, k):
+        if _escapes_every_maximal_clone(stacks, k):
             if k**width > _MAX_TABLES:
                 raise ResourceLimitError(f"slice exceeded {_MAX_TABLES} tables at arity {arity}")
             return _all_rows(k, width), True
-        widest = max([arity] + [g.arity for g in gens])
-        if arity >= 4 and k ** (2 * widest) <= _BITMAP_SPACE and _has_majority_term(gens, carrier):
-            rows = _majority_slice(gens, k, arity)
+        widest = max([arity] + [m for m, _ in stacks])
+        if arity >= 4 and k ** (2 * widest) <= _BITMAP_SPACE and _has_majority_term(stacks, carrier):
+            rows = _majority_slice(stacks, k, arity)
             return rows, len(rows) == k**width
-    return _closure(gens, carrier, arity, _subuniverse_bound(gens, k, arity))[:2]
+    return _closure(stacks, carrier, arity, _subuniverse_bound(stacks, k, arity))[:2]
 
 
 def closure_covers_slice(
@@ -1269,13 +1258,15 @@ def reduce_generators(
     Runs the top slice's introduction scan and keeps only the generators
     that were not already term functions of the earlier ones; everything
     skipped is derivable from the kept subset, so closures agree at every
-    arity up to the cap.
+    arity up to the cap.  The kept rows come back as OpTables equal to the
+    caller's.
     """
-    gens = _normalized_generators(generators, carrier, arity_cap, False)
-    for g in gens:
-        if g.arity > arity_cap:
-            raise ValueError("arity cap below a generator arity")
-    return _closure(gens, carrier, arity_cap, _subuniverse_bound(gens, carrier.size, arity_cap))[2]
+    stacks = _normalized_generators(generators, carrier, arity_cap, False)
+    if stacks and stacks[-1][0] > arity_cap:
+        raise ValueError("arity cap below a generator arity")
+    bound = _subuniverse_bound(stacks, carrier.size, arity_cap)
+    kept = _closure(stacks, carrier, arity_cap, bound)[2]
+    return [OpTable(carrier, m, tuple(row.tolist())) for m, row in kept]
 
 
 def clone_closure(
@@ -1291,13 +1282,11 @@ def clone_closure(
     operation when include_all_unary is set).  Each slice's digit rows
     become the OpSet's rows as they are.
     """
-    gens = _normalized_generators(generators, carrier, arity_cap, include_all_unary)
-    for g in gens:
-        if g.arity > arity_cap:
-            raise ValueError(
-                f"arity cap {arity_cap} below generator arity {g.arity}"
-            )
-    slices = {n: _slice_rows(gens, carrier, n)[0] for n in range(1, arity_cap + 1)}
+    stacks = _normalized_generators(generators, carrier, arity_cap, include_all_unary)
+    for m, _ in stacks:
+        if m > arity_cap:
+            raise ValueError(f"arity cap {arity_cap} below generator arity {m}")
+    slices = {n: _slice_rows(stacks, carrier, n)[0] for n in range(1, arity_cap + 1)}
     return OpSet._from_rows(carrier, arity_cap, slices)
 
 
@@ -1320,13 +1309,13 @@ def closure_slice_is_full(
     fills the slice.  An arity below 1 or a carrier above _MAX_CARRIER
     raises ValueError.
     """
-    gens = _normalized_generators(generators, carrier, arity, False)
+    stacks = _normalized_generators(generators, carrier, arity, False)
     if arity >= 2 and carrier.size <= 3:
-        return _escapes_every_maximal_clone(gens, carrier.size)
-    bound = _subuniverse_bound(gens, carrier.size, arity)
+        return _escapes_every_maximal_clone(stacks, carrier.size)
+    bound = _subuniverse_bound(stacks, carrier.size, arity)
     if bound < op_space_size(carrier, arity):
         return False
-    return _closure(gens, carrier, arity, bound)[1]
+    return _closure(stacks, carrier, arity, bound)[1]
 
 
 def conjugate(op: OpTable, perm: Sequence[int]) -> OpTable:

@@ -19,14 +19,16 @@ from .finite import (
     ResourceLimitError,
     all_op_tables,
     clone_closure,
-    closure_slice,
     closure_slice_is_full,
     conjugate,
     op_space_size,
+    _all_rows,
     _check_candidate_budget,
     _kept_maximal_relations,
     _maximal_masks,
     _maximal_relations,
+    _normalized_generators,
+    _slice_rows,
     _tuple_codes,
 )
 
@@ -54,13 +56,15 @@ def precompleteness_evidence(
 
     "Everything" is closure_slice_is_full at arity_cap: a full slice there
     implies full slices below it, by identifying variables, so no slice
-    above arity_cap is built.  On carriers 2 and 3 at arity_cap >= 2,
-    gens + [f] is full exactly when f escapes each maximal clone holding all
-    of gens.  Those clones are found once, as a bitmask over
-    _maximal_relations; the non-members of an arity are looked up in
-    _maximal_masks, one lookup for all of them, and the witness is the first
-    in table order whose mask meets it.  Elsewhere each candidate asks
-    closure_slice_is_full.  working_cap changes no verdict; it must be
+    above arity_cap is built.  The generators are normalized once; the
+    non-members of arity n are the rows of _all_rows whose codes the slice's
+    rows miss, in table order.  On carriers 2 and 3 at arity_cap >= 2,
+    gens + [f] is full exactly when f escapes each maximal clone holding
+    all of gens.  Those clones are found
+    once, as a bitmask over _maximal_relations; the non-members are looked
+    up in _maximal_masks, one lookup for all of them, and the witness is
+    the first in table order whose mask meets it.  Elsewhere each candidate
+    asks closure_slice_is_full.  working_cap changes no verdict; it must be
     at least arity_cap + 1 and at least every generator's arity.  Before the
     candidates of arity n are tried, ResourceLimitError is raised when the
     operations of arity <= n number more than pol's candidate budget.
@@ -73,25 +77,26 @@ def precompleteness_evidence(
             raise ValueError(f"working cap {working_cap} below generator arity {g.arity}")
     if closure_slice_is_full(gens, carrier, arity_cap):
         return PrecompletenessVerdict("improper")
-    k = carrier.size
+    k, stacks = carrier.size, _normalized_generators(gens, carrier, arity_cap, False)
     kept = None  # bit i: every generator preserves _maximal_relations(k)[i]
     if arity_cap >= 2 and k <= 3:
-        kept = sum(1 << _maximal_relations(k).index(inv) for inv in _kept_maximal_relations(gens, k))
+        kept = sum(1 << _maximal_relations(k).index(inv) for inv in _kept_maximal_relations(stacks, k))
     for n in range(1, arity_cap + 1):
         _check_candidate_budget(carrier, n)
-        members = set(closure_slice(gens, carrier, n)[0])
-        outside = [t for t in itertools.product(range(k), repeat=k**n) if t not in members]
+        missing = np.ones(k ** k**n, dtype=bool)  # by table code
+        missing[_tuple_codes(_slice_rows(stacks, carrier, n)[0], k)] = False
+        outside = _all_rows(k, k**n)[missing]
         if kept is None:
-            witness = next((t for t in outside if not closure_slice_is_full(
-                gens + [OpTable(carrier, n, t)], carrier, arity_cap)), None)
+            witness = next((row for row in outside if not closure_slice_is_full(
+                gens + [OpTable(carrier, n, tuple(row.tolist()))], carrier, arity_cap)), None)
         else:
             # every arity tried here has a mask table: _check_candidate_budget
             # raised first at arity 5 on carrier 2 and at arity 3 on carrier 3
-            stack = np.array(outside, dtype=np.uint8).reshape(len(outside), k**n)
-            held = (_maximal_masks(k, n)[_tuple_codes(stack, k)] & kept) != 0
+            held = (_maximal_masks(k, n)[_tuple_codes(outside, k)] & kept) != 0
             witness = outside[held.argmax()] if held.any() else None
         if witness is not None:
-            return PrecompletenessVerdict("not-maximal", witness=OpTable(carrier, n, witness))
+            witness = OpTable(carrier, n, tuple(witness.tolist()))
+            return PrecompletenessVerdict("not-maximal", witness=witness)
     return PrecompletenessVerdict("precomplete-evidence")
 
 

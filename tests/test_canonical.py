@@ -172,6 +172,17 @@ class TestClassification:
         with pytest.raises(ValueError, match="region must be delta or nabla"):
             classify_on_region(max_fn(), region, SPARSE)
 
+    def test_a_bad_region_is_rejected_before_the_canonicity_scan(self):
+        calls = []
+
+        def parity(x, y):
+            calls.append((x, y))
+            return (x + y) % 2
+
+        with pytest.raises(ValueError, match="region must be delta or nabla"):
+            classify_on_region(SymbolicFn("par", 2, parity), "full", range(30))
+        assert calls == []
+
 
 _INTERACTION_KINDS = ("pair", "below", "max", "symmetric-pair", "pair-mod", "noise",
                       "symmetric-noise", "noise-below")

@@ -101,6 +101,12 @@ def _op(k, arity, fn, perm=None):
     return conjugate(op, perm) if perm else op
 
 
+def _stacks(gens, k):
+    """The generators as the private kernels take them: (arity, uint8 stack
+    of table rows) per arity, staged by _normalized_generators."""
+    return _normalized_generators(gens, Carrier(k), 1, False)
+
+
 def _engine_full(gens, carrier, arity, include_all_unary=False):
     """The engine's fullness flag: a fill, never the maximal-clone lists."""
     gens = _normalized_generators(gens, carrier, arity, include_all_unary)
@@ -486,8 +492,9 @@ class TestClosure:
         # every operation of arity <= 2 fixing 0 generates Pol{0} on C2
         offered = [f for n in (1, 2) for f in all_op_tables(C2, n) if f.table[0] == 0]
         for cap in (2, 3):
-            swept = _closure(_normalized_generators(offered, C2, cap, False), C2, cap, None)[2]
-            assert reduce_generators(offered, C2, cap) == swept
+            swept = _closure(_stacks(offered, 2), C2, cap, None)[2]
+            kept = [OpTable(C2, m, tuple(row.tolist())) for m, row in swept]
+            assert reduce_generators(offered, C2, cap) == kept
 
     def test_reduce_generators_preserves_closure(self):
         gens = [AND, OR, XOR, NOT, NAND]
@@ -518,6 +525,37 @@ class TestClosureInputs:
         shift = OpTable(c256, 1, tuple((x + 1) % 256 for x in range(256)))
         tables, full = closure_slice([shift], c256, 1)
         assert len(tables) == 256 and not full
+
+
+class TestNormalizedGenerators:
+    def test_one_stack_per_arity_in_increasing_arity(self):
+        maj = _median(2)
+        stacks = _normalized_generators([OR, maj, NOT, AND, OR, NOT, XOR], C2, 2, False)
+        assert [m for m, _ in stacks] == [1, 2, 3]
+        assert all(stack.dtype == np.uint8 and stack.ndim == 2 and stack.shape[1] == 2**m
+                   for m, stack in stacks)
+        # duplicates dropped, the first kept, the caller's order within an arity
+        assert [[tuple(row) for row in stack.tolist()] for _, stack in stacks] == [
+            [NOT.table], [OR.table, AND.table, XOR.table], [maj.table]]
+        assert _normalized_generators([], C3, 2, False) == []
+
+    def test_every_unary_table_is_added_once(self):
+        (m, stack), (n, binary) = _normalized_generators([AND, NOT, AND], C2, 2, True)
+        assert (m, n) == (1, 2) and binary.tolist() == [list(AND.table)]
+        # the caller's NOT first, then the unary tables in table order
+        assert [tuple(row) for row in stack.tolist()] == [(1, 0), (0, 0), (0, 1), (1, 1)]
+
+    def test_a_generator_on_another_carrier_raises(self):
+        with pytest.raises(ValueError, match="generator on a different carrier"):
+            _normalized_generators([AND, _op(3, 1, lambda x: x)], C2, 2, False)
+
+    def test_reduce_generators_returns_the_kept_inputs(self):
+        # NOT is unary and comes first; with it OR gives AND by de Morgan,
+        # and the second OR is a duplicate
+        kept = reduce_generators([OR, AND, OR, NOT], C2, 2)
+        assert kept == [NOT, OR] and all(isinstance(g, OpTable) for g in kept)
+        # without NOT both are kept, in the caller's order
+        assert reduce_generators([OR, AND, OR], C2, 2) == [OR, AND]
 
 
 class TestFullSlicesFromTheMaximalClones:
@@ -643,14 +681,14 @@ class TestBakerPixleyRoute:
             tables = _all_tables(k, m)
             inside = tables[np.logical_and.reduce([inv.preserved_by(tables, m) for inv in kept])]
             extras.append(OpTable(carrier, m, tuple(data.draw(st.sampled_from(inside.tolist())))))
-        gens = _normalized_generators([majority] + extras, carrier, 4, False)
-        assert finite._has_majority_term(gens, carrier)
+        gens = [majority] + extras
+        assert finite._has_majority_term(_stacks(gens, k), carrier)
         # the engine's fills cost about |slice|^3 operand tuples, so the budget
         # is small; past it both must raise
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(finite, "_MAX_TABLES", 200)
             try:
-                route = list(map(tuple, finite._majority_slice(gens, k, 4).tolist()))
+                route = list(map(tuple, finite._majority_slice(_stacks(gens, k), k, 4).tolist()))
             except ResourceLimitError:
                 route = None
             try:
@@ -669,11 +707,11 @@ class TestBakerPixleyRoute:
         # a generator is one; the lattice operations reach one in the ternary slice
         for carrier, gens in ((C3, [_median(3)]), (C2, [AND, OR]),
                               (C3, [_op(3, 2, min), _op(3, 2, max)])):
-            assert finite._has_majority_term(gens, carrier), gens
+            assert finite._has_majority_term(_stacks(gens, carrier.size), carrier), gens
         assert arities == [3, 3]
         # affine generators answer at once; <AND> holds only conjunctions
         for carrier, gens in ((C3, [minority3]), (C3, [plus3, one3]), (C2, [xor3]), (C2, [AND])):
-            assert not finite._has_majority_term(gens, carrier), gens
+            assert not finite._has_majority_term(_stacks(gens, carrier.size), carrier), gens
         assert arities == [3, 3, 3]
 
     def test_no_affine_operation_is_a_majority(self):
@@ -755,7 +793,7 @@ class TestSubuniverseBound:
         assert [g.table for g in ideal_core] == IDEAL_CORE_TABLES
         inside_op = OpTable(C3, 2, (0, 1, 1, 0, 1, 2, 2, 2, 2))
         gens = ideal_core + [inside_op]
-        assert _subuniverse_bound(gens, 3, 2) == 2**4 * 3**5 == 3888
+        assert _subuniverse_bound(_stacks(gens, 3), 3, 2) == 2**4 * 3**5 == 3888
         engines = _count_operand_tuples(monkeypatch)
         saturated = closure_slice(gens, C3, 2)
         stopped_work = _applied(engines)
@@ -788,13 +826,13 @@ class TestSubuniverseBound:
         assert calls == [(4, 1)]
 
     def test_trivial_subuniverses_bound_the_full_space(self):
-        assert _subuniverse_bound([NAND], 2, 3) == 2**8
+        assert _subuniverse_bound(_stacks([NAND], 2), 2, 3) == 2**8
         webb = OpTable.from_fn(C3, 2, lambda x, y: (max(x, y) + 1) % 3)
-        assert _subuniverse_bound([webb], 3, 2) == 3**9
-        assert _subuniverse_bound([NOT], 2, 5) == 2**32  # no proper subuniverse at all
+        assert _subuniverse_bound(_stacks([webb], 3), 3, 2) == 3**9
+        assert _subuniverse_bound(_stacks([NOT], 2), 2, 5) == 2**32  # no proper subuniverse at all
         # no generators: every subset is a subuniverse, so the bound counts
         # the conservative operations
-        assert _subuniverse_bound([], 3, 2) == 1**3 * 2**6
+        assert _subuniverse_bound(_stacks([], 3), 3, 2) == 1**3 * 2**6
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -811,15 +849,15 @@ class TestSubuniverseBound:
                 if set(t) <= chosen and table[i] not in chosen:
                     table[i] = min(chosen)
             gens.append(OpTable(Carrier(k), m, tuple(table)))
-        assert _subuniverse_bound(gens, k, arity) == _brute_force_pol_count(gens, k, arity)
+        assert _subuniverse_bound(_stacks(gens, k), k, arity) == _brute_force_pol_count(gens, k, arity)
 
     def test_bounds_stay_exact_past_64_points(self):
         # a subset of 65 points needs more than 64 bits
         c65 = Carrier(65)
         constant = OpTable(c65, 1, (0,) * 65)  # Sg{x} = {x, 0}
-        assert _subuniverse_bound([constant], 65, 1) == 2**64
+        assert _subuniverse_bound(_stacks([constant], 65), 65, 1) == 2**64
         cycle = OpTable(c65, 1, tuple((x + 1) % 65 for x in range(65)))
-        assert _subuniverse_bound([cycle], 65, 1) == 65**65 == op_space_size(c65, 1)
+        assert _subuniverse_bound(_stacks([cycle], 65), 65, 1) == 65**65 == op_space_size(c65, 1)
 
     def test_pair_tables_match_the_reference(self):
         # half the generator sets lie inside the Pol of one maximal-clone
@@ -837,7 +875,7 @@ class TestSubuniverseBound:
                 if inv is not None:
                     tables = tables[inv.preserved_by(tables, m)]
                 gens.append(OpTable(Carrier(k), m, tuple(rng.choice(tables.tolist()))))
-            sets, where = _subuniverses(gens, k, arity, 2)
+            sets, where = _subuniverses(_stacks(gens, k), k, arity, 2)
             points = list(itertools.product(range(k), repeat=arity))
             for i, p in enumerate(points):
                 for j, q in enumerate(points):
@@ -902,7 +940,7 @@ class TestEngineKernel:
             for _ in range(m)
         ]
         eng = _CodeEngine(k, n, None)
-        eng.activate(g)
+        eng.activate(m, np.array(g.table, dtype=np.uint8))
         limb_rows = [np.array([_scalar_limbs(f.table, k) for f in fs], dtype=np.uint8)
                      for fs in operands]
         keys = eng._limbwise(eng.appliers[0][1], limb_rows).tolist()
@@ -1438,7 +1476,7 @@ class TestMaximalClones:
         sizes = []
         for k, gens in cases:
             loop = [inv for inv in _maximal_relations(k) if all(respects(g, inv.relation) for g in gens)]
-            assert list(_kept_maximal_relations(gens, k)) == loop, (k, gens)
+            assert list(_kept_maximal_relations(_stacks(gens, k), k)) == loop, (k, gens)
             sizes.append(len(loop))
         assert min(sizes) == 0 and max(sizes) == len(_maximal_relations(3))
 
@@ -1551,7 +1589,7 @@ class TestMaximalClones:
 
         rels = _maximal_relations(3)
         monkeypatch.setattr(_Invariant, "preserved_by", counted)
-        kept = _kept_maximal_relations([_op(3, 3, lambda x, y, z: (x - y + z) % 3)], 3)
+        kept = _kept_maximal_relations(_stacks([_op(3, 3, lambda x, y, z: (x - y + z) % 3)], 3), 3)
         assert next(kept) is rels[0]
         assert calls == [rels[0]]
 
