@@ -10,7 +10,6 @@ largeness guarantee and reports the selection ratio instead.
 from __future__ import annotations
 
 import itertools
-from collections import ChainMap
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,57 +17,56 @@ from .symbolic import Box, SquareTable, SymbolicFn, _first_clash, _row_parts
 from .terms import Registry, Term, eval_term, subterms
 
 
-def _sign(d: int) -> int:
-    return (d > 0) - (d < 0)
-
-
 _PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
-@dataclass(frozen=True)
-class OrderPattern:
-    """Complete comparison profile of an admissible quadruple.
-
-    Admissible means the first two and last two entries are distinct, so
-    both halves are valid off-diagonal argument pairs.
-    """
-
-    profile: tuple[int, ...]  # sign of a_i - a_j over the six index pairs
-
-    def __post_init__(self):
-        if len(self.profile) != len(_PAIRS):
-            raise ValueError("profile must cover all six index pairs")
-
-
-def tuple_pattern(quad: Sequence[int]) -> OrderPattern:
+def tuple_pattern(quad: Sequence[int]) -> tuple[int, ...]:
+    """Signs of a_i - a_j over the six index pairs of an admissible
+    quadruple: one whose two halves are off-diagonal argument pairs."""
     if len(quad) != 4:
         raise ValueError("need exactly four entries")
     if quad[0] == quad[1] or quad[2] == quad[3]:
         raise ValueError(f"inadmissible quadruple {tuple(quad)}")
-    return OrderPattern(tuple(_sign(quad[i] - quad[j]) for i, j in _PAIRS))
+    return tuple((quad[i] > quad[j]) - (quad[i] < quad[j]) for i, j in _PAIRS)
 
 
 def similar(a: Sequence[int], b: Sequence[int]) -> bool:
     return tuple_pattern(a) == tuple_pattern(b)
 
 
-def _admissible_quads(sample: Sequence[int]):
-    for quad in itertools.product(sample, repeat=4):
-        if quad[0] != quad[1] and quad[2] != quad[3]:
-            yield quad
+def _table(f: SymbolicFn, points: Sequence[int]) -> list[list[int]]:
+    """f on every ordered pair of the points, row by row: w² evaluations."""
+    fn = f.evaluator(2)
+    return [[fn(x, y) for y in points] for x in points]
 
 
-def _outcomes(f: SymbolicFn, quads):
-    """(pattern, outcome, quad) of each quad: the outcome is the order of f's
-    values on its two halves."""
-    for quad in quads:
-        yield tuple_pattern(quad), _sign(f(quad[0], quad[1]) - f(quad[2], quad[3])), quad
+def _outcomes(points: Sequence[int], rows: list[list[int]]):
+    """(pattern code, outcome, quad) of each admissible quadruple of the
+    increasing points in lexicographic order, read off their _table rows:
+    the pattern is that of the indices, coded in base 3 from one table of
+    index comparisons, and the outcome compares two entries of rows."""
+    w = len(points)
+    cmp = [[(i > j) - (i < j) + 1 for j in range(w)] for i in range(w)]
+    for a, pa in enumerate(points):
+        ca, va = cmp[a], rows[a]
+        for b, pb in enumerate(points):
+            if b == a:
+                continue
+            cb, v = cmp[b], va[b]
+            for c, pc in enumerate(points):
+                cc, vc = cmp[c], rows[c]
+                head = 243 * ca[b] + 81 * ca[c] + 9 * cb[c]
+                for d, pd in enumerate(points):
+                    if d != c:
+                        yield (head + 27 * ca[d] + 3 * cb[d] + cc[d],
+                               (v > vc[d]) - (v < vc[d]), (pa, pb, pc, pd))
 
 
 def is_canonical(f: SymbolicFn, sample: Sequence[int]):
     """None when f is canonical on the sample; otherwise the first pair of
     similar quadruples with differently ordered values."""
-    return _first_clash(_outcomes(f, _admissible_quads(sorted(set(sample)))))
+    points = sorted(set(sample))
+    return _first_clash(_outcomes(points, _table(f, points)))
 
 
 @dataclass(frozen=True)
@@ -84,15 +82,15 @@ def canonical_subset(f: SymbolicFn, box: Box) -> CanonicalSubsetReport:
     The result always passes is_canonical and is never empty; no claim is
     made about its size, which is why the ratio is reported.
     """
-    selected: list[int] = []
-    buckets: dict[OrderPattern, tuple[int, tuple[int, ...]]] = {}
-    for p in box.points():
-        additions: dict[OrderPattern, tuple[int, tuple[int, ...]]] = {}
-        quads = (q for q in _admissible_quads(selected + [p]) if p in q)
-        if _first_clash(_outcomes(f, quads), ChainMap(additions, buckets)) is None:
-            selected.append(p)
-            buckets.update(additions)
-    return CanonicalSubsetReport(tuple(selected), box, len(selected) / box.width)
+    points = box.points()
+    rows = _table(f, points)
+    kept: list[int] = []
+    for i in range(len(points)):
+        idx = kept + [i]
+        sub = [[rows[a][b] for b in idx] for a in idx]
+        if _first_clash(_outcomes([points[a] for a in idx], sub)) is None:
+            kept.append(i)
+    return CanonicalSubsetReport(tuple(points[i] for i in kept), box, len(kept) / box.width)
 
 
 class NotCanonicalError(ValueError):
@@ -126,15 +124,16 @@ def classify_on_region(f: SymbolicFn, region: str, sample: Sequence[int]) -> Reg
     """
     if region not in ("delta", "nabla"):
         raise ValueError("region must be delta or nabla")
-    sample = sorted(set(sample))
-    violation = is_canonical(f, sample)
+    points = sorted(set(sample))
+    rows = _table(f, points)
+    violation = _first_clash(_outcomes(points, rows))
     if violation is not None:
         raise NotCanonicalError(violation)
-    pairs = [(sample[i], b) for i, lo, hi in _row_parts(len(sample), region) for b in sample[lo:hi]]
-    if len(pairs) < 3:
-        value = f(*pairs[0]) if pairs else None
+    values = {(points[i], points[j]): rows[i][j]
+              for i, lo, hi in _row_parts(len(points), region) for j in range(lo, hi)}
+    if len(values) < 3:
+        value = next(iter(values.values()), None)
         return RegionClassification(CONSTANT, region, value=value, degenerate=True)
-    values = {p: f(*p) for p in pairs}
 
     if len(set(values.values())) == 1:
         return RegionClassification(

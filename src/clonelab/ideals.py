@@ -90,22 +90,6 @@ class DecompositionCertificate:
     verified: bool
 
 
-def _right_inverse(f: OpTable, witness: tuple[int, ...], image: set[int]) -> list[tuple[int, ...]]:
-    """For each carrier element, a tuple in witness^k; f-preimage on the image.
-
-    Elements outside the image get the constant tuple (min witness, ...),
-    deterministically.
-    """
-    k = f.carrier.size
-    lo = min(witness)
-    assigned: dict[int, tuple[int, ...]] = {}
-    for args in itertools.product(witness, repeat=f.arity):
-        v = f(*args)
-        if v in image and v not in assigned:
-            assigned[v] = args
-    return [assigned.get(x, (lo,) * f.arity) for x in range(k)]
-
-
 def decompose_with(g: OpTable, f: OpTable, ideal: PrincipalIdeal) -> DecompositionCertificate:
     """Express g as h(chi x̄, g0 x̄, g1 x̄) with g0 factoring through f.
 
@@ -118,11 +102,13 @@ def decompose_with(g: OpTable, f: OpTable, ideal: PrincipalIdeal) -> Decompositi
     carrier = g.carrier
     if f.carrier != carrier or ideal.carrier != carrier:
         raise ValueError("carrier mismatch")
-    if preserves_ideal(f, ideal):
-        raise ValueError("witness operation already preserves the ideal")
-
     witness = ideal.largest_member()
-    image = sorted({f(*args) for args in itertools.product(witness, repeat=f.arity)})
+    preimage: dict[int, tuple[int, ...]] = {}  # each value's first preimage in witness^k
+    for args in itertools.product(witness, repeat=f.arity):
+        preimage.setdefault(f(*args), args)
+    if ideal.excluded not in preimage:
+        raise ValueError("witness operation already preserves the ideal")
+    image = sorted(preimage)
     if len(image) >= 2:
         b0, b1 = image[0], image[1]
     elif len(witness) >= 2:
@@ -148,7 +134,8 @@ def decompose_with(g: OpTable, f: OpTable, ideal: PrincipalIdeal) -> Decompositi
     g1 = OpTable(carrier, g.arity,
                  tuple(fill if m else v for v, m in zip(g.table, in_c0)))
 
-    inverse = _right_inverse(f, witness, image_set)
+    # a right inverse of f on the image; (min witness, ...) elsewhere
+    inverse = [preimage.get(x, (min(witness),) * f.arity) for x in carrier.elements()]
     f_star = tuple(
         OpTable(carrier, 1, tuple(inverse[x][j] for x in carrier.elements()))
         for j in range(f.arity)

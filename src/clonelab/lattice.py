@@ -138,10 +138,12 @@ def unary_interval_chain(
     over sets of operations of arity <= arity_cap.  Single additions are
     exhaustive up to carrier-permutation orbits; larger S are reached by the
     add-one-generator fixpoint, which covers every finite S because closures
-    compose stepwise.  Each clone holds every unary operation, so it equals
-    its own conjugates: t^π = π∘t∘(π⁻¹, …, π⁻¹) composes t with the unary
-    members π and π⁻¹.  The family is checked for linear ordering by
-    inclusion.  An arity_cap below 1 raises ValueError.
+    compose stepwise.  A clone grows from the unary operations and the
+    candidates added on its path, which generate it at the working cap.
+    Each clone holds every unary operation, so it equals its own
+    conjugates: t^π = π∘t∘(π⁻¹, …, π⁻¹) composes t with the unary members
+    π and π⁻¹.  The family is checked for linear ordering by inclusion.  An
+    arity_cap below 1 raises ValueError.
     """
     if arity_cap < 1:
         raise ValueError(f"arity_cap must be >= 1, got {arity_cap}")
@@ -160,18 +162,17 @@ def unary_interval_chain(
 
     base = close([])
     found: dict[tuple, OpSet] = {base.signature(): base}
-    frontier = [base]
+    frontier: list[tuple[list[OpTable], OpSet]] = [([], base)]  # (candidates added, clone)
     while frontier:
-        fresh: list[OpSet] = []
-        for clone in frontier:
-            gens = list(clone)
+        fresh: list[tuple[list[OpTable], OpSet]] = []
+        for extra, clone in frontier:
             for cand in reps:
                 if cand in clone:
                     continue
-                grown = close(gens + [cand])
+                grown = close(extra + [cand])
                 if grown.signature() not in found:
                     found[grown.signature()] = grown
-                    fresh.append(grown)
+                    fresh.append((extra + [cand], grown))
         frontier = fresh
 
     clones = sorted(found.values(), key=len)

@@ -14,7 +14,8 @@ The same holds one level down: every defaulted parameter of a public
 function or method that the program calls is set by some call in the
 program, or the default is the only value in use and the option goes.
 And every private function or method of the package is named by the
-program, so a scan that a shared helper replaced does not stay behind.
+program, so a scan that a shared helper replaced does not stay behind;
+likewise every private module-level constant is read by the program.
 """
 
 import ast
@@ -106,12 +107,27 @@ def _private_functions():
     return found
 
 
+def _private_constants():
+    """(module, name) of each private name a module of the package assigns
+    at its top level, dunders aside."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            found += [(path.stem, t.id) for t in targets
+                      if isinstance(t, ast.Name) and t.id.startswith("_")
+                      and not (t.id.startswith("__") and t.id.endswith("__"))]
+    return found
+
+
 def _names_read(paths):
-    """Every name the files read, bare or as an attribute of anything."""
+    """Every name the files read, bare (not as an assignment's target) or as
+    an attribute of anything."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -130,6 +146,22 @@ def test_the_private_scan_sees_helpers_and_skips_dunders():
     assert ("symbolic", "_runs") in private
     assert not any(name.endswith("__") for _, name in private)
     assert "_spreads" in _names_read(_program())
+
+
+def test_every_private_constant_is_read():
+    read = _names_read(_program())
+    unread = [f"{module}.{name}" for module, name in _private_constants() if name not in read]
+    assert not unread, f"private constants read by no program file: {unread}"
+
+
+def test_the_constant_scan_sees_constants_and_skips_dunders(tmp_path):
+    constants = _private_constants()
+    assert ("symbolic", "_CHUNK") in constants
+    assert ("lattice", "_MAX_SLICE") in constants
+    assert not any(name.endswith("__") for _, name in constants)
+    module = tmp_path / "module.py"
+    module.write_text("_UNREAD = 1\n_READ: int = 2\nprint(_READ)\n")
+    assert {"_READ", "_UNREAD"} & _names_read([module]) == {"_READ"}
 
 
 # (function, parameter) -> why it stays although no program call sets it

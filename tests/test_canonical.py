@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import canonical_reference
 import pairing_reference
 
 from clonelab.canonical import (
@@ -53,6 +54,10 @@ class TestPatterns:
         assert similar((1, 3, 2, 4), (0, 5, 1, 9))
         assert similar((1, 2, 3, 4), (1, 2, 3, 4))
         assert not similar((1, 2, 3, 4), (4, 3, 2, 1))
+
+    def test_a_pattern_is_six_signs(self):
+        assert tuple_pattern((1, 3, 2, 4)) == (-1, -1, -1, 1, -1, -1)
+        assert tuple_pattern((5, 0, 5, 9)) == (1, 0, -1, -1, -1, -1)
 
     def test_inadmissible_rejected(self):
         with pytest.raises(ValueError):
@@ -220,6 +225,85 @@ def _interaction_fn(kind, seed, r):
 def small_fns(draw):
     return _interaction_fn(draw(st.sampled_from(_INTERACTION_KINDS)),
                            draw(st.integers(0, 999)), draw(st.sampled_from(_NOISE_RANGES)))
+
+
+_CANON_KINDS = ("max", "min", "first", "second", "const", "pair", "below", "big-pair",
+                "big-max", "pair-mod", "noise")
+
+
+def _canon_fn(kind, seed, r):
+    """A binary function of the given kind; seed and r shape the noise and
+    the modulus.  big-pair and big-max take values beyond int64."""
+    simple = {"max": max, "min": min, "first": lambda x, y: x, "second": lambda x, y: y,
+              "const": lambda x, y: r, "pair": PR.fn, "below": PD.fn,
+              "big-pair": lambda x, y: PR(x, y) << 70,
+              "big-max": lambda x, y: max(x, y) ** 3 + 2**64,
+              "pair-mod": lambda x, y: PR(x, y) % r}
+    if kind in simple:
+        return simple[kind]
+    return lambda x, y: random.Random(seed * 1_000_003 + 7919 * x + y).randrange(r)
+
+
+@st.composite
+def canon_fns(draw):
+    return _canon_fn(draw(st.sampled_from(_CANON_KINDS)), draw(st.integers(0, 999)),
+                     draw(st.sampled_from((2, 3, 7, 1000))))
+
+
+# dense samples, and sparse ones whose pair codes pass int64 from about 3^20 on
+samples = st.one_of(st.sets(st.integers(0, 12), max_size=7),
+                    st.sets(st.integers(0, 60), max_size=7).map(lambda es: [3**e for e in es]))
+
+
+def _classification(classify, *args):
+    """The fields of a classification, or the text of the error it raises."""
+    try:
+        got = classify(*args)
+    except ValueError as exc:
+        return ("raises", str(exc))
+    if isinstance(got, tuple):
+        return got
+    return (got.kind, got.witness_map, got.value, got.degenerate)
+
+
+class TestAgainstTheReference:
+    @settings(max_examples=200, deadline=None)
+    @given(canon_fns(), samples)
+    def test_witnesses_and_classifications_match_the_reference(self, fn, sample):
+        f = SymbolicFn("f", 2, fn)
+        assert is_canonical(f, sample) == canonical_reference.is_canonical(fn, sample)
+        for region in ("delta", "nabla"):
+            assert (_classification(classify_on_region, f, region, sample)
+                    == _classification(canonical_reference.classify_on_region, fn, region, sample))
+
+    @pytest.mark.parametrize("kind", _CANON_KINDS)
+    def test_each_kind_matches_the_reference_on_fixed_samples(self, kind):
+        for seed, r in ((0, 2), (1, 3), (2, 1000)):
+            fn = _canon_fn(kind, seed, r)
+            for sample in (range(6), [3**e for e in (0, 2, 5, 41, 60)]):
+                assert is_canonical(SymbolicFn("f", 2, fn), sample) == \
+                    canonical_reference.is_canonical(fn, sample)
+
+    @settings(max_examples=100, deadline=None)
+    @given(canon_fns(), st.integers(0, 30), st.integers(1, 9))
+    def test_selections_match_the_reference(self, fn, lo, width):
+        got = canonical_subset(SymbolicFn("f", 2, fn), Box(lo, lo + width, "full"))
+        assert got.selected == canonical_reference.canonical_subset(fn, lo, lo + width)
+
+    def test_every_outcome_is_drawn(self):
+        """The strategy's functions and samples reach a clash and each
+        classification."""
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(300):
+            fn = _canon_fn(rng.choice(_CANON_KINDS), rng.randrange(1000), rng.choice((2, 3, 7, 1000)))
+            points = rng.sample(range(13), rng.randrange(8))
+            sample = rng.choice((points, [3**e for e in points]))
+            seen.add(canonical_reference.is_canonical(fn, sample) is None)
+            seen.update(_classification(canonical_reference.classify_on_region, fn, region, sample)[0]
+                        for region in ("delta", "nabla"))
+        assert seen >= {True, False, "raises", CONSTANT, FIRST_COORDINATE, SECOND_COORDINATE,
+                        INJECTIVE}
 
 
 class TestRegionInteraction:

@@ -304,6 +304,42 @@ class TestPairingCommand:
         assert code == 0
         assert report["verdict"] == "injective"
 
+    @pytest.mark.parametrize("which", ["nested", "split-merge"])
+    def test_default_box_injective(self, capsys, which):
+        code, report = run_cli(capsys, "pairing", "--which", which)
+        assert code == 0
+        assert strip_meta(report) == {
+            "experiment": "pairing", "parameters": {"which": which, "box": "0..64:offdiag"},
+            "verdict": "injective", "seed": 917}
+
+    def test_two_sided_collides_on_the_diagonal(self, capsys):
+        code, report = run_cli(capsys, "pairing", "--which", "two-sided", "--box", "0..16:full")
+        assert code == 1
+        assert report["verdict"] == "collision"
+        assert report["witness"] == [[0, 0], [1, 1]]
+
+
+class TestCombinatoricsCommands:
+    def test_prtest_finds_a_constant_rectangle(self, capsys):
+        code, report = run_cli(capsys, "prtest", "--mu", "4", "--blocks", "1,2;0,4;8,12",
+                               "--c0", "0")
+        assert code == 0
+        assert strip_meta(report) == {
+            "experiment": "anti-ramsey-search",
+            "parameters": {"coloring": "sum4", "mu": 4, "blocks": "1,2;0,4;8,12", "c0": 0},
+            "found": [1, 2], "note": "Pr-witness: assumed, not certified", "seed": 917}
+
+
+class TestCanonicalCommand:
+    def test_not_canonical_report(self, capsys):
+        code, report = run_cli(capsys, "canonical", "--fn", "pair", "--base", "-2", "--points", "5")
+        assert code == 0
+        assert strip_meta(report) == {
+            "experiment": "canonical",
+            "parameters": {"fn": "pair", "sample_base": -2, "points": 5},
+            "verdict": "not-canonical", "witness": [[-8, -2, -8, 1], [-8, -2, -8, 16]],
+            "seed": 917}
+
 
 class TestTermsCommand:
     def test_eval_and_reduce(self, capsys):

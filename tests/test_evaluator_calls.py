@@ -9,6 +9,7 @@ call is one the library makes itself.
 import pytest
 
 from clonelab.almost_unary import almost_unary_check, median_witness
+from clonelab.canonical import canonical_subset, classify_on_region, is_canonical
 from clonelab.pairings import split_merge_pairing, two_sided_pairing
 from clonelab.symbolic import (
     AlmostUnaryWitness,
@@ -79,4 +80,19 @@ def test_an_injectivity_check_of_a_two_sided_pairing(wrapped_calls):
                             check_box=Box(1, 10, "offdiag"))
     assert check_injective_on(out, box) is None
     assert check_injective_on(out, box.with_region("full")) is not None  # constant diagonal
+    assert wrapped_calls == []
+
+
+@pytest.mark.parametrize("scan", [
+    lambda f, points: is_canonical(f, points),
+    lambda f, points: canonical_subset(f, Box(points[0], points[-1] + 1, "full")),
+    lambda f, points: classify_on_region(f, "delta", points),
+], ids=["is_canonical", "canonical_subset", "classify_on_region"])
+@pytest.mark.parametrize("width", [1, 2, 7])
+def test_a_canonicity_scan_evaluates_each_ordered_pair_once(wrapped_calls, scan, width):
+    calls = []
+    f = SymbolicFn("max", 2, lambda x, y: calls.append((x, y)) or max(x, y))
+    points = list(range(3, 3 + width))
+    scan(f, points)
+    assert sorted(calls) == [(x, y) for x in points for y in points]
     assert wrapped_calls == []

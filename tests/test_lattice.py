@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -201,6 +202,19 @@ class TestUnaryIntervalChain:
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             unary_interval_chain(Carrier(3), 2, 3)
+
+    @pytest.mark.parametrize("carrier, cap, working_cap, sizes, digest", [
+        (C2, 2, 3, [18, 28, 276], "22d9ab7296d8b9aa"),
+        (C2, 1, 3, [18], "151222343ea80dfe"),
+        (C3, 1, 2, [78], "d00f8ea0a5cad03b"),
+    ], ids=["C2-2-3", "C2-1-3", "C3-1-2"])
+    def test_surveyed_clones_are_pinned(self, carrier, cap, working_cap, sizes, digest):
+        # each clone grows from its path's candidates, not from its members;
+        # the clones found are those of growing from the members
+        clones = unary_interval_chain(carrier, cap, working_cap).clones
+        assert [len(c) for c in clones] == sizes
+        signatures = repr([c.signature() for c in clones]).encode()
+        assert hashlib.sha256(signatures).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("carrier, cap, working_cap", [(C2, 2, 3), (C2, 1, 3), (C3, 1, 2)],
                              ids=["C2-2-3", "C2-1-3", "C3-1-2"])

@@ -98,6 +98,12 @@ class TestTwoSidedPairing:
         with pytest.raises(InvalidMergeError):
             two_sided_pairing(bad, PR, check_box=Box(0, 8, "offdiag"))
 
+    def test_merge_violating_only_the_left_marker_identity_rejected(self):
+        # merge(a, right marker) = a holds, merge(left marker, b) = b does not
+        bad = SymbolicFn("bad", 2, lambda a, b: a if b == 3 else 0)
+        with pytest.raises(InvalidMergeError, match=r"^merge\(1, 19\) != 19$"):
+            two_sided_pairing(bad, PR, check_box=Box(0, 8, "offdiag"))
+
 
 class TestNestedPairing:
     def test_dominating_fixture(self):
@@ -166,6 +172,13 @@ class TestSplitMergePairing:
         fn = split_merge_pairing(below_t, standard_merge(), box)
         for x, y in box.pairs():
             assert fn(x, y) % 2 == (1 if x > y else 0)
+
+    def test_merge_violating_the_lower_identity_rejected(self):
+        # merge(e, 1) = e holds, merge(0, e + 1) = e + 1 does not
+        below_t = SymbolicFn("below_t", 2, lambda x, y: PD(y, x))
+        bad = SymbolicFn("bad", 2, lambda a, b: a if b == 1 else 0)
+        with pytest.raises(InvalidMergeError, match=r"^merge\(0, 3\) != 3$"):
+            split_merge_pairing(below_t, bad, Box(0, 8, "offdiag"))
 
     def test_symmetric_argument_refuted(self):
         sym = SymbolicFn("sym", 2, lambda x, y: PR(min(x, y), max(x, y)))
