@@ -327,6 +327,8 @@ def cmd_canonical(args) -> tuple[int, dict]:
     }
     if args.fn not in fns:
         raise UsageError(f"unknown function {args.fn!r}; choose from {sorted(fns)}")
+    if args.points < 1:
+        raise UsageError(f"points must be >= 1, got {args.points}")
     f = fns[args.fn]
     sample = [args.base**i for i in range(args.points)]
     violation = canon.is_canonical(f, sample)
@@ -339,10 +341,12 @@ def cmd_canonical(args) -> tuple[int, dict]:
         report["witness"] = [list(violation[0]), list(violation[1])]
         return OK, report
     report["verdict"] = "canonical-on-sample"
-    report["classification"] = {
-        region: canon.classify_on_region(f, region, sample).kind
-        for region in ("delta", "nabla")
-    }
+    report["classification"] = {}
+    for region in ("delta", "nabla"):
+        shape = canon.classify_on_region(f, region, sample)
+        # too few region pairs to separate the shapes: flagged beside the kind
+        report["classification"][region] = (
+            {"kind": shape.kind, "degenerate": True} if shape.degenerate else shape.kind)
     return OK, report
 
 

@@ -150,39 +150,24 @@ class OpSet:
 
     Each arity n is held as one read-only uint8 array of digit rows, k^n
     entries per row, sorted in table order (the order of all_op_tables).
-    Counting, comparing and membership read the rows; OpTables are built
-    only when the set is iterated.  Two OpSets are equal when they share
-    carrier, cap and tables.
+    The kernels build it from their rows (_from_rows); there is no public
+    constructor.  Counting, comparing, hashing and membership read the rows;
+    OpTables are built only when the set is iterated.  Two OpSets are equal
+    when they share carrier, cap and tables.
     """
-
-    def __init__(self, carrier: Carrier, arity_cap: int, ops: Iterable[OpTable]):
-        ops = list(ops)
-        for op in ops:
-            if op.carrier != carrier:
-                raise ValueError("operation on a different carrier")
-            if op.arity > arity_cap:
-                raise ValueError("operation arity above the cap")
-        _check_carrier(carrier)
-        k, slices = carrier.size, {}
-        for n in range(1, arity_cap + 1):
-            rows = np.array([op.table for op in ops if op.arity == n], dtype=np.uint8)
-            rows = rows.reshape(len(rows), k**n)
-            slices[n] = rows[np.unique(_row_keys(rows), return_index=True)[1]]  # table order
-        self._set_rows(carrier, arity_cap, slices)
 
     @classmethod
     def _from_rows(cls, carrier: Carrier, arity_cap: int, slices: dict[int, np.ndarray]) -> "OpSet":
-        """An OpSet over digit rows that are already unique and in table order."""
-        out = cls.__new__(cls)
-        out._set_rows(carrier, arity_cap, slices)
-        return out
+        """An OpSet over digit rows that are already unique and in table order.
 
-    def _set_rows(self, carrier: Carrier, arity_cap: int, slices: dict[int, np.ndarray]) -> None:
-        """Validate each arity's rows at once: uint8, width k^n, entries below k."""
+        Each arity's rows are validated at once (uint8, width k^n, entries
+        below k) and made read-only; arities missing from slices are empty.
+        """
         if not set(slices) <= set(range(1, arity_cap + 1)):
             raise ValueError("operation arity above the cap")
         k = carrier.size
-        self.carrier, self.arity_cap, self._rows = carrier, arity_cap, {}
+        out = cls.__new__(cls)
+        out.carrier, out.arity_cap, out._rows = carrier, arity_cap, {}
         for n in range(1, arity_cap + 1):
             rows = slices.get(n, np.empty((0, k**n), dtype=np.uint8))
             if rows.dtype != np.uint8 or rows.ndim != 2 or rows.shape[1] != k**n:
@@ -190,7 +175,8 @@ class OpSet:
             if len(rows) and rows.max() >= k:
                 raise ValueError("table entry outside carrier")
             rows.flags.writeable = False
-            self._rows[n] = rows
+            out._rows[n] = rows
+        return out
 
     def rows(self, arity: int) -> np.ndarray:
         """The arity slice as read-only digit rows in table order."""
@@ -203,10 +189,6 @@ class OpSet:
 
     def counts(self) -> dict[int, int]:
         return {n: len(rows) for n, rows in self._rows.items()}
-
-    def signature(self) -> tuple:
-        """Canonical identity of the bounded slice set (for clone comparison)."""
-        return tuple((n, len(rows), rows.tobytes()) for n, rows in self._rows.items() if len(rows))
 
     def __contains__(self, op: OpTable) -> bool:
         if not isinstance(op, OpTable) or op.carrier != self.carrier or op.arity > self.arity_cap:
@@ -237,7 +219,7 @@ class OpSet:
                 and all(np.array_equal(rows, other._rows[n]) for n, rows in self._rows.items()))
 
     def __hash__(self) -> int:
-        return hash((self.carrier, self.arity_cap, self.signature()))
+        return hash((self.carrier, self.arity_cap, *(rows.tobytes() for rows in self._rows.values())))
 
     def __repr__(self) -> str:
         return f"OpSet(carrier={self.carrier!r}, arity_cap={self.arity_cap}, counts={self.counts()})"
@@ -1316,16 +1298,6 @@ def closure_slice_is_full(
     if bound < op_space_size(carrier, arity):
         return False
     return _closure(stacks, carrier, arity, bound)[1]
-
-
-def conjugate(op: OpTable, perm: Sequence[int]) -> OpTable:
-    """Conjugation by a carrier permutation: x̄ -> perm(op(perm^{-1} x̄))."""
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return OpTable.from_fn(
-        op.carrier, op.arity, lambda *t: perm[op(*(inv[a] for a in t))]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,8 @@ from .finite import (
     OpSet,
     OpTable,
     ResourceLimitError,
-    all_op_tables,
     clone_closure,
     closure_slice_is_full,
-    conjugate,
     op_space_size,
     _all_rows,
     _check_candidate_budget,
@@ -28,7 +26,9 @@ from .finite import (
     _maximal_masks,
     _maximal_relations,
     _normalized_generators,
+    _row_keys,
     _slice_rows,
+    _sorted_member,
     _tuple_codes,
 )
 
@@ -113,17 +113,25 @@ class ChainReport:
         return len(self.clones)
 
 
-def _orbit_representatives(carrier: Carrier, arity_cap: int) -> list[OpTable]:
-    perms = list(itertools.permutations(range(carrier.size)))
-    reps: list[OpTable] = []
-    seen: set[tuple] = set()
+def _orbit_representatives(carrier: Carrier, arity_cap: int) -> list[tuple[int, np.ndarray]]:
+    """The least table of each carrier-permutation orbit, as (arity, digit
+    rows in table order) per arity up to arity_cap.
+
+    The conjugate t^p(x) = p(t(p⁻¹x)) of every table of arity n at once is
+    p[rows[:, at]], where at codes the argument tuples p⁻¹x; a row stays
+    when its code is the least over its conjugates.
+    """
+    k = carrier.size
+    perms = [np.array(p, dtype=np.uint8) for p in itertools.permutations(range(k))]
+    reps = []
     for n in range(1, arity_cap + 1):
-        for op in all_op_tables(carrier, n):
-            if (n, op.table) in seen:
-                continue
-            orbit = {(n, conjugate(op, p).table) for p in perms}
-            seen |= orbit
-            reps.append(op)
+        rows, points = _all_rows(k, k**n), _all_rows(k, n)
+        codes = np.arange(len(rows))  # row i is the table of code i
+        least = codes.copy()
+        for p in perms:
+            at = _tuple_codes(np.argsort(p).astype(np.uint8)[points], k)
+            np.minimum(least, _tuple_codes(p[rows[:, at]], k), out=least)
+        reps.append((n, rows[least == codes]))
     return reps
 
 
@@ -142,12 +150,17 @@ def unary_interval_chain(
     candidates added on its path, which generate it at the working cap.
     Each clone holds every unary operation, so it equals its own
     conjugates: t^π = π∘t∘(π⁻¹, …, π⁻¹) composes t with the unary members
-    π and π⁻¹.  The family is checked for linear ordering by inclusion.  An
-    arity_cap below 1 raises ValueError.
+    π and π⁻¹.  The candidates of an arity stay digit rows: one lookup in
+    a clone's rows finds those outside it, and only those become OpTables.
+    Clones are told apart by OpSet equality, in order of discovery.  The
+    family is checked for linear ordering by inclusion.  An arity_cap below
+    1, or a working_cap below arity_cap, raises ValueError.
     """
     if arity_cap < 1:
         raise ValueError(f"arity_cap must be >= 1, got {arity_cap}")
     working_cap = arity_cap + 1 if working_cap is None else working_cap
+    if working_cap < arity_cap:
+        raise ValueError(f"working cap {working_cap} below arity cap {arity_cap}")
     for n in range(1, working_cap + 1):
         if op_space_size(carrier, n) > _MAX_SLICE:
             raise ResourceLimitError(
@@ -160,21 +173,22 @@ def unary_interval_chain(
     def close(extra: list[OpTable]) -> OpSet:
         return clone_closure(extra, carrier, working_cap, include_all_unary=True)
 
-    base = close([])
-    found: dict[tuple, OpSet] = {base.signature(): base}
-    frontier: list[tuple[list[OpTable], OpSet]] = [([], base)]  # (candidates added, clone)
+    found = {close([]): []}  # clone -> the candidates added on its path
+    frontier = list(found)
     while frontier:
-        fresh: list[tuple[list[OpTable], OpSet]] = []
-        for extra, clone in frontier:
-            for cand in reps:
-                if cand in clone:
-                    continue
-                grown = close(extra + [cand])
-                if grown.signature() not in found:
-                    found[grown.signature()] = grown
-                    fresh.append((extra + [cand], grown))
+        fresh: list[OpSet] = []
+        for clone in frontier:
+            path = found[clone]
+            for n, cands in reps:
+                outside = cands[~_sorted_member(_row_keys(clone.rows(n)), _row_keys(cands))]
+                for row in outside:
+                    extra = path + [OpTable(carrier, n, tuple(row.tolist()))]
+                    grown = close(extra)
+                    if grown not in found:
+                        found[grown] = extra
+                        fresh.append(grown)
         frontier = fresh
 
-    clones = sorted(found.values(), key=len)
+    clones = sorted(found, key=len)
     is_chain = all(clones[i] <= clones[i + 1] for i in range(len(clones) - 1))
     return ChainReport(carrier, arity_cap, working_cap, tuple(clones), is_chain)

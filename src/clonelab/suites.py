@@ -29,12 +29,13 @@ from .finite import (
     Carrier,
     OpTable,
     all_op_tables,
-    closure_slice_is_full,
+    clone_closure,
+    op_space_size,
     pol,
     reduce_generators,
 )
 from .ideals import PrincipalIdeal, decompose_with, preserves_ideal
-from .lattice import unary_interval_chain
+from .lattice import precompleteness_evidence, unary_interval_chain
 from .pairings import (
     color_gated_pairing,
     marked_merge,
@@ -104,51 +105,35 @@ def criterion_unary_chain(seed):
     }
 
 
-def _ideal_generators(carrier: Carrier, excluded: int) -> tuple[PrincipalIdeal, list[OpTable]]:
-    ideal = PrincipalIdeal(carrier, excluded)
-    return ideal, list(pol(ideal.relation(), 2))
-
-
 @_result(2, "ideal-clone-regeneration")
 def criterion_regeneration(seed):
-    # two-element carrier: exhaustive over every operation outside the clone
+    # with the ideal clone, every operation outside it regenerates every
+    # operation: exhaustive on carrier 2 up to arity 3, and on carrier 3 up
+    # to arity 2 against the reduced core, which an engine fill shows to
+    # generate the whole binary slice of the ideal clone
     c2 = Carrier(2)
-    ideal2, gens2 = _ideal_generators(c2, 1)
-    outside = [
-        f
-        for n in (1, 2)
-        for f in all_op_tables(c2, n)
-        if not preserves_ideal(f, ideal2)
-    ]
-    full_everywhere = True
-    for f in outside:
-        if not closure_slice_is_full(gens2 + [f], c2, 3):
-            full_everywhere = False
-            break
+    gens2 = list(pol(PrincipalIdeal(c2, 1).relation(), 2))
+    regenerate2 = precompleteness_evidence(gens2, c2, 3, 4).kind == "precomplete-evidence"
+    clone2 = clone_closure(gens2, c2, 3)
 
-    # three-element carrier: sampled, binary slice must regenerate entirely
     c3 = Carrier(3)
-    ideal3, gens3 = _ideal_generators(c3, 2)
-    core = reduce_generators(gens3, c3, 2)
-    rng = random.Random(seed)
-    samples = 0
-    sampled_ok = True
-    while samples < 100:
-        f = OpTable(c3, 2, tuple(rng.randrange(3) for _ in range(9)))
-        if preserves_ideal(f, ideal3):
-            continue
-        samples += 1
-        if not closure_slice_is_full([f] + core, c3, 2):
-            sampled_ok = False
-            break
-    passed = full_everywhere and sampled_ok
-    return passed, {
-        "carrier2_outside_ops": len(outside),
-        "carrier2_all_regenerate": full_everywhere,
-        "carrier3_samples": samples,
-        "carrier3_all_regenerate": sampled_ok,
+    ideal_clone3 = pol(PrincipalIdeal(c3, 2).relation(), 2)
+    core = reduce_generators(list(ideal_clone3), c3, 2)
+    regenerate3 = precompleteness_evidence(core, c3, 2, 3).kind == "precomplete-evidence"
+    clone3 = clone_closure(core, c3, 2)
+    core_fills = clone3 == ideal_clone3
+
+    def outside(clone):
+        return sum(op_space_size(clone.carrier, n) - size for n, size in clone.counts().items())
+
+    return regenerate2 and regenerate3 and core_fills, {
+        "carrier2_outside_ops": outside(clone2),
+        "carrier2_all_regenerate": regenerate2,
+        "carrier3_outside_ops": outside(clone3),
+        "carrier3_all_regenerate": regenerate3,
         "reduced_core_size": len(core),
-        "seed": seed,
+        "reduced_core_slice": clone3.counts(),
+        "reduced_core_fills_slice": core_fills,
     }
 
 

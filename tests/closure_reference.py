@@ -4,6 +4,8 @@ It shares no code with `clonelab.finite` beyond reading `OpTable.table`:
 tables are Python tuples, generators are applied one argument tuple at a
 time, and the only optimisation is the semi-naive rule that a round only
 tries argument tuples holding at least one table found in the round before.
+Carrier-permutation conjugates are read the same way, one argument tuple at
+a time.
 """
 
 import itertools
@@ -38,3 +40,14 @@ def reference_slice(generators, k, arity):
         known |= fresh
         frontier = fresh
     return known
+
+
+def reference_conjugate(op, perm):
+    """The table of x -> perm(op(perm^-1 x)), one argument tuple at a time."""
+    k = op.carrier.size
+    inv = [0] * k
+    for i, p in enumerate(perm):
+        inv[p] = i
+    points = list(itertools.product(range(k), repeat=op.arity))
+    index = {args: i for i, args in enumerate(points)}
+    return tuple(perm[op.table[index[tuple(inv[a] for a in args)]]] for args in points)

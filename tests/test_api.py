@@ -10,6 +10,12 @@ through its class or `cls` (`RelationTable.unary`).  Likewise every name a
 module of the package imports is read in that module (`__init__.py`, whose
 imports are the exports, and `from __future__` aside).
 
+A public class that the tests construct is constructed by the program too:
+a class built for the tests alone goes, like a function called only by
+them.  Construction is a call by the class name, bare or through its module
+(`finite.OpTable(...)`), or `cls(...)` in one of the class's own
+classmethods; a class that no file constructs (an abstract base) is skipped.
+
 The same holds one level down: every defaulted parameter of a public
 function or method that the program calls is set by some call in the
 program, or the default is the only value in use and the option goes.
@@ -29,6 +35,7 @@ ALLOWED = {
     "format_ops": "writes the CLI's op-file format; the tests build CLI input with it",
     "format_relations": "writes the CLI's relation-file format; the tests build CLI input with it",
     "format_coloring_table": "writes the CLI's coloring-table format; the tests round-trip it",
+    "SpreadWitness": "exported; callers build it as the argument of witnessed_spread_check",
 }
 
 
@@ -84,7 +91,7 @@ def test_every_public_function_has_a_caller_outside_the_tests():
 
 
 def test_every_allowed_name_is_still_test_only():
-    assert _test_only() >= set(ALLOWED)
+    assert _test_only() | _test_built() >= set(ALLOWED)
 
 
 def test_the_scan_sees_functions_and_classmethods():
@@ -92,6 +99,59 @@ def test_the_scan_sees_functions_and_classmethods():
     assert ((None, "finite"), "pol") in public
     assert (("RelationTable", "cls"), "unary") in public
     assert not any(name.startswith("_") for _, name in public)
+
+
+def _public_classes():
+    """The name of each public class of the package."""
+    return {node.name for path in sorted(PACKAGE.glob("*.py")) for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")}
+
+
+def _called_names(tree):
+    """Each name the tree calls, bare or as an attribute."""
+    return ({node.func.id for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            | {node.func.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)})
+
+
+def _constructed(paths):
+    """The classes the files construct: each name they call, and each class
+    that calls cls(...) in a classmethod of its own."""
+    built = set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        built |= _called_names(tree)
+        built |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                  and any(isinstance(item, ast.FunctionDef) and "cls" in _called_names(item)
+                          and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                                  for d in item.decorator_list)
+                          for item in node.body)}
+    return built
+
+
+def _test_built():
+    """The public classes that the tests construct and the program does not."""
+    tests = _constructed(sorted((ROOT / "tests").glob("*.py")))
+    return (_public_classes() & tests) - _constructed(_program())
+
+
+def test_every_public_class_the_tests_build_is_built_by_the_program():
+    flagged = _test_built() - set(ALLOWED)
+    assert not flagged, f"constructed only in tests/: {sorted(flagged)}"
+
+
+def test_the_class_scan_sees_calls_and_classmethods(tmp_path):
+    assert {"OpTable", "Term", "SpreadWitness"} <= _public_classes()
+    assert "RelationTable" in _constructed([PACKAGE / "finite.py"])
+    assert "Term" not in _constructed(_program() + sorted((ROOT / "tests").glob("*.py")))
+    module = tmp_path / "module.py"
+    module.write_text(
+        "class Made:\n    @classmethod\n    def make(cls):\n        return cls()\n"
+        "class Raw:\n    @classmethod\n    def make(cls):\n        return cls.__new__(cls)\n"
+        "class Bare:\n    def copy(self):\n        return type(self)()\n"
+        "Called()\nmod.Dotted()\n")
+    assert _constructed([module]) & {"Made", "Raw", "Bare", "Called", "Dotted"} == {"Made", "Called", "Dotted"}
 
 
 def _private_functions():

@@ -190,6 +190,11 @@ class TestFileDriven:
         assert code == 2
         assert report["error"] == error
 
+    def test_chain_working_cap_below_the_cap_is_usage_error(self, capsys):
+        code, report = run_cli(capsys, "chain", "--carrier", "2", "--cap", "2", "--working-cap", "1")
+        assert code == 2
+        assert report["error"] == "working cap 1 below arity cap 2"
+
     def test_closure_carrier_above_a_byte_is_usage_error(self, capsys, tmp_path):
         # 300 values overflowed the byte tables: a traceback and exit 1
         shift = OpTable(Carrier(300), 1, tuple((x + 1) % 300 for x in range(300)))
@@ -339,6 +344,26 @@ class TestCanonicalCommand:
             "parameters": {"fn": "pair", "sample_base": -2, "points": 5},
             "verdict": "not-canonical", "witness": [[-8, -2, -8, 1], [-8, -2, -8, 16]],
             "seed": 917}
+
+    def test_classification_report(self, capsys):
+        code, report = run_cli(capsys, "canonical", "--fn", "max")
+        assert code == 0
+        assert report["verdict"] == "canonical-on-sample"
+        assert report["classification"] == {"delta": "first-coordinate", "nabla": "second-coordinate"}
+
+    @pytest.mark.parametrize("points", ["1", "2"])
+    def test_degenerate_classification_is_flagged(self, capsys, points):
+        # fewer than three region pairs cannot separate the shapes
+        code, report = run_cli(capsys, "canonical", "--fn", "max", "--points", points)
+        assert code == 0
+        assert report["classification"] == {
+            region: {"kind": "constant", "degenerate": True} for region in ("delta", "nabla")}
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_points_below_1_is_usage_error(self, capsys, points):
+        code, report = run_cli(capsys, "canonical", "--fn", "max", "--points", points)
+        assert code == 2
+        assert report["error"] == f"points must be >= 1, got {points}"
 
 
 class TestTermsCommand:

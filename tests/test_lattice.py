@@ -11,22 +11,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import clonelab
-from clonelab import finite
+from clonelab import finite, lattice
 from clonelab.finite import (
     Carrier,
-    OpSet,
     OpTable,
     RelationTable,
     ResourceLimitError,
     all_op_tables,
     clone_closure,
-    conjugate,
     format_ops,
     op_space_size,
     pol,
 )
 from clonelab.ideals import PrincipalIdeal, preserves_ideal
-from clonelab.lattice import precompleteness_evidence, unary_interval_chain
+from clonelab.lattice import _orbit_representatives, precompleteness_evidence, unary_interval_chain
+from closure_reference import reference_conjugate
 
 C2 = Carrier(2)
 C3 = Carrier(3)
@@ -79,6 +78,21 @@ class TestPrecompleteness:
         # arity <= 2 come next, and they exceed the budget
         with pytest.raises(ResourceLimitError):
             precompleteness_evidence(list(all_op_tables(C3, 1)), C3, 2, 3)
+
+    def test_every_arity_tried_has_a_mask_table(self):
+        # on carriers 2 and 3 the candidates of each arity are read off
+        # _maximal_masks; the arities tried are those below the first one
+        # where the candidate budget raises
+        for k in (2, 3):
+            n = 1
+            while True:
+                try:
+                    finite._check_candidate_budget(Carrier(k), n)
+                except ResourceLimitError:
+                    break
+                assert finite._has_masks(k, n), (k, n)
+                n += 1
+            assert n == {2: 5, 3: 3}[k]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -196,12 +210,32 @@ class TestUnaryIntervalChain:
         # the bottom and middle clone only differ at arity >= 2 here; make
         # sure the working-cap slices actually separate all three
         report = unary_interval_chain(C2, 2, 3)
-        signatures = {c.signature() for c in report.clones}
-        assert len(signatures) == 3
+        assert len(set(report.clones)) == 3
 
     def test_budget_guard(self):
         with pytest.raises(ResourceLimitError):
             unary_interval_chain(Carrier(3), 2, 3)
+
+    def test_working_cap_below_the_arity_cap(self, monkeypatch):
+        # refused before any closure is built
+        monkeypatch.setattr(lattice, "clone_closure", lambda *a, **kw: pytest.fail("closure built"))
+        with pytest.raises(ValueError, match="working cap 1 below arity cap 2"):
+            unary_interval_chain(C2, 2, 1)
+
+    @pytest.mark.parametrize("carrier, cap", [(C2, 2), (C3, 1), (C3, 2), (C2, 3)],
+                             ids=["C2-2", "C3-1", "C3-2", "C2-3"])
+    def test_orbit_representatives_match_scalar_orbits(self, carrier, cap):
+        # the first table of each orbit in table order, orbits read off the
+        # scalar conjugates one table at a time
+        perms = list(itertools.permutations(range(carrier.size)))
+        expected, seen = [], set()
+        for n in range(1, cap + 1):
+            for op in all_op_tables(carrier, n):
+                if op.table not in seen:
+                    seen |= {reference_conjugate(op, p) for p in perms}
+                    expected.append((n, op.table))
+        got = [(n, tuple(row)) for n, rows in _orbit_representatives(carrier, cap) for row in rows.tolist()]
+        assert got == expected
 
     @pytest.mark.parametrize("carrier, cap, working_cap, sizes, digest", [
         (C2, 2, 3, [18, 28, 276], "22d9ab7296d8b9aa"),
@@ -213,8 +247,9 @@ class TestUnaryIntervalChain:
         # the clones found are those of growing from the members
         clones = unary_interval_chain(carrier, cap, working_cap).clones
         assert [len(c) for c in clones] == sizes
-        signatures = repr([c.signature() for c in clones]).encode()
-        assert hashlib.sha256(signatures).hexdigest()[:16] == digest
+        rows = repr([tuple((n, len(c.rows(n)), c.rows(n).tobytes()) for n, size in c.counts().items()
+                           if size) for c in clones]).encode()
+        assert hashlib.sha256(rows).hexdigest()[:16] == digest
 
     @pytest.mark.parametrize("carrier, cap, working_cap", [(C2, 2, 3), (C2, 1, 3), (C3, 1, 2)],
                              ids=["C2-2-3", "C2-1-3", "C3-1-2"])
@@ -223,4 +258,4 @@ class TestUnaryIntervalChain:
         # needs no conjugates of the clones it finds
         for clone in unary_interval_chain(carrier, cap, working_cap).clones:
             for perm in itertools.permutations(range(carrier.size)):
-                assert OpSet(carrier, working_cap, [conjugate(op, perm) for op in clone]) == clone
+                assert {reference_conjugate(op, perm) for op in clone} == {op.table for op in clone}
